@@ -31,15 +31,15 @@ from .contraction import (
     check_output_contraction, check_partial_contraction, divergence_csv,
     fit_rate, simulate_pair, verdict_json,
 )
-from .exprlang import ExprEvalError, ExprSyntaxError
+from .exprlang import ExprEvalError
 from .lyapunov import (
     Bounds, CandidateV, CheckDomain, check_decay, check_sandwich,
     check_time_invariant, implied_rate, report_json,
 )
 from .odeint import IntegratorConfig, integrate, map_output, trajectory_csv
 from .sysmodel import (
-    BUILTIN_NAMES, SystemValidationError, builtin_system, eval_fh, jacobians,
-    system_from_json, validate, vector_field,
+    BUILTIN_NAMES, builtin_system, eval_fh, jacobians, system_from_json,
+    vector_field,
 )
 
 USAGE_ERROR, FALSIFIED, NUMERIC_FAILURE = 2, 1, 3
@@ -170,6 +170,12 @@ def _traj_json(traj, outputs=None):
     return doc
 
 
+def _write_divergence(rep: _Reporter, name: str, series) -> None:
+    rep.write_series(name, divergence_csv(series),
+                     {"t": [float(v) for v in series.times],
+                      "d": [float(v) for v in series.d]})
+
+
 def _integrator_config(args) -> IntegratorConfig:
     return IntegratorConfig(method=getattr(args, "method", "rk45-adaptive"),
                             step=getattr(args, "step", 1e-3),
@@ -216,19 +222,20 @@ def cmd_jacobian(args) -> int:
     return rep.finish(0)
 
 
-def _run_verdict_command(args, checker) -> int:
+def _run_verdict_command(args, checker, **results) -> int:
+    """Report ``checker(spec, plan, alpha_min=...)``, the extra `results`
+    and, with --dump-series, every item's series."""
     rep = _Reporter(args)
     spec = load_system(args.system)
     verdict = checker(spec, _plan(args, spec),
                       alpha_min=args.alpha_min)
     rep.add("verdict", verdict_json(verdict))
+    for key, value in results.items():
+        rep.add(key, value)
     if args.dump_series:
         for result in verdict.results:
-            series = result.series
-            rep.write_series(f"{verdict.kind}_pair_{result.index:03d}",
-                             divergence_csv(series),
-                             {"t": [float(v) for v in series.times],
-                              "d": [float(v) for v in series.d]})
+            _write_divergence(rep, f"{verdict.kind}_pair_{result.index:03d}",
+                              result.series)
     return rep.finish(0 if verdict.holds else FALSIFIED)
 
 
@@ -245,16 +252,16 @@ def cmd_oes(args) -> int:
 
 
 def cmd_oes_eq(args) -> int:
-    rep = _Reporter(args)
-    spec = load_system(args.system)
     y_star = _vec(args.y_star, None, "--y-star")
-    x_ref0 = _vec(args.x_ref0, spec.n, "--x-ref0") \
-        if args.x_ref0 is not None else None
-    verdict = check_oes_equilibrium(spec, y_star, _plan(args, spec),
-                                    x_ref0=x_ref0, alpha_min=args.alpha_min)
-    rep.add("verdict", verdict_json(verdict))
-    rep.add("y_star", [float(v) for v in y_star])
-    return rep.finish(0 if verdict.holds else FALSIFIED)
+
+    def checker(spec, plan, alpha_min):
+        x_ref0 = _vec(args.x_ref0, spec.n, "--x-ref0") \
+            if args.x_ref0 is not None else None
+        return check_oes_equilibrium(spec, y_star, plan, x_ref0=x_ref0,
+                                     alpha_min=alpha_min)
+
+    return _run_verdict_command(args, checker,
+                                y_star=[float(v) for v in y_star])
 
 
 def cmd_lyapunov(args) -> int:
@@ -297,9 +304,7 @@ def _reproduce_fig1(args, rep: _Reporter) -> int:
     series = simulate_pair(spec, *map(np.array, FIG1_STARTS), 0.0, args.tf, cfg)
     fit = fit_rate(series, scale=series.dx0)
     ratio = float(series.state_dist[-1] / series.d[-1])
-    rep.write_series("fig1_divergence", divergence_csv(series),
-                     {"t": [float(v) for v in series.times],
-                      "d": [float(v) for v in series.d]})
+    _write_divergence(rep, "fig1_divergence", series)
     rep.add("output_divergence_alpha", fit.alpha)
     rep.add("state_escape_truncated_at", series.t_end)
     rep.add("state_distance_over_output_divergence", ratio)
@@ -332,18 +337,15 @@ def _reproduce_fig2(args, rep: _Reporter) -> int:
 
 def _reproduce_remark1(args, rep: _Reporter) -> int:
     spec = builtin_system("lti-remark1")
+    cfg = _integrator_config(args)
     plan = SamplingPlan(box=((-5.0, 5.0), (-5.0, 5.0)), pairs=args.pairs,
                         seed=args.seed, t0=0.0, tf=args.tf)
-    contraction = check_output_contraction(spec, plan)
-    partial = check_partial_contraction(spec, plan)
-    series = simulate_pair(spec, (0.0, 0.0), (0.0, 1.0), 0.0, args.tf)
-    rep.write_series("remark1_divergence", divergence_csv(series),
-                     {"t": [float(v) for v in series.times],
-                      "d": [float(v) for v in series.d]})
-    witness_pair = simulate_pair(spec, (1.0, 0.0), (1.0, 1.0), 0.0, args.tf)
-    rep.write_series("remark1_partial_witness", divergence_csv(witness_pair),
-                     {"t": [float(v) for v in witness_pair.times],
-                      "d": [float(v) for v in witness_pair.d]})
+    contraction = check_output_contraction(spec, plan, cfg)
+    partial = check_partial_contraction(spec, plan, cfg)
+    for name, starts in (("remark1_divergence", ((0.0, 0.0), (0.0, 1.0))),
+                         ("remark1_partial_witness", ((1.0, 0.0), (1.0, 1.0)))):
+        _write_divergence(rep, name,
+                          simulate_pair(spec, *starts, 0.0, args.tf, cfg))
     rep.add("output_contraction", verdict_json(contraction))
     rep.add("partial_contraction", verdict_json(partial))
     rep.add("note", "output contraction holds for y = x1 while partial "
@@ -366,13 +368,14 @@ def cmd_reproduce(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, system=True):
+def _add_common(sub, system=True, horizon=(("--t0", 0.0), ("--tf", 10.0))):
+    """The shared flags; `horizon` lists the time flags the command reads."""
     if system:
         sub.add_argument("--system", required=True,
                          help="built-in name or path to a system JSON file")
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--t0", type=float, default=0.0)
-    sub.add_argument("--tf", type=float, default=10.0)
+    for flag, default in horizon:
+        sub.add_argument(flag, type=float, default=default)
     sub.add_argument("--out", default=None, help="directory for emitted files")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -405,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_simulate)
 
     s = subs.add_parser("jacobian", help="print f, y, Jf, Jh, dh/dt at a point")
-    _add_common(s)
+    _add_common(s, horizon=())
     s.add_argument("--x", required=True)
     s.add_argument("--t", type=float, default=0.0)
     s.set_defaults(func=cmd_jacobian)
@@ -431,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=cmd_oes_eq)
 
     s = subs.add_parser("lyapunov", help="falsification-check a certificate")
-    _add_common(s)
+    _add_common(s, horizon=())
     s.add_argument("--V", required=True, help="certificate over x*, xi*, t")
     s.add_argument("--alpha1", type=float, required=True)
     s.add_argument("--alpha2", type=float, required=True)
@@ -448,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = subs.add_parser("reproduce",
                         help="rebuild the bundled demonstration datasets")
     s.add_argument("name", choices=("fig1", "fig2", "remark1"))
-    _add_common(s, system=False)
+    _add_common(s, system=False, horizon=(("--tf", 10.0),))
     s.add_argument("--pairs", type=int, default=25)
     s.add_argument("--rtol", type=float, default=1e-8)
     s.add_argument("--atol", type=float, default=1e-8)
@@ -463,9 +466,6 @@ def main(argv=None) -> int:
     args.command_echo = ["occtl"] + argv
     try:
         return args.func(args)
-    except (UsageError, SystemValidationError, ExprSyntaxError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return USAGE_ERROR
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

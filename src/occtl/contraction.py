@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .odeint import IntegratorConfig, Trajectory, integrate, sample_at
+from .odeint import IntegratorConfig, integrate, sample_at
 from .sysmodel import (
     SystemSpec, augment, eval_fh, jacobians, validate, vector_field,
 )
@@ -177,14 +177,36 @@ def _sample_box(rng: np.random.Generator, box) -> np.ndarray:
     return np.array([rng.uniform(lo, hi) for lo, hi in box])
 
 
-def _report_grid(traj: Trajectory, points: int) -> tuple[np.ndarray, bool]:
-    """Uniform grid over the surviving span, flagged when it ends early."""
-    return np.linspace(traj.t0, traj.t_end, points), not traj.ok
+def _observe(field, x0, t0: float, tf: float, cfg: IntegratorConfig | None,
+             output) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
+    """Integrate from x0 and sample a uniform grid over the surviving span.
+
+    Returns the grid, the states on it, ``output(states, grid)`` and whether
+    the trajectory ended before tf.
+    """
+    traj = integrate(field, x0, t0, tf, cfg)
+    grid = np.linspace(traj.t0, traj.t_end, DEFAULT_GRID_POINTS)
+    states = sample_at(traj, grid)
+    return grid, states, output(states, grid), not traj.ok
+
+
+def _pair_series(spec: SystemSpec, x0: np.ndarray, x0p: np.ndarray,
+                 t0: float, tf: float,
+                 cfg: IntegratorConfig | None) -> DivergenceSeries:
+    grid, states, y, truncated = _observe(                  # (g, 2, n|m)
+        vector_field(spec), np.stack([x0, x0p]), t0, tf, cfg,
+        lambda s, g: eval_fh(spec, s, g[:, None])[1])
+    _, y0 = eval_fh(spec, np.stack([x0, x0p]), t0)
+    return DivergenceSeries(
+        times=grid, d=np.linalg.norm(y[:, 0] - y[:, 1], axis=-1),
+        dx0=float(np.linalg.norm(x0 - x0p)),
+        dy0=float(np.linalg.norm(y0[0] - y0[1])),
+        truncated=truncated,
+        state_dist=np.linalg.norm(states[:, 0] - states[:, 1], axis=-1))
 
 
 def simulate_pair(spec: SystemSpec, x0, x0p, t0: float, tf: float,
-                  cfg: IntegratorConfig | None = None,
-                  grid_points: int = DEFAULT_GRID_POINTS) -> DivergenceSeries:
+                  cfg: IntegratorConfig | None = None) -> DivergenceSeries:
     """Integrate two starts and return their output separation series.
 
     Both trajectories run on shared integrator steps; outputs are mapped
@@ -196,23 +218,7 @@ def simulate_pair(spec: SystemSpec, x0, x0p, t0: float, tf: float,
     x0p = np.asarray(x0p, dtype=float)
     if np.array_equal(x0, x0p):
         raise ValueError("the two initial states must differ")
-    traj = integrate(vector_field(spec), np.stack([x0, x0p]), t0, tf, cfg)
-    grid, truncated = _report_grid(traj, grid_points)
-    states = sample_at(traj, grid)                      # (g, 2, n)
-    _, y = eval_fh(spec, states, grid[:, None])         # (g, 2, m)
-    d = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1)
-    state_dist = np.linalg.norm(states[:, 0] - states[:, 1], axis=-1)
-    _, y0 = eval_fh(spec, np.stack([x0, x0p]), t0)
-    return DivergenceSeries(
-        times=grid, d=d,
-        dx0=float(np.linalg.norm(x0 - x0p)),
-        dy0=float(np.linalg.norm(y0[0] - y0[1])),
-        truncated=truncated, state_dist=state_dist)
-
-
-_INVALID_FIT = RateFit(c=math.nan, alpha=math.nan, residual=math.nan,
-                       window=(math.nan, math.nan), c_tight=math.nan,
-                       valid=False, n_points=0)
+    return _pair_series(spec, x0, x0p, t0, tf, cfg)
 
 
 def fit_rate(series: DivergenceSeries, scale: float,
@@ -220,7 +226,8 @@ def fit_rate(series: DivergenceSeries, scale: float,
     """Least-squares exponential rate of a decay series.
 
     Fits log d(t) = intercept - alpha (t - t0) over the window starting a
-    tenth into the span, keeping only points above `floor` (default
+    tenth into the span (and after t0, so a series without span has no
+    usable points), keeping only points above `floor` (default
     ``max(1e-12, 1e-9 d(t0))``).  `floor` may also be an array: when the
     decaying signal is the small difference of a large carrier (variational
     outputs near a state blow-up), the roundoff level grows with the carrier
@@ -236,7 +243,7 @@ def fit_rate(series: DivergenceSeries, scale: float,
         floor = max(1e-12, 1e-9 * float(d[0]))
     t0 = t[0]
     window_start = t0 + 0.1 * (t[-1] - t0)
-    usable = (t >= window_start) & (d > floor) & np.isfinite(d)
+    usable = (t >= window_start) & (t > t0) & (d > floor) & np.isfinite(d)
     n_points = int(np.count_nonzero(usable))
     if n_points < 10:
         return RateFit(c=math.nan, alpha=math.nan, residual=math.nan,
@@ -312,14 +319,34 @@ def _assemble(kind: str, results: list[PairResult], alpha_min: float) -> Verdict
         results=tuple(results))
 
 
-def _judge(fit: RateFit, alpha_min: float) -> tuple[bool, str | None]:
+def _judged(index: int, x0, partner, series: DivergenceSeries, scale: float,
+            alpha_min: float, floor=None) -> PairResult:
+    """Fit the decay of `series` at `scale` and judge it against alpha_min."""
+    fit = fit_rate(series, scale=scale, floor=floor)
     if not fit.valid:
-        return False, f"invalid fit ({fit.n_points} usable points)"
-    if not fit.alpha >= alpha_min:
-        return False, f"fitted alpha {fit.alpha:.4g} below alpha_min {alpha_min:g}"
-    if not math.isfinite(fit.c_tight):
-        return False, "pointwise constant is not finite"
-    return True, None
+        note = f"invalid fit ({fit.n_points} usable points)"
+    elif not fit.alpha >= alpha_min:
+        note = f"fitted alpha {fit.alpha:.4g} below alpha_min {alpha_min:g}"
+    elif not math.isfinite(fit.c_tight):
+        note = "pointwise constant is not finite"
+    else:
+        note = None
+    return PairResult(index, x0, partner, series, fit, note is None, note)
+
+
+def _check(kind: str, spec: SystemSpec, plan: SamplingPlan, alpha_min: float,
+           draw, judge) -> Verdict:
+    """The item loop of every sampling check: ``draw(rng)`` turns item i's
+    ``seed XOR i`` stream into its initial conditions (a tuple), for every
+    item before any is judged; ``judge(i, *item)`` then returns each item's
+    PairResult, in index order."""
+    validate(spec)
+    if len(plan.box) != spec.n:
+        raise ValueError(f"plan box has {len(plan.box)} intervals, system has "
+                         f"n={spec.n}")
+    items = [draw(_pair_rng(plan.seed, i)) for i in range(plan.pairs)]
+    return _assemble(kind, [judge(i, *item) for i, item in enumerate(items)],
+                     alpha_min)
 
 
 def verdict_json(verdict: Verdict) -> dict:
@@ -357,22 +384,18 @@ def check_output_contraction(spec: SystemSpec, plan: SamplingPlan,
     pointwise constant.  Pairs that left the finite range are reported via
     the `truncated` count and judged on their surviving span.
     """
-    validate(spec)
-    if len(plan.box) != spec.n:
-        raise ValueError(f"plan box has {len(plan.box)} intervals, system has "
-                         f"n={spec.n}")
-    results = []
-    for i in range(plan.pairs):
-        rng = _pair_rng(plan.seed, i)
+    def draw(rng):
         x0 = _sample_box(rng, plan.box)
         x0p = _sample_box(rng, plan.box)
         while np.array_equal(x0, x0p):
             x0p = _sample_box(rng, plan.box)
-        series = simulate_pair(spec, x0, x0p, plan.t0, plan.tf, cfg)
-        fit = fit_rate(series, scale=series.dx0)
-        passed, note = _judge(fit, alpha_min)
-        results.append(PairResult(i, x0, x0p, series, fit, passed, note))
-    return _assemble("output-contraction", results, alpha_min)
+        return x0, x0p
+
+    def judge(i, x0, x0p):
+        series = _pair_series(spec, x0, x0p, plan.t0, plan.tf, cfg)
+        return _judged(i, x0, x0p, series, series.dx0, alpha_min)
+
+    return _check("output-contraction", spec, plan, alpha_min, draw, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -415,15 +438,8 @@ def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
     exists (e.g. h is the identity) the unprojected draw is used and the
     bound is fitted with the dy0 scale, which then equals dx0.
     """
-    validate(spec)
-    if len(plan.box) != spec.n:
-        raise ValueError(f"plan box has {len(plan.box)} intervals, system has "
-                         f"n={spec.n}")
-    results = []
-    for i in range(plan.pairs):
-        rng = _pair_rng(plan.seed, i)
+    def draw(rng):
         x0 = _sample_box(rng, plan.box)
-        x0p = None
         for _ in range(10):
             z = _sample_box(rng, plan.box)
             if np.array_equal(z, x0):
@@ -433,27 +449,23 @@ def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
                 <= 1e-9 * (1.0 + np.linalg.norm(x0))
             x0p = z if (not ok or degenerate) else projected
             if not np.array_equal(x0p, x0):
-                break
-            x0p = None
-        if x0p is None:
-            raise RuntimeError("could not draw a distinct pair from the box")
-        series = simulate_pair(spec, x0, x0p, plan.t0, plan.tf, cfg)
-        if series.dy0 <= 1e-12:
-            max_d = float(np.max(series.d))
-            if max_d > 1e-6:
-                results.append(PairResult(
-                    i, x0, x0p, series, None, False,
-                    f"outputs separate to {max_d:.3g} from equal initial "
-                    "outputs (no initial-output scale can bound this)"))
-            else:
-                results.append(PairResult(
-                    i, x0, x0p, series, None, True,
-                    "outputs remained equal along the pair"))
-            continue
-        fit = fit_rate(series, scale=series.dy0)
-        passed, note = _judge(fit, alpha_min)
-        results.append(PairResult(i, x0, x0p, series, fit, passed, note))
-    return _assemble("partial-contraction", results, alpha_min)
+                return x0, x0p
+        raise RuntimeError("could not draw a distinct pair from the box")
+
+    def judge(i, x0, x0p):
+        series = _pair_series(spec, x0, x0p, plan.t0, plan.tf, cfg)
+        if not series.dy0 <= 1e-12:
+            return _judged(i, x0, x0p, series, series.dy0, alpha_min)
+        max_d = float(np.max(series.d))
+        if max_d > 1e-6:
+            return PairResult(i, x0, x0p, series, None, False,
+                              f"outputs separate to {max_d:.3g} from equal "
+                              "initial outputs (no initial-output scale can "
+                              "bound this)")
+        return PairResult(i, x0, x0p, series, None, True,
+                          "outputs remained equal along the pair")
+
+    return _check("partial-contraction", spec, plan, alpha_min, draw, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -500,26 +512,20 @@ def check_oes_variational(spec: SystemSpec, plan: SamplingPlan,
     sphere, so the fit scale ||xi0|| is 1 and the reported worst (c, alpha)
     reflect uniformity over base trajectory, start time, and seed.
     """
-    validate(spec)
-    if len(plan.box) != spec.n:
-        raise ValueError(f"plan box has {len(plan.box)} intervals, system has "
-                         f"n={spec.n}")
-    aug = augment(spec)
-    results = []
-    for i in range(plan.pairs):
-        rng = _pair_rng(plan.seed, i)
+    aug, n = augment(spec), spec.n
+
+    def draw(rng):
         x0 = _sample_box(rng, plan.box)
-        xi0 = rng.standard_normal(spec.n)
+        xi0 = rng.standard_normal(n)
         while np.linalg.norm(xi0) < 1e-12:
-            xi0 = rng.standard_normal(spec.n)
-        xi0 = xi0 / np.linalg.norm(xi0)
-        traj = integrate(aug.field, np.concatenate([x0, xi0]),
-                         plan.t0, plan.tf, cfg)
-        grid, truncated = _report_grid(traj, DEFAULT_GRID_POINTS)
-        states = sample_at(traj, grid)
-        x_g, xi_g = states[:, :spec.n], states[:, spec.n:]
-        nu = aug.output(x_g, xi_g, grid)
-        xi_norm = np.linalg.norm(xi_g, axis=-1)
+            xi0 = rng.standard_normal(n)
+        return x0, xi0 / np.linalg.norm(xi0)
+
+    def judge(i, x0, xi0):
+        grid, states, nu, truncated = _observe(
+            aug.field, np.concatenate([x0, xi0]), plan.t0, plan.tf, cfg,
+            lambda s, g: aug.output(s[:, :n], s[:, n:], g))
+        xi_norm = np.linalg.norm(states[:, n:], axis=-1)
         series = DivergenceSeries(
             times=grid, d=np.linalg.norm(nu, axis=-1),
             dx0=float(np.linalg.norm(xi0)),
@@ -530,10 +536,10 @@ def check_oes_variational(spec: SystemSpec, plan: SamplingPlan,
         # level tracks ||xi||; near a blow-up that dwarfs any absolute floor
         floor = np.maximum(max(1e-12, 1e-9 * float(series.d[0])),
                            64.0 * np.finfo(float).eps * xi_norm)
-        fit = fit_rate(series, scale=float(np.linalg.norm(xi0)), floor=floor)
-        passed, note = _judge(fit, alpha_min)
-        results.append(PairResult(i, x0, xi0, series, fit, passed, note))
-    return _assemble("oes-variational", results, alpha_min)
+        return _judged(i, x0, xi0, series, float(np.linalg.norm(xi0)),
+                       alpha_min, floor)
+
+    return _check("oes-variational", spec, plan, alpha_min, draw, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -551,27 +557,20 @@ def check_oes_equilibrium(spec: SystemSpec, y_star, plan: SamplingPlan,
     state is supplied, else the documented surrogate 1 + ||x0|| (the
     reference trajectory behind y_star is generally unknown).
     """
-    validate(spec)
     if not spec.time_invariant:
         raise ValueError(f"{spec.name!r} is time-varying; the output-"
                          "equilibrium check applies to time-invariant systems")
     y_star = np.atleast_1d(np.asarray(y_star, dtype=float))
     if y_star.shape != (spec.m,) or not np.all(np.isfinite(y_star)):
         raise ValueError(f"y_star must be a finite vector of length m={spec.m}")
-    if len(plan.box) != spec.n:
-        raise ValueError(f"plan box has {len(plan.box)} intervals, system has "
-                         f"n={spec.n}")
     if x_ref0 is not None:
         x_ref0 = np.asarray(x_ref0, dtype=float)
     field = vector_field(spec)
-    results = []
-    for i in range(plan.pairs):
-        rng = _pair_rng(plan.seed, i)
-        x0 = _sample_box(rng, plan.box)
-        traj = integrate(field, x0, plan.t0, plan.tf, cfg)
-        grid, truncated = _report_grid(traj, DEFAULT_GRID_POINTS)
-        states = sample_at(traj, grid)
-        _, y = eval_fh(spec, states, grid)
+
+    def judge(i, x0):
+        grid, _, y, truncated = _observe(
+            field, x0, plan.t0, plan.tf, cfg,
+            lambda s, g: eval_fh(spec, s, g)[1])
         d = np.linalg.norm(y - y_star, axis=-1)
         series = DivergenceSeries(
             times=grid, d=d, dx0=float(np.linalg.norm(x0)),
@@ -579,14 +578,12 @@ def check_oes_equilibrium(spec: SystemSpec, y_star, plan: SamplingPlan,
         scale = (float(np.linalg.norm(x0 - x_ref0)) if x_ref0 is not None
                  else 1.0 + float(np.linalg.norm(x0)))
         if not scale > 0:
-            results.append(PairResult(
-                i, x0, x_ref0, series, None, False,
-                "zero distance to the reference initial state"))
-            continue
-        fit = fit_rate(series, scale=scale)
-        passed, note = _judge(fit, alpha_min)
-        results.append(PairResult(i, x0, x_ref0, series, fit, passed, note))
-    return _assemble("oes-equilibrium", results, alpha_min)
+            return PairResult(i, x0, x_ref0, series, None, False,
+                              "zero distance to the reference initial state")
+        return _judged(i, x0, x_ref0, series, scale, alpha_min)
+
+    return _check("oes-equilibrium", spec, plan, alpha_min,
+                  lambda rng: (_sample_box(rng, plan.box),), judge)
 
 
 # ---------------------------------------------------------------------------
@@ -595,8 +592,7 @@ def check_oes_equilibrium(spec: SystemSpec, y_star, plan: SamplingPlan,
 
 def fd_variational_check(spec: SystemSpec, x0, xi0, delta: float,
                          t0: float, tf: float,
-                         cfg: IntegratorConfig | None = None,
-                         grid_points: int = DEFAULT_GRID_POINTS) -> FdCheck:
+                         cfg: IntegratorConfig | None = None) -> FdCheck:
     """Compare flow difference quotients against the variational solution.
 
     Integrates the base start and the start displaced by delta xi0 on shared
@@ -620,7 +616,7 @@ def fd_variational_check(spec: SystemSpec, x0, xi0, delta: float,
     vari = integrate(aug.field, np.concatenate([x0, xi0]), t0, tf, cfg)
     t_end = min(pair.t_end, vari.t_end)
     truncated = t_end < tf
-    grid = np.linspace(t0, tf, grid_points)
+    grid = np.linspace(t0, tf, DEFAULT_GRID_POINTS)
     grid = grid[grid <= t_end]
 
     pair_states = sample_at(pair, grid)                 # (g, 2, n)

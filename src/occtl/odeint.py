@@ -68,7 +68,6 @@ class IntegratorConfig:
     step: float = 1e-3
     rtol: float = 1e-8
     atol: float = 1e-8
-    max_step: float = math.inf
 
     def __post_init__(self):
         if self.method not in ("rk4-fixed", "rk45-adaptive"):
@@ -83,7 +82,7 @@ def integrate(field, x0, t0: float, tf: float,
     cfg = cfg or IntegratorConfig()
     if cfg.method == "rk4-fixed":
         return integrate_rk4(field, x0, t0, tf, cfg.step)
-    return integrate_rk45(field, x0, t0, tf, cfg.rtol, cfg.atol, cfg.max_step)
+    return integrate_rk45(field, x0, t0, tf, cfg.rtol, cfg.atol)
 
 
 def _finite(a: np.ndarray) -> bool:
@@ -165,8 +164,7 @@ _FACTOR_MAX = 5.0
 
 
 def integrate_rk45(field, x0, t0: float, tf: float,
-                   rtol: float = 1e-8, atol: float = 1e-8,
-                   max_step: float = math.inf) -> Trajectory:
+                   rtol: float = 1e-8, atol: float = 1e-8) -> Trajectory:
     """Dormand-Prince 5(4) embedded pair with standard step control.
 
     A step is accepted when the weighted rms error norm
@@ -188,11 +186,11 @@ def integrate_rk45(field, x0, t0: float, tf: float,
     states = [x]
     derivs = [k1]
     failure = None
-    h = min(span / 100.0, max_step)
+    h = span / 100.0
 
     with np.errstate(all="ignore"):
         while t < tf:
-            h = min(h, max_step, tf - t)
+            h = min(h, tf - t)
             # below this step the grid cannot advance in double precision;
             # grinding into it means a singularity (blow-up) or stiffness
             h_floor = max(1e-13 * span, 16.0 * eps * abs(t))
@@ -245,13 +243,17 @@ def sample_at(traj: Trajectory, t):
 
     Exact (bit for bit) at grid points, and exact for polynomial solutions of
     degree at most 3.  `t` may be a scalar or an array; times outside
-    [t0, t_end] raise ValueError.
+    [t0, t_end] raise ValueError.  A trajectory whose first step failed holds
+    only its initial point, which every valid time then returns.
     """
     t_arr = np.asarray(t, dtype=float)
     lo, hi = traj.times[0], traj.times[-1]
     if np.any(t_arr < lo) or np.any(t_arr > hi):
         raise ValueError(
             f"sample time(s) outside the trajectory horizon [{lo}, {hi}]")
+    if len(traj.times) == 1:
+        return np.broadcast_to(traj.states[0],
+                               t_arr.shape + traj.states.shape[1:]).copy()
 
     idx = np.clip(np.searchsorted(traj.times, t_arr, side="right") - 1,
                   0, len(traj.times) - 2)

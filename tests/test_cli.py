@@ -49,6 +49,18 @@ def test_unknown_flag_exits_2():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["lyapunov", "--system", "ex1-timevarying", "--V", "(xi1+xi2)^2",
+     "--alpha1", "1", "--alpha2", "2", "--tf", "5"],
+    ["jacobian", "--system", "lti-remark1", "--x", "0,0", "--t0", "1"],
+    ["reproduce", "remark1", "--t0", "1"],
+])
+def test_time_flags_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_bad_threads_env(capsys, monkeypatch):
     monkeypatch.setenv("OCCTL_THREADS", "many")
     assert main(["jacobian", "--system", "lti-remark1", "--x", "0,0"]) == 2
@@ -138,6 +150,17 @@ def test_oes_eq_time_invariant(capsys):
     assert code == 0
 
 
+def test_oes_eq_dump_series_writes_one_csv_per_sample(tmp_path, capsys):
+    code, report = run_cli(capsys, "oes-eq", "--system", "lti-remark1",
+                           "--y-star", "0", "--pairs", "3", "--tf", "4",
+                           "--dump-series", "--out", str(tmp_path))
+    assert code == 0
+    assert report["results"]["y_star"] == [0.0]
+    series = sorted(p.name for p in tmp_path.glob("*.csv"))
+    assert series == [f"oes-equilibrium_pair_{i:03d}.csv" for i in range(3)]
+    assert report["files"] == series + ["report.json"]
+
+
 def test_oes_eq_rejects_time_varying(capsys):
     code = main(["oes-eq", "--system", "ex1-timevarying", "--y-star", "0.2"])
     assert code == 2
@@ -206,6 +229,18 @@ def test_reproduce_remark1_surfaces_the_falsification(tmp_path, capsys):
     assert res["output_contraction"]["holds"] is True
     assert res["partial_contraction"]["holds"] is False
     assert res["partial_contraction"]["witness"]["dy0"] <= 1e-12
+
+
+def test_reproduce_remark1_honours_tolerances(tmp_path, capsys):
+    def divergence(*flags):
+        out = tmp_path / "_".join(flags or ("default",))
+        code, _ = run_cli(capsys, "reproduce", "remark1", "--pairs", "2",
+                          "--tf", "4", "--out", str(out), *flags)
+        assert code == 1
+        return (out / "remark1_divergence.csv").read_text()
+
+    assert divergence("--rtol", "1e-8", "--atol", "1e-8") == divergence()
+    assert divergence("--rtol", "1e-3", "--atol", "1e-3") != divergence()
 
 
 # ---------------------------------------------------------------------------

@@ -379,6 +379,21 @@ def test_fd_check_validates_inputs():
         fd_variational_check(spec, (1.0, 0.0), (0.0, 0.0), 1e-6, 0.0, 1.0)
 
 
+def test_witness_of_a_pair_whose_first_step_fails():
+    # the field is infinite at every start in the box, so both trajectories
+    # stop at t0; the witness still reports the known separation d(t0)
+    spec = SystemSpec.from_strings("instant", 2, 1,
+                                   ["exp(exp(x1))", "-x2"], ["x2"])
+    plan = SamplingPlan(box=((10.0, 10.5), (-1.0, 1.0)), pairs=1, tf=1.0)
+    with np.errstate(over="ignore"):
+        verdict = check_output_contraction(spec, plan)
+    assert not verdict.holds
+    w = verdict.witness
+    assert w["truncated"] and w["t_end"] == 0.0
+    assert w["reason"] == "invalid fit (0 usable points)"
+    assert w["max_d"] == pytest.approx(w["dy0"]) and w["dy0"] > 0
+
+
 def test_witness_is_recheckable():
     # whatever the witness records must reproduce the failure when re-run
     spec = builtin_system("lti-remark1-badout")

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,20 @@ def test_sample_at_grid_points_is_bit_exact():
     for idx in (0, len(traj.times) // 2, len(traj.times) - 1):
         got = sample_at(traj, float(traj.times[idx]))
         np.testing.assert_array_equal(got, traj.states[idx])
+
+
+def test_sample_at_one_point_trajectory_returns_the_start():
+    # the field is infinite at the start, so the very first step fails
+    field = vector_field(SystemSpec.from_strings(
+        "instant", 2, 1, ["exp(exp(x1))", "-x2"], ["x2"]))
+    traj = integrate_rk45(field, np.array([10.0, 1.0]), 0.0, 1.0)
+    assert traj.failure == "non_finite"
+    np.testing.assert_array_equal(traj.times, [0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        np.testing.assert_array_equal(sample_at(traj, 0.0), [10.0, 1.0])
+        np.testing.assert_array_equal(sample_at(traj, np.zeros(3)),
+                                      np.tile([10.0, 1.0], (3, 1)))
 
 
 def test_sample_at_reproduces_linear_solutions_exactly():
