@@ -94,28 +94,25 @@ def _vec(text: str, n: int | None, what: str) -> np.ndarray:
                          f"{text!r}") from None
     if n is not None and values.shape != (n,):
         raise UsageError(f"{what} needs {n} component(s), got {values.size}")
+    if not np.all(np.isfinite(values)):
+        raise UsageError(f"{what} must have finite components, got {text!r}")
     return values
-
-
-def _box(text: str, n: int) -> tuple[tuple[float, float], ...]:
-    try:
-        parts = [seg.split(":") for seg in text.split(",")]
-        box = tuple((float(lo), float(hi)) for lo, hi in parts)
-    except ValueError:
-        raise UsageError(f"box must look like 'lo:hi,lo:hi', got {text!r}") \
-            from None
-    if len(box) != n:
-        raise UsageError(f"box needs {n} interval(s), got {len(box)}")
-    return box
 
 
 def _range(text: str) -> tuple[float, float]:
     try:
         lo, hi = (float(v) for v in text.split(":"))
     except ValueError:
-        raise UsageError(f"range must look like 'lo:hi', got {text!r}") \
+        raise UsageError(f"interval must look like 'lo:hi', got {text!r}") \
             from None
     return lo, hi
+
+
+def _box(text: str, n: int) -> tuple[tuple[float, float], ...]:
+    box = tuple(_range(seg) for seg in text.split(","))
+    if len(box) != n:
+        raise UsageError(f"box needs {n} interval(s), got {len(box)}")
+    return box
 
 
 class _Reporter:

@@ -68,14 +68,16 @@ class SamplingPlan:
         object.__setattr__(self, "box",
                            tuple((float(lo), float(hi)) for lo, hi in self.box))
         for lo, hi in self.box:
-            if not lo < hi:
-                raise ValueError(f"box interval [{lo}, {hi}] is empty")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(
+                    f"box interval [{lo}, {hi}] is empty or not finite")
         if self.pairs < 1:
             raise ValueError("need at least one pair")
         if not 0 <= int(self.seed) < 2 ** 64:
             raise ValueError("seed must fit in 64 bits")
-        if not self.tf > self.t0:
-            raise ValueError(f"need tf > t0, got [{self.t0}, {self.tf}]")
+        if not (self.tf > self.t0 and math.isfinite(self.tf - self.t0)):
+            raise ValueError(
+                f"need finite t0 < tf, got [{self.t0}, {self.tf}]")
 
 
 @dataclass(frozen=True)

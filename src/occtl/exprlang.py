@@ -3,7 +3,8 @@
 This module supplies the symbolic layer of the toolkit: right-hand sides of
 vector fields, output maps, and Lyapunov candidates are all plain text parsed
 into immutable expression trees, evaluated either on floats or elementwise on
-numpy arrays, and differentiated exactly with dual numbers.
+numpy arrays, differentiated exactly with dual numbers or symbolically, and
+compiled into one vectorised kernel per expression list.
 
 Grammar (EBNF)::
 
@@ -617,8 +618,8 @@ def _g_sqrt(a, src):
     return np.sqrt(a)
 
 
-_SAFE_CALLS = {"sin": "np.sin", "cos": "np.cos", "tan": "np.tan",
-               "exp": "np.exp", "abs": "np.abs", "tanh": "np.tanh"}
+_SAFE_CALLS = {"sin": "_np.sin", "cos": "_np.cos", "tan": "_np.tan",
+               "exp": "_np.exp", "abs": "_np.abs", "tanh": "_np.tanh"}
 
 
 def _emit(e: Expr) -> str:
@@ -646,20 +647,30 @@ def _emit(e: Expr) -> str:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def compile_expr(e: Expr):
-    """Compile a tree into ``fn(env) -> value`` for hot loops.
+def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
+    """Compile trees into one kernel ``fn(x, t)`` for hot loops.
 
-    Semantics match `evaluate` (same domain guards, same arithmetic); only
-    the per-node interpretation overhead is gone.  Intended for integrator
-    fields, which evaluate the same trees millions of times.
+    `names` bind, in order, to the trailing-axis columns of x; expression i
+    fills column i of one array shaped ``broadcast(x.shape[:-1], shape(t))
+    + (len(exprs),)``.  Semantics match `evaluate` (same domain guards, same
+    arithmetic); only the interpretation overhead is gone.  A name that is
+    neither in `names` nor t raises ExprEvalError here.
     """
-    names = sorted(free_vars(e))
-    lines = ["def _compiled(env):"]
-    lines += [f"    {name} = env[{name!r}]" for name in names]
-    lines.append(f"    return {_emit(e)}")
-    namespace = {"np": np, "_div": _g_div, "_pow": _g_pow,
+    exprs, names = tuple(exprs), tuple(names)
+    unbound = frozenset().union(*map(free_vars, exprs)) - {*names, "t"}
+    if unbound:
+        raise ExprEvalError(f"unbound variable(s) {sorted(unbound)}")
+    lines = ["def _compiled(_x, t):", "    _x = _np.asarray(_x, dtype=float)"]
+    lines += [f"    {name} = _x[..., {i}]" for i, name in enumerate(names)]
+    lines += ["    _out = _np.empty(_np.broadcast_shapes(_x.shape[:-1], "
+              f"_np.shape(t)) + ({len(exprs)},))",
+              "    with _np.errstate(all='ignore'):"]
+    lines += [f"        _out[..., {i}] = {_emit(e)}" for i, e in enumerate(exprs)]
+    lines.append("    return _out")
+    namespace = {"_np": np, "_div": _g_div, "_pow": _g_pow,
                  "_ln": _g_ln, "_sqrt": _g_sqrt}
-    exec(compile("\n".join(lines), f"<expr {to_source(e)!r}>", "exec"), namespace)
+    source = ", ".join(map(to_source, exprs))
+    exec(compile("\n".join(lines), f"<exprs {source}>", "exec"), namespace)
     return namespace["_compiled"]
 
 

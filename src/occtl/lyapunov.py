@@ -116,14 +116,16 @@ class CheckDomain:
         object.__setattr__(self, "x_box",
                            tuple((float(lo), float(hi)) for lo, hi in self.x_box))
         for lo, hi in self.x_box:
-            if not lo < hi:
-                raise ValueError(f"x_box interval [{lo}, {hi}] is empty")
+            if not (lo < hi and math.isfinite(hi - lo)):
+                raise ValueError(
+                    f"x_box interval [{lo}, {hi}] is empty or not finite")
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.t_range[0] < 0 or self.t_range[1] < self.t_range[0]:
-            raise ValueError("t_range must satisfy 0 <= t_lo <= t_hi")
-        if not all(r > 0 for r in self.xi_radii):
-            raise ValueError("xi radii must be positive")
+        t_lo, t_hi = self.t_range
+        if not (0 <= t_lo <= t_hi and math.isfinite(t_hi)):
+            raise ValueError("t_range must satisfy 0 <= t_lo <= t_hi < inf")
+        if not all(0 < r < math.inf for r in self.xi_radii):
+            raise ValueError("xi radii must be finite and positive")
 
 
 @dataclass(frozen=True)

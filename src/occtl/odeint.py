@@ -72,8 +72,8 @@ class IntegratorConfig:
     def __post_init__(self):
         if self.method not in ("rk4-fixed", "rk45-adaptive"):
             raise ValueError(f"unknown method {self.method!r}")
-        if self.step <= 0 or self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("step, rtol and atol must all be positive")
+        if not all(0 < v < math.inf for v in (self.step, self.rtol, self.atol)):
+            raise ValueError("step, rtol and atol must be finite and positive")
 
 
 def integrate(field, x0, t0: float, tf: float,
@@ -87,6 +87,12 @@ def integrate(field, x0, t0: float, tf: float,
 
 def _finite(a: np.ndarray) -> bool:
     return bool(np.all(np.isfinite(a)))
+
+
+def _check_horizon(t0: float, tf: float) -> None:
+    # on an infinite span every stage time and the step floor are infinite
+    if not (tf > t0 and math.isfinite(tf - t0)):
+        raise ValueError(f"need finite t0 < tf, got t0={t0}, tf={tf}")
 
 
 def _build(times, states, derivs, t0, tf, failure) -> Trajectory:
@@ -105,10 +111,9 @@ def integrate_rk4(field, x0, t0: float, tf: float, step: float) -> Trajectory:
     The final step is shortened so the grid lands on tf exactly.  Global
     error is O(step^4) for smooth fields.
     """
-    if tf <= t0:
-        raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    _check_horizon(t0, tf)
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be finite and positive, got {step}")
     n_steps = max(1, int(math.ceil((tf - t0) / step - 1e-9)))
     grid = t0 + step * np.arange(n_steps + 1)
     grid[-1] = tf
@@ -172,10 +177,9 @@ def integrate_rk45(field, x0, t0: float, tf: float,
     step is updated by ``h <- h * clamp(0.9 * err^(-1/5), 0.2, 5.0)``.  The
     first stage of each step reuses the last stage of the previous one (FSAL).
     """
-    if tf <= t0:
-        raise ValueError(f"need tf > t0, got t0={t0}, tf={tf}")
-    if rtol <= 0 or atol <= 0:
-        raise ValueError("rtol and atol must be positive")
+    _check_horizon(t0, tf)
+    if not (0 < rtol < math.inf and 0 < atol < math.inf):
+        raise ValueError("rtol and atol must be finite and positive")
 
     span = tf - t0
     eps = np.finfo(float).eps

@@ -3,8 +3,10 @@
 A system is a pair of expression lists, the state derivative f and the output
 map h, over the variables x1..xn and t.  The variational (linearised-along-a-
 trajectory) system is never entered by hand: `augment` derives it from f and h
-with dual-number differentiation, so the xi-dynamics are always the exact
-Jacobian of the supplied right-hand side.
+by symbolic differentiation and compiles it, so the xi-dynamics are always the
+exact Jacobian of the supplied right-hand side.  Every field an integrator
+runs, f alone or f with its variational dynamics, is one kernel made by
+`compile_expr`.
 
 JSON document format::
 
@@ -23,8 +25,8 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .exprlang import (
-    Call, Expr, compile_expr, differentiate, dual_env, evaluate,
-    evaluate_dual, free_vars, parse, to_source,
+    Bin, Call, Const, Expr, Var, compile_expr, differentiate, dual_env,
+    evaluate, evaluate_dual, free_vars, parse, to_source,
 )
 
 __all__ = [
@@ -62,6 +64,10 @@ class SystemSpec:
     @cached_property
     def state_names(self) -> tuple[str, ...]:
         return tuple(f"x{i + 1}" for i in range(self.n))
+
+    @cached_property
+    def _field(self):
+        return compile_expr(self.f, self.state_names)
 
     @cached_property
     def time_invariant(self) -> bool:
@@ -142,28 +148,15 @@ def eval_fh(spec: SystemSpec, x, t) -> tuple[np.ndarray, np.ndarray]:
     return _eval_stack(spec.f, env), _eval_stack(spec.h, env)
 
 
-def _stack_vals(vals, shape) -> np.ndarray:
-    return np.stack([np.broadcast_to(np.asarray(v, dtype=float), shape)
-                     for v in vals], axis=-1)
-
-
 def vector_field(spec: SystemSpec) -> Callable[[np.ndarray, float], np.ndarray]:
     """The state derivative as a plain ``field(x, t)`` callable.
 
-    Components are compiled once, so the returned closure is cheap enough
-    for adaptive integration loops.  Accepts single states (n,) or batches
-    (..., n) and returns matching shapes.
+    f is compiled into one kernel the first time it is asked for and cached
+    on the spec, so every later call returns the same kernel.  Accepts
+    single states (n,) or batches (..., n) and returns shapes
+    ``broadcast(x.shape[:-1], shape(t)) + (n,)``.
     """
-    fns = tuple(compile_expr(e) for e in spec.f)
-    names = spec.state_names
-
-    def field(x, t):
-        x = np.asarray(x, dtype=float)
-        env = {name: x[..., i] for i, name in enumerate(names)}
-        env["t"] = t
-        with np.errstate(all="ignore"):
-            return _stack_vals([fn(env) for fn in fns], x[..., 0].shape)
-    return field
+    return spec._field
 
 
 @dataclass(frozen=True)
@@ -219,68 +212,56 @@ def finite_diff_jacobian(spec: SystemSpec, x, t, step: float
 # variational augmentation
 # ---------------------------------------------------------------------------
 
+def _variational_kernel(spec: SystemSpec, head: tuple[Expr, ...],
+                        exprs: tuple[Expr, ...]):
+    """Compile `head`, then ``0.0 + de/dx1*xi1 + ... + de/dxn*xin`` for each
+    e in `exprs`, into one kernel over x1..xn, xi1..xin.  The sums run left
+    to right; the leading 0.0 turns a sum of -0.0 terms into +0.0, and zero
+    derivatives stay as ``0.0*xi_j``, which is nan when xi_j is not finite."""
+    xi = tuple(f"xi{j + 1}" for j in range(spec.n))
+    sums = []
+    for e in exprs:
+        total: Expr = Const(0.0)
+        for x, v in zip(spec.state_names, xi):
+            total = Bin("+", total, Bin("*", differentiate(e, x), Var(v)))
+        sums.append(total)
+    return compile_expr(head + tuple(sums), spec.state_names + xi)
+
+
 @dataclass(frozen=True)
 class AugmentedSystem:
     """State plus variational dynamics, 2n-dimensional.
 
     The combined field is F(x, xi, t) = (f(x, t), Jf(x, t) xi) with output
     nu = Jh(x, t) xi.  The xi-block is linear in xi and vanishes at xi = 0.
-    The Jacobian entries are machine-differentiated from the base system and
-    compiled once; they agree with the dual-number `jacobians` op exactly,
-    which the test suite asserts.
+    The Jacobian entries are symbolic derivatives of the base system; F and
+    nu are each compiled once into one kernel over x1..xn, xi1..xin.  They
+    agree with the dual-number `jacobians` op to rounding, which the test
+    suite asserts at rtol 1e-12.
     """
 
     base: SystemSpec
 
-    @property
-    def dimension(self) -> int:
-        return 2 * self.base.n
+    @cached_property
+    def _field(self):
+        return _variational_kernel(self.base, self.base.f, self.base.f)
 
     @cached_property
-    def _f_fns(self):
-        return tuple(compile_expr(e) for e in self.base.f)
-
-    @cached_property
-    def _jf_fns(self):
-        names = self.base.state_names
-        return tuple(tuple(compile_expr(differentiate(e, v)) for v in names)
-                     for e in self.base.f)
-
-    @cached_property
-    def _jh_fns(self):
-        names = self.base.state_names
-        return tuple(tuple(compile_expr(differentiate(e, v)) for v in names)
-                     for e in self.base.h)
+    def _output(self):
+        return _variational_kernel(self.base, (), self.base.h)
 
     def field(self, state, t) -> np.ndarray:
-        n = self.base.n
-        state = np.asarray(state, dtype=float)
-        env = {name: state[..., i] for i, name in enumerate(self.base.state_names)}
-        env["t"] = t
-        xi = [state[..., n + j] for j in range(n)]
-        shape = state[..., 0].shape
-        with np.errstate(all="ignore"):
-            fx = [fn(env) for fn in self._f_fns]
-            xidot = [sum(row[j](env) * xi[j] for j in range(n))
-                     for row in self._jf_fns]
-            return _stack_vals(fx + xidot, shape)
+        return self._field(state, t)
 
     def output(self, x, xi, t) -> np.ndarray:
         """nu = Jh(x, t) xi, shaped (..., m)."""
-        x = np.asarray(x, dtype=float)
-        xi = np.asarray(xi, dtype=float)
-        n = self.base.n
-        env = {name: x[..., i] for i, name in enumerate(self.base.state_names)}
-        env["t"] = t
-        with np.errstate(all="ignore"):
-            nu = [sum(row[j](env) * xi[..., j] for j in range(n))
-                  for row in self._jh_fns]
-            return _stack_vals(nu, np.broadcast_shapes(x[..., 0].shape,
-                                                       np.shape(t)))
+        state = np.concatenate(np.broadcast_arrays(x, xi), axis=-1)
+        return self._output(state, t)
 
 
 def augment(spec: SystemSpec) -> AugmentedSystem:
-    """Attach the dual-number-derived variational dynamics to a system."""
+    """Attach the variational dynamics, compiled from symbolic derivatives,
+    to a system."""
     return AugmentedSystem(base=validate(spec))
 
 

@@ -75,6 +75,51 @@ def test_threads_env_recorded(capsys, monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# non-finite inputs
+# ---------------------------------------------------------------------------
+
+LTI = ["--system", "lti-remark1"]
+LYAPUNOV = ["lyapunov", *LTI, "--V", "x1^2 + x2^2", "--alpha1", "0.5",
+            "--alpha2", "2", "--alpha3", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *LTI, "--x0", "1,1", "--tf", "inf"],
+    ["simulate", *LTI, "--x0", "1,1", "--t0=-1e308", "--tf", "1e308"],
+    ["contraction", *LTI, "--pairs", "1", "--tf", "inf"],
+])
+def test_infinite_horizon_is_usage_error(argv):
+    # out of process with a timeout: a regression hangs in the step loop
+    proc = subprocess.run([sys.executable, "-m", "occtl", *argv],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "finite t0 < tf" in proc.stderr
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *LTI, "--x0", "1,1", "--tf", "nan"],
+    ["simulate", *LTI, "--x0", "1,1", "--method", "rk4-fixed", "--tf", "inf"],
+    ["simulate", *LTI, "--x0", "1,1", "--rtol", "nan"],
+    ["simulate", *LTI, "--x0", "1,1", "--atol", "inf"],
+    ["simulate", *LTI, "--x0", "1,1", "--method", "rk4-fixed", "--step", "inf"],
+    ["contraction", *LTI, "--pairs", "1", "--tf", "nan"],
+    ["simulate", *LTI, "--x0", "nan,1"],
+    ["simulate", *LTI, "--x0", "1,inf"],
+    ["jacobian", *LTI, "--x", "nan,0"],
+    ["oes-eq", *LTI, "--y-star", "nan"],
+    ["contraction", *LTI, "--box", "0:inf,0:1"],
+    ["oes", *LTI, "--box=-1e308:1e308,0:1"],
+    [*LYAPUNOV, "--x-box", "0:inf,0:1"],
+    [*LYAPUNOV, "--t-range", "0:inf"],
+    [*LYAPUNOV, "--xi-radii", "1,inf"],
+])
+def test_non_finite_input_is_usage_error(capsys, argv):
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+# ---------------------------------------------------------------------------
 # simulate and jacobian
 # ---------------------------------------------------------------------------
 

@@ -10,6 +10,7 @@ from occtl.contraction import (
     simulate_pair, simulate_variational, verdict_json,
 )
 from occtl.odeint import IntegratorConfig
+from occtl import sysmodel
 from occtl.sysmodel import SystemSpec, builtin_system, validate
 
 from oracles import output_equilibrium_root
@@ -32,6 +33,11 @@ def small_plan(**kw):
     dict(pairs=0),
     dict(tf=0.0),
     dict(seed=-1),
+    dict(tf=math.inf),
+    dict(tf=math.nan),
+    dict(t0=-1e308, tf=1e308),
+    dict(box=((0.0, math.inf), (0.0, 1.0))),
+    dict(box=((-1e308, 1e308), (0.0, 1.0))),
 ])
 def test_plan_validation(kw):
     with pytest.raises(ValueError):
@@ -412,3 +418,28 @@ def test_oes_variational_holds_for_time_varying_demo():
     assert verdict.holds
     assert verdict.min_alpha >= 0.9
     assert verdict.truncated == 10   # every sample rides a state escape
+
+
+def _count_compiles(monkeypatch) -> list:
+    calls = []
+    real = sysmodel.compile_expr
+
+    def counting(exprs, names):
+        calls.append(len(exprs))
+        return real(exprs, names)
+    monkeypatch.setattr(sysmodel, "compile_expr", counting)
+    return calls
+
+
+def test_pair_check_compiles_the_field_once(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    check_output_contraction(builtin_system("ex1-timevarying"),
+                             small_plan(pairs=3, tf=1.0))
+    assert calls == [2]   # one kernel holding both components of f
+
+
+def test_variational_check_compiles_field_and_output_once(monkeypatch):
+    calls = _count_compiles(monkeypatch)
+    check_oes_variational(builtin_system("ex2-timeinvariant"),
+                          small_plan(pairs=3, tf=1.0))
+    assert calls == [4, 1]   # (f, Jf xi), then Jh xi

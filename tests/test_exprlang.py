@@ -346,25 +346,49 @@ def test_compiled_matches_interpreted():
     ]
     for src in sources:
         ast = parse(src)
-        fn = compile_expr(ast)
+        fn = compile_expr([ast], ["x1", "x2"])
         for _ in range(25):
             values = {"x1": float(rng.uniform(-2, 2)),
                       "x2": float(rng.uniform(-2, 2)),
                       "t": float(rng.uniform(0, 5))}
             env = {k: values[k] for k in free_vars(ast)}
-            assert float(fn(env)) == float(evaluate(ast, env))
+            x = np.array([values["x1"], values["x2"]])
+            assert float(fn(x, values["t"])[0]) == float(evaluate(ast, env))
 
 
 def test_compiled_raises_same_domain_errors():
     for src, env in [("ln(x)", {"x": -1.0}), ("sqrt(x)", {"x": -1.0}),
                      ("1/x", {"x": 0.0}), ("x^0.5", {"x": -2.0})]:
-        fn = compile_expr(parse(src))
+        fn = compile_expr([parse(src)], list(env))
         with pytest.raises(ExprEvalError):
-            fn(env)
+            fn(np.array(list(env.values())), 0.0)
 
 
 def test_compiled_vectorized():
     ast = parse("sin(x1) + x1^3")
-    fn = compile_expr(ast)
+    fn = compile_expr([ast], ["x1"])
     xs = np.linspace(-2, 2, 11)
-    np.testing.assert_array_equal(fn({"x1": xs}), evaluate(ast, {"x1": xs}))
+    np.testing.assert_array_equal(fn(xs[:, np.newaxis], 0.0)[:, 0],
+                                  evaluate(ast, {"x1": xs}))
+
+
+def test_compiled_list_fills_one_column_per_expression():
+    exprs = [parse(s) for s in ("x1*t", "x2 - x1", "3", "t")]
+    fn = compile_expr(exprs, ["x1", "x2"])
+    x = np.array([[1.0, 2.0], [-0.5, 4.0], [0.0, -0.0]])
+    t = np.array([2.0, 3.0, 5.0])
+    out = fn(x, t)
+    assert out.shape == (3, 4)
+    for i, e in enumerate(exprs):
+        want = evaluate(e, {"x1": x[:, 0], "x2": x[:, 1], "t": t})
+        np.testing.assert_array_equal(out[:, i], np.broadcast_to(want, (3,)))
+    # a time grid broadcasts against a single state
+    assert fn(np.array([1.0, 2.0]), t).shape == (3, 4)
+    assert fn(np.array([1.0, 2.0]), 0.5).shape == (4,)
+
+
+def test_compiled_names_are_positional_and_unbound_names_rejected():
+    fn = compile_expr([parse("a - b")], ["b", "a"])
+    assert fn(np.array([1.0, 5.0]), 0.0)[0] == 4.0
+    with pytest.raises(ExprEvalError, match="unbound"):
+        compile_expr([parse("x1 + y")], ["x1"])

@@ -209,6 +209,20 @@ def test_implied_rate_time_invariant_constants():
     assert c == pytest.approx(math.sqrt(2.0), rel=1e-15)
 
 
+@pytest.mark.parametrize("kw", [
+    dict(x_box=((0.0, math.inf), (0.0, 1.0))),
+    dict(x_box=((-1e308, 1e308), (0.0, 1.0))),
+    dict(t_range=(0.0, math.inf)),
+    dict(t_range=(0.0, math.nan)),
+    dict(xi_radii=(1.0, math.inf)),
+    dict(xi_radii=(math.nan,)),
+])
+def test_domain_rejects_non_finite_ranges(kw):
+    base = dict(x_box=((-1.0, 1.0), (-1.0, 1.0)))
+    with pytest.raises(ValueError):
+        CheckDomain(**{**base, **kw})
+
+
 def test_degenerate_rate_rejected():
     with pytest.raises(ValueError):
         Bounds(1.0, 2.0, 2.0, 2.0, p=2.0)   # alpha3 must stay below alpha4

@@ -75,6 +75,24 @@ def test_reversed_horizon_rejected(call):
 def test_rk4_requires_positive_step():
     with pytest.raises(ValueError):
         integrate_rk4(decay, np.array([1.0]), 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError):
+        integrate_rk4(decay, np.array([1.0]), 0.0, 1.0, math.nan)
+
+
+@pytest.mark.parametrize("t0, tf", [(0.0, math.nan), (math.nan, 1.0),
+                                    (0.0, math.inf), (-math.inf, 0.0),
+                                    (-1e308, 1e308)])
+def test_rk4_requires_a_finite_horizon(t0, tf):
+    with pytest.raises(ValueError, match="finite t0 < tf"):
+        integrate_rk4(decay, np.array([1.0]), t0, tf, 0.1)
+
+
+@pytest.mark.parametrize("t0, tf", [(0.0, math.nan), (math.nan, 1.0)])
+def test_rk45_rejects_a_nan_horizon(t0, tf):
+    # infinite horizons are tested out of process in test_cli, because a
+    # regression there never leaves the step loop
+    with pytest.raises(ValueError, match="finite t0 < tf"):
+        integrate_rk45(decay, np.array([1.0]), t0, tf)
 
 
 def test_integrator_config_validation():
@@ -82,6 +100,10 @@ def test_integrator_config_validation():
         IntegratorConfig(method="euler")
     with pytest.raises(ValueError):
         IntegratorConfig(rtol=0.0)
+    for bad in (math.nan, math.inf):
+        for key in ("step", "rtol", "atol"):
+            with pytest.raises(ValueError, match="finite"):
+                IntegratorConfig(**{key: bad})
     cfg = IntegratorConfig(method="rk4-fixed", step=1e-2)
     traj = integrate(decay, np.array([1.0]), 0.0, 1.0, cfg)
     assert len(traj.times) == 101

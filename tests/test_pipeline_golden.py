@@ -1,18 +1,27 @@
-"""Golden verdicts of the four sampling checkers.
+"""Golden verdicts of the four sampling checkers, and golden field values.
 
-Each case pins the `verdict_json` summary and a sha256 over every judged
-item's initial state, partner, divergence series, fit and note, so any
-change to drawing, integration, dense output, output mapping, fitting or
+Each verdict case pins the `verdict_json` summary and a sha256 over every
+judged item's initial state, partner, divergence series, fit and note, so
+any change to drawing, integration, dense output, output mapping, fitting or
 judging shows up as a mismatch.  The values were recorded with the serial
 checker pipeline; a batched or reordered pipeline must reproduce them bit for
 bit.
 
+The field cases pin the compiled kernels themselves: a sha256 over every
+value of ``vector_field(spec)``, ``AugmentedSystem.field`` and
+``AugmentedSystem.output`` on random batches of several shapes and on rows
+built from +-1e200, +-inf, nan and +-0, at a scalar time and at one time per
+row.  Verdicts alone miss differences such as the sign of a zero.  These
+values were recorded with one compiled function per expression, before f and
+the variational system became single kernels.
+
 To re-record after an intended change of results, run this file as a script
 (``PYTHONPATH=src python tests/test_pipeline_golden.py``) and paste its output
-over `GOLDEN`.
+over `GOLDEN` and `FIELD_GOLDEN`.
 """
 
 import hashlib
+import itertools
 import json
 
 import numpy as np
@@ -22,7 +31,7 @@ from occtl.contraction import (
     SamplingPlan, check_oes_equilibrium, check_oes_variational,
     check_output_contraction, check_partial_contraction, verdict_json,
 )
-from occtl.sysmodel import builtin_system
+from occtl.sysmodel import augment, builtin_system, vector_field
 
 SYSTEMS = ("lti-remark1", "lti-remark1-badout", "ex1-timevarying",
            "ex2-timeinvariant")
@@ -197,9 +206,84 @@ def test_verdict_and_items_match_golden(case):
     assert digest == GOLDEN[case][1]
 
 
+# ---------------------------------------------------------------------------
+# field values
+# ---------------------------------------------------------------------------
+
+#: every coordinate of the special rows takes each of these values
+SPECIAL = (1e200, -1e200, np.inf, -np.inf, np.nan, 0.0, -0.0, 1.5)
+
+#: batch shapes of the random rows
+BATCHES = ((), (1,), (2,), (100,))
+
+
+def _rows(width: int):
+    """Random rows at each shape of BATCHES, then every combination of
+    SPECIAL values, each with a scalar time and, when batched, a time per
+    row."""
+    rng = np.random.default_rng(17)
+    for shape in BATCHES:
+        x = rng.uniform(-3.0, 3.0, size=shape + (width,))
+        yield x, 1.3
+        if shape:
+            yield x, np.linspace(-0.5, 4.0, shape[0])
+    x = np.array(list(itertools.product(SPECIAL, repeat=width)))
+    yield x, 1.3
+    yield x, np.resize(np.array(SPECIAL), len(x))
+
+
+def _field_values(name: str, kind: str):
+    spec = builtin_system(name)
+    n = spec.n
+    if kind == "vector_field":
+        field = vector_field(spec)
+        return [field(x, t) for x, t in _rows(n)]
+    aug = augment(spec)
+    if kind == "aug.field":
+        return [aug.field(s, t) for s, t in _rows(2 * n)]
+    return [aug.output(s[..., :n], s[..., n:], t) for s, t in _rows(2 * n)]
+
+
+def field_digest(case: str) -> str:
+    name, kind = case.split("/")
+    h = hashlib.sha256()
+    for value in _field_values(name, kind):
+        _feed(h, value)
+    return h.hexdigest()
+
+
+FIELD_CASES = [f"{name}/{kind}" for name in SYSTEMS
+               for kind in ("vector_field", "aug.field", "aug.output")]
+
+#: case -> sha256 of the field values
+FIELD_GOLDEN = {
+    'lti-remark1/vector_field': '6ded74c0fe21e72daa563fb16a5731dbef57fa10746b81094078d6d5268a6a79',
+    'lti-remark1/aug.field': 'd129fa9f2d7ae0d3133e55fbcaf30216dadfdddce7f7953647948a9f87656739',
+    'lti-remark1/aug.output': '7bb22135215a831b9b7f64edd7457e24eafc066ca33e7af06fbff590cbe3f1da',
+    'lti-remark1-badout/vector_field': '6ded74c0fe21e72daa563fb16a5731dbef57fa10746b81094078d6d5268a6a79',
+    'lti-remark1-badout/aug.field': 'd129fa9f2d7ae0d3133e55fbcaf30216dadfdddce7f7953647948a9f87656739',
+    'lti-remark1-badout/aug.output': '8612e1b5bc6e277c443d21f1d21226c9550a0c35be6c1b925748676a0f79a4ef',
+    'ex1-timevarying/vector_field': 'b4a0e757bafa22a65d84862f5d83dc76780609e0be05554889ba70cc2180692f',
+    'ex1-timevarying/aug.field': 'd0be4f00a02a24cdb88f1fb6eb5942b1b81cf2a1141ca01537cd62da1e864ab5',
+    'ex1-timevarying/aug.output': 'ea2cdf4d8a570a573d3fca7837db5bd501f259bd62ea7ff52af0ab91495fe67d',
+    'ex2-timeinvariant/vector_field': '2ee2aadbf8a3f65ea45a13f45bb103da4a0fc585aaf28ee61b2642b9449d7bb1',
+    'ex2-timeinvariant/aug.field': '7fcb808481cbdbadc5f32ab2c655a00e7132b4b3670fd944a1f1587d5b047edf',
+    'ex2-timeinvariant/aug.output': 'ea2cdf4d8a570a573d3fca7837db5bd501f259bd62ea7ff52af0ab91495fe67d',
+}
+
+
+@pytest.mark.parametrize("case", FIELD_CASES)
+def test_field_values_match_golden(case):
+    assert field_digest(case) == FIELD_GOLDEN[case]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for case in _cases():
         summary, digest = fingerprint(_run(case))
         print(f"    {case!r}: (\n        {summary!r},\n        {digest!r}),")
+    print("}")
+    print("FIELD_GOLDEN = {")
+    for case in FIELD_CASES:
+        print(f"    {case!r}: {field_digest(case)!r},")
     print("}")
