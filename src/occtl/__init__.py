@@ -12,11 +12,12 @@ system  xdot = f(x, t), y = h(x, t):
   equilibrium).
 
 Systems are plain text expressions; all Jacobians and variational dynamics
-are machine-derived (dual numbers for point queries, compiled symbolic
-derivatives inside integration loops), trajectories come from two
-independent Runge-Kutta integrators, decay rates from log-linear fits with
-explicit noise handling, and Lyapunov-style certificates are checked by
-falsification sampling with re-verifiable counterexamples.
+are machine-derived (dual numbers for `jacobians` point queries, compiled
+symbolic derivatives in integration loops and the certificate falsifier),
+trajectories come from two independent Runge-Kutta integrators, decay rates
+from log-linear fits with explicit noise handling, and Lyapunov-style
+certificates are checked by falsification sampling with re-verifiable
+counterexamples.
 """
 
 from .exprlang import (

@@ -346,6 +346,8 @@ def _check(kind: str, spec: SystemSpec, plan: SamplingPlan, alpha_min: float,
     if len(plan.box) != spec.n:
         raise ValueError(f"plan box has {len(plan.box)} intervals, system has "
                          f"n={spec.n}")
+    if not math.isfinite(alpha_min):
+        raise ValueError(f"alpha_min must be finite, got {alpha_min}")
     items = [draw(_pair_rng(plan.seed, i)) for i in range(plan.pairs)]
     return _assemble(kind, [judge(i, *item) for i, item in enumerate(items)],
                      alpha_min)

@@ -10,9 +10,12 @@ A candidate certificate V(x, xi, t) together with constants
 
 For time-invariant systems the corollary variant drops the t dependence and
 the exponential weight, and its decay constant is named alpha3 (leave alpha4
-unset for that form).  A passing report is evidence over the sampled domain,
-never a proof; a failing report carries a counterexample that re-evaluates to
-a violation through an independent finite-difference path.
+unset for that form).  f, Jf xi and nu come from the compiled variational
+kernels of `augment`; only V's partials use dual numbers, as V may use abs.
+A passing report is evidence over the sampled domain, never a proof; a
+failing report carries a counterexample that re-evaluates to a violation
+through an independent finite-difference path, unless its slack is nan
+(a slack that is not a number counts as a violation).
 
 Certificates are checked, never synthesised.
 """
@@ -27,8 +30,9 @@ import numpy as np
 
 from .exprlang import Expr, dual_env, evaluate, evaluate_dual, free_vars, parse
 from .sysmodel import (
-    SystemSpec, eval_fh, finite_diff_jacobian, jacobians, validate,
+    SystemSpec, augment, eval_fh, finite_diff_jacobian, validate,
 )
+from .sysmodel import jacobians  # noqa: F401  looked up by bench/tracing.py
 
 __all__ = [
     "CandidateV", "Bounds", "CheckDomain", "FalsificationReport",
@@ -83,6 +87,9 @@ class Bounds:
     p: float = 2.0
 
     def __post_init__(self):
+        if not all(math.isfinite(c) for c in (self.alpha1, self.alpha2,
+                   self.alpha3, self.p, self.alpha4 or 0.0)):
+            raise ValueError("alpha1..alpha4 and p must be finite")
         if not (self.alpha1 > 0 and self.alpha2 > 0):
             raise ValueError("alpha1 and alpha2 must be positive")
         if self.alpha3 < 0:
@@ -133,8 +140,8 @@ class FalsificationReport:
     """Outcome of sampling one certificate condition.
 
     `worst_margin` is the smallest slack seen (negative slack beyond the
-    evaluation tolerance is a violation); `counterexample` re-evaluates to a
-    violation when `passed` is False.
+    evaluation tolerance, or nan, is a violation); `counterexample` re-
+    evaluates to a violation when `passed` is False, unless its slack is nan.
     """
 
     condition: str
@@ -144,13 +151,22 @@ class FalsificationReport:
     counterexample: dict | None
 
 
+def _json_safe(value):
+    """`value` with every number that is not finite replaced by None."""
+    if isinstance(value, dict):
+        return {k: _json_safe(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_json_safe(v) for v in value]
+    return value if value is None or math.isfinite(value) else None
+
+
 def report_json(report: FalsificationReport) -> dict:
     return {
         "condition": report.condition,
         "passed": report.passed,
         "checked": report.checked,
-        "worst_margin": report.worst_margin,
-        "counterexample": report.counterexample,
+        "worst_margin": _json_safe(report.worst_margin),
+        "counterexample": _json_safe(report.counterexample),
     }
 
 
@@ -182,27 +198,17 @@ def _sample_domain(n: int, domain: CheckDomain
     axes = [sign * np.eye(n)[i] for i in range(n) for sign in (+1.0, -1.0)]
     t_lo, t_hi = domain.t_range
     probe_ts = (t_lo,) if t_lo == t_hi else (t_lo, t_hi)
-    probe_x, probe_xi, probe_t = [], [], []
-    for cx in corners:
-        for axis in axes:
-            for tp in probe_ts:
-                probe_x.append(cx)
-                probe_xi.append(axis)
-                probe_t.append(tp)
-    x = np.concatenate([x, np.array(probe_x)])
-    xi = np.concatenate([xi, np.array(probe_xi)])
-    t = np.concatenate([t, np.array(probe_t)])
-    return x, xi, t
-
-
-def _names(n: int) -> tuple[list[str], list[str]]:
-    return [f"x{i + 1}" for i in range(n)], [f"xi{i + 1}" for i in range(n)]
+    probe_x, probe_xi, probe_t = zip(*itertools.product(corners, axes,
+                                                         probe_ts))
+    return (np.concatenate([x, np.array(probe_x)]),
+            np.concatenate([xi, np.array(probe_xi)]),
+            np.concatenate([t, np.array(probe_t)]))
 
 
 def _v_env(n: int, x, xi, t) -> dict:
-    xn, xin = _names(n)
-    env = {name: x[..., i] for i, name in enumerate(xn)}
-    env.update({name: xi[..., i] for i, name in enumerate(xin)})
+    """V's variables, in the order x1..xn, xi1..xin, t."""
+    env = {f"x{i + 1}": x[..., i] for i in range(n)}
+    env.update({f"xi{i + 1}": xi[..., i] for i in range(n)})
     env["t"] = t
     return env
 
@@ -212,29 +218,27 @@ def _v_env(n: int, x, xi, t) -> dict:
 # ---------------------------------------------------------------------------
 
 def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
-    """dV/dt + dV/dx f + dV/dxi (Jf xi), with dual-number partials of V.
+    """dV/dt + dV/dx f + dV/dxi (Jf xi).
 
-    Works on single points (shape (n,)) or batches (..., n); the result is a
-    float or an array of the batch shape.
+    f and Jf xi come from the compiled variational kernel of `augment`; the
+    partials of V come from dual numbers, since V may use abs.  Works on
+    single points (shape (n,)) or batches (..., n); the result is a float or
+    an array of the batch shape.
     """
-    validate(spec)
+    aug = augment(spec)
     V.check_variables(spec.n)
     x = np.asarray(x, dtype=float)
     xi = np.asarray(xi, dtype=float)
-    scalar = x.ndim == 1
     n = spec.n
-    xn, xin = _names(n)
-    env = dual_env(_v_env(n, x, xi, t), xn + xin + ["t"])
-    d = evaluate_dual(V.expr, env)
-    grad = np.asarray(d.grad, dtype=float)
-    f, _ = eval_fh(spec, x, t)
-    Jf = jacobians(spec, x, t).Jf
-    xidot = np.einsum("...ij,...j->...i", Jf, xi)
+    env = _v_env(n, x, xi, t)
+    grad = np.asarray(evaluate_dual(V.expr, dual_env(env, list(env))).grad,
+                      dtype=float)
+    flow = aug.field(np.concatenate(np.broadcast_arrays(x, xi), axis=-1), t)
     dV_dx = np.moveaxis(grad[:n], 0, -1)
     dV_dxi = np.moveaxis(grad[n:2 * n], 0, -1)
-    total = grad[2 * n] + np.sum(dV_dx * f, axis=-1) \
-        + np.sum(dV_dxi * xidot, axis=-1)
-    return float(total) if scalar else total
+    total = grad[2 * n] + np.sum(dV_dx * flow[..., :n], axis=-1) \
+        + np.sum(dV_dxi * flow[..., n:], axis=-1)
+    return float(total) if x.ndim == 1 else total
 
 
 def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
@@ -262,27 +266,51 @@ def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
 # condition checks
 # ---------------------------------------------------------------------------
 
-def _finish(condition: str, slack: np.ndarray, tol: np.ndarray,
-            point_fn) -> FalsificationReport:
-    slack = np.asarray(slack, dtype=float)
-    violated = slack < -tol
-    passed = not bool(np.any(violated))
+def _falsify(condition: str, spec: SystemSpec, V: CandidateV,
+             domain: CheckDomain, terms, requires=(),
+             at_time_zero: bool = False) -> FalsificationReport:
+    """Validate, raise the message of the first unmet ``(met, message)`` of
+    `requires`, draw (at t = 0 if `at_time_zero`), evaluate V, and judge the
+    slack of ``terms(x, xi, t, v) -> (slack, named terms after V)``.  A
+    slack not at least -tolerance (nan included) is a violation; the
+    counterexample is the violated sample of least slack, nan ranked last."""
+    validate(spec)
+    V.check_variables(spec.n)
+    for met, message in requires:
+        if not met:
+            raise ValueError(message)
+    x, xi, t = _sample_domain(spec.n, domain)
+    if at_time_zero:
+        t = np.zeros(x.shape[0])
+    v = np.broadcast_to(
+        np.asarray(evaluate(V.expr, _v_env(spec.n, x, xi, t)), dtype=float),
+        t.shape)
+    slack, named = terms(x, xi, t, v)
+    violated = ~(slack >= -_tolerance(v))
     counterexample = None
-    if not passed:
-        worst = int(np.argmin(np.where(violated, slack, np.inf)))
-        counterexample = point_fn(worst)
-    return FalsificationReport(condition=condition, passed=passed,
+    if violated.any():
+        bad = np.flatnonzero(violated)
+        i = bad[np.argmin(np.where(np.isnan(slack[bad]), np.inf, slack[bad]))]
+        counterexample = {"x": [float(c) for c in x[i]],
+                          "xi": [float(c) for c in xi[i]],
+                          "t": float(t[i]), "V": float(v[i])}
+        counterexample.update(
+            {k: float(term[i] if np.ndim(term) else term)
+             for k, term in named.items()})
+    return FalsificationReport(condition=condition,
+                               passed=counterexample is None,
                                checked=slack.size,
                                worst_margin=float(np.min(slack)),
                                counterexample=counterexample)
 
 
-def _point(x, xi, t, i, **extra) -> dict:
-    out = {"x": [float(v) for v in np.atleast_1d(x[i])],
-           "xi": [float(v) for v in np.atleast_1d(xi[i])],
-           "t": float(np.atleast_1d(t)[i] if np.ndim(t) else t)}
-    out.update({k: float(v) for k, v in extra.items()})
-    return out
+def _sandwich_terms(spec, bounds, x, xi, t, v, weight=1.0):
+    """Slacks of alpha1 ||nu||^p <= V <= alpha2 ||xi||^p weight, with
+    ||nu|| and ||xi||: (lower, upper, nu_norm, xi_norm)."""
+    nu_norm = np.linalg.norm(augment(spec).output(x, xi, t), axis=-1)
+    xi_norm = np.linalg.norm(xi, axis=-1)
+    return (v - bounds.alpha1 * nu_norm ** bounds.p,
+            bounds.alpha2 * xi_norm ** bounds.p * weight - v, nu_norm, xi_norm)
 
 
 def check_sandwich(spec: SystemSpec, V: CandidateV, bounds: Bounds,
@@ -293,50 +321,29 @@ def check_sandwich(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     rescales alpha2).  Both inequalities are asserted per sample with slack
     tolerance 1e-9 (1 + |V|).
     """
-    validate(spec)
-    V.check_variables(spec.n)
-    x, xi, t = _sample_domain(spec.n, domain)
-    env = _v_env(spec.n, x, xi, t)
-    v = np.asarray(evaluate(V.expr, env), dtype=float)
-    v = np.broadcast_to(v, t.shape)
-    Jh = jacobians(spec, x, t).Jh
-    nu = np.einsum("...ij,...j->...i", Jh, xi)
-    nu_norm = np.linalg.norm(nu, axis=-1)
-    xi_norm = np.linalg.norm(xi, axis=-1)
     t0 = domain.t_range[0]
-    lower = v - bounds.alpha1 * nu_norm ** bounds.p
-    upper = bounds.alpha2 * xi_norm ** bounds.p \
-        * np.exp(bounds.alpha3 * (t - t0)) - v
-    tol = _tolerance(v)
-    slack = np.minimum(lower, upper)
 
-    def point(i):
-        return _point(x, xi, t, i, V=v[i], nu_norm=nu_norm[i],
-                      xi_norm=xi_norm[i], lower_slack=lower[i],
-                      upper_slack=upper[i], t0=t0)
+    def terms(x, xi, t, v):
+        lower, upper, nu_norm, xi_norm = _sandwich_terms(
+            spec, bounds, x, xi, t, v, np.exp(bounds.alpha3 * (t - t0)))
+        return np.minimum(lower, upper), {
+            "nu_norm": nu_norm, "xi_norm": xi_norm, "lower_slack": lower,
+            "upper_slack": upper, "t0": t0}
 
-    return _finish("sandwich", slack, tol, point)
+    return _falsify("sandwich", spec, V, domain, terms)
 
 
 def check_decay(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                 domain: CheckDomain) -> FalsificationReport:
     """Falsify Vdot <= -alpha4 V over the sampled domain."""
-    validate(spec)
-    V.check_variables(spec.n)
-    if bounds.alpha4 is None:
-        raise ValueError("the decay check needs alpha4 (time-varying form)")
-    x, xi, t = _sample_domain(spec.n, domain)
-    v = np.broadcast_to(
-        np.asarray(evaluate(V.expr, _v_env(spec.n, x, xi, t)), dtype=float),
-        t.shape)
-    vd = vdot(spec, V, x, xi, t)
-    slack = -bounds.alpha4 * v - vd
-    tol = _tolerance(v)
+    def terms(x, xi, t, v):
+        vd = vdot(spec, V, x, xi, t)
+        slack = -bounds.alpha4 * v - vd
+        return slack, {"vdot": vd, "slack": slack}
 
-    def point(i):
-        return _point(x, xi, t, i, V=v[i], vdot=vd[i], slack=slack[i])
-
-    return _finish("decay", slack, tol, point)
+    return _falsify("decay", spec, V, domain, terms, [(
+        bounds.alpha4 is not None,
+        "the decay check needs alpha4 (time-varying form)")])
 
 
 def check_time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds,
@@ -347,37 +354,22 @@ def check_time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     Rejects time-varying systems and t-dependent certificates; evaluation is
     at t = 0 since nothing depends on time.
     """
-    validate(spec)
-    V.check_variables(spec.n)
-    if not spec.time_invariant:
-        raise ValueError(f"{spec.name!r} is time-varying; use the sandwich "
-                         "and decay checks")
-    if V.time_dependent:
-        raise ValueError("the time-invariant check needs a t-independent "
-                         "certificate")
-    if not bounds.alpha3 > 0:
-        raise ValueError("the time-invariant form uses alpha3 > 0 as the "
-                         "decay constant")
-    x, xi, _ = _sample_domain(spec.n, domain)
-    t = np.zeros(x.shape[0])
-    v = np.broadcast_to(
-        np.asarray(evaluate(V.expr, _v_env(spec.n, x, xi, t)), dtype=float),
-        t.shape)
-    Jh = jacobians(spec, x, t).Jh
-    nu_norm = np.linalg.norm(np.einsum("...ij,...j->...i", Jh, xi), axis=-1)
-    xi_norm = np.linalg.norm(xi, axis=-1)
-    vd = vdot(spec, V, x, xi, t)
-    lower = v - bounds.alpha1 * nu_norm ** bounds.p
-    upper = bounds.alpha2 * xi_norm ** bounds.p - v
-    decay = -bounds.alpha3 * v - vd
-    slack = np.minimum(np.minimum(lower, upper), decay)
-    tol = _tolerance(v)
+    def terms(x, xi, t, v):
+        lower, upper, _, _ = _sandwich_terms(spec, bounds, x, xi, t, v)
+        vd = vdot(spec, V, x, xi, t)
+        decay = -bounds.alpha3 * v - vd
+        return np.minimum(np.minimum(lower, upper), decay), {
+            "vdot": vd, "lower_slack": lower, "upper_slack": upper,
+            "decay_slack": decay}
 
-    def point(i):
-        return _point(x, xi, t, i, V=v[i], vdot=vd[i], lower_slack=lower[i],
-                      upper_slack=upper[i], decay_slack=decay[i])
-
-    return _finish("time-invariant sandwich+decay", slack, tol, point)
+    return _falsify("time-invariant sandwich+decay", spec, V, domain, terms, [
+        (spec.time_invariant, f"{spec.name!r} is time-varying; use the "
+                              "sandwich and decay checks"),
+        (not V.time_dependent,
+         "the time-invariant check needs a t-independent certificate"),
+        (bounds.alpha3 > 0,
+         "the time-invariant form uses alpha3 > 0 as the decay constant")],
+        at_time_zero=True)
 
 
 # ---------------------------------------------------------------------------
@@ -391,9 +383,7 @@ def implied_rate(bounds: Bounds) -> tuple[float, float]:
     the time-invariant form; c = (alpha2/alpha1)^(1/p).  These numbers feed
     the acceptance thresholds of the empirical checkers.
     """
-    if bounds.alpha4 is not None:
-        if not bounds.alpha4 > bounds.alpha3:
-            raise ValueError("need alpha4 > alpha3")
+    if bounds.alpha4 is not None:   # Bounds keeps alpha3 < alpha4
         alpha = (bounds.alpha4 - bounds.alpha3) / bounds.p
     else:
         if not bounds.alpha3 > 0:
@@ -413,8 +403,9 @@ def reverify_counterexample(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     finite-difference path; returns the slack (negative = confirmed).
 
     The recomputation shares no derivative code with the falsifier (central
-    differences instead of dual numbers), so a confirmed negative slack rules
-    out a falsifier-side evaluation bug.
+    differences instead of compiled symbolic derivatives and dual-number
+    partials of V), so a confirmed negative slack rules out a falsifier-side
+    evaluation bug.  A counterexample of nan slack is not confirmed this way.
     """
     if report.counterexample is None:
         raise ValueError("report has no counterexample")

@@ -70,6 +70,10 @@ class SystemSpec:
         return compile_expr(self.f, self.state_names)
 
     @cached_property
+    def _augmented(self) -> "AugmentedSystem":
+        return AugmentedSystem(base=validate(self))
+
+    @cached_property
     def time_invariant(self) -> bool:
         """True when no expression of f or h mentions t."""
         return all("t" not in free_vars(e) for e in self.f + self.h)
@@ -261,8 +265,8 @@ class AugmentedSystem:
 
 def augment(spec: SystemSpec) -> AugmentedSystem:
     """Attach the variational dynamics, compiled from symbolic derivatives,
-    to a system."""
-    return AugmentedSystem(base=validate(spec))
+    to a validated system; made once and cached on the spec."""
+    return spec._augmented
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,9 @@
-"""Shared pytest plumbing: surface the acceptance lines in the summary."""
+"""Shared pytest plumbing: surface the acceptance lines in the summary, and
+count kernel compilations."""
+
+import pytest
+
+from occtl import sysmodel
 
 acceptance_lines: list[str] = []
 
@@ -8,3 +13,17 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
         terminalreporter.section("acceptance criteria")
         for line in acceptance_lines:
             terminalreporter.write_line(line)
+
+
+@pytest.fixture
+def compile_calls(monkeypatch) -> list:
+    """Number of expressions of each kernel `sysmodel` compiles during the
+    test, in compile order."""
+    calls = []
+    real = sysmodel.compile_expr
+
+    def counting(exprs, names):
+        calls.append(len(exprs))
+        return real(exprs, names)
+    monkeypatch.setattr(sysmodel, "compile_expr", counting)
+    return calls

@@ -113,6 +113,9 @@ def test_infinite_horizon_is_usage_error(argv):
     [*LYAPUNOV, "--x-box", "0:inf,0:1"],
     [*LYAPUNOV, "--t-range", "0:inf"],
     [*LYAPUNOV, "--xi-radii", "1,inf"],
+    [*LYAPUNOV, "--alpha1", "inf", "--alpha2", "inf"],
+    [*LYAPUNOV, "--p", "nan"],
+    ["contraction", *LTI, "--pairs", "2", "--tf", "2", "--alpha-min", "nan"],
 ])
 def test_non_finite_input_is_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -241,6 +244,22 @@ def test_lyapunov_time_invariant_form(capsys):
     assert code == 0
     assert report["results"]["checks"][0]["condition"] \
         == "time-invariant sandwich+decay"
+
+
+def test_lyapunov_nan_slack_is_falsified_as_valid_json(capsys):
+    # at |xi| = 1e200 the certificate overflows and the slack is nan
+    code = main(["lyapunov", "--system", "ex1-timevarying",
+                 "--V", "(xi1+xi2)^2", "--alpha1", "1", "--alpha2", "2",
+                 "--alpha3", "0", "--alpha4", "2", "--samples", "2000",
+                 "--xi-radii", "1e200"])
+    assert code == 1
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    checks = report["results"]["checks"]
+    assert [c["passed"] for c in checks] == [False, False]
+    assert [c["worst_margin"] for c in checks] == [None, None]
 
 
 # ---------------------------------------------------------------------------

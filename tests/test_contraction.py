@@ -10,7 +10,6 @@ from occtl.contraction import (
     simulate_pair, simulate_variational, verdict_json,
 )
 from occtl.odeint import IntegratorConfig
-from occtl import sysmodel
 from occtl.sysmodel import SystemSpec, builtin_system, validate
 
 from oracles import output_equilibrium_root
@@ -420,26 +419,20 @@ def test_oes_variational_holds_for_time_varying_demo():
     assert verdict.truncated == 10   # every sample rides a state escape
 
 
-def _count_compiles(monkeypatch) -> list:
-    calls = []
-    real = sysmodel.compile_expr
-
-    def counting(exprs, names):
-        calls.append(len(exprs))
-        return real(exprs, names)
-    monkeypatch.setattr(sysmodel, "compile_expr", counting)
-    return calls
+def test_alpha_min_must_be_finite():
+    with pytest.raises(ValueError, match="alpha_min must be finite"):
+        check_output_contraction(builtin_system("lti-remark1"),
+                                 small_plan(pairs=1, tf=1.0),
+                                 alpha_min=math.nan)
 
 
-def test_pair_check_compiles_the_field_once(monkeypatch):
-    calls = _count_compiles(monkeypatch)
+def test_pair_check_compiles_the_field_once(compile_calls):
     check_output_contraction(builtin_system("ex1-timevarying"),
                              small_plan(pairs=3, tf=1.0))
-    assert calls == [2]   # one kernel holding both components of f
+    assert compile_calls == [2]   # one kernel holding both components of f
 
 
-def test_variational_check_compiles_field_and_output_once(monkeypatch):
-    calls = _count_compiles(monkeypatch)
+def test_variational_check_compiles_field_and_output_once(compile_calls):
     check_oes_variational(builtin_system("ex2-timeinvariant"),
                           small_plan(pairs=3, tf=1.0))
-    assert calls == [4, 1]   # (f, Jf xi), then Jh xi
+    assert compile_calls == [4, 1]   # (f, Jf xi), then Jh xi

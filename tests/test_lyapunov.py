@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from occtl.lyapunov import (
     vdot, vdot_fd,
 )
 from occtl.odeint import IntegratorConfig, integrate
-from occtl.sysmodel import augment, builtin_system
+from occtl.sysmodel import SystemSpec, augment, builtin_system
 
 V_SUM_SQ = CandidateV.from_string("(xi1 + xi2)^2")
 V_NORM_SQ = CandidateV.from_string("xi1^2 + xi2^2")
@@ -82,6 +83,24 @@ def test_vdot_batched_matches_scalar():
             vdot(spec, V_SUM_SQ, x[i], xi[i], float(t[i])), rel=1e-14)
 
 
+def test_vdot_zero_partial_keeps_an_overflow():
+    # Jf comes from compiled symbolic derivatives, which drop the zero
+    # partial of the constant -0.1 instead of multiplying it by the
+    # overflowed x1^3 (0 * inf would make the result nan)
+    spec = SystemSpec.from_strings("cubic", 1, 1, ["-0.1*x1^3"], ["x1"])
+    got = vdot(spec, CandidateV.from_string("x1*xi1^2"), [1e200], [1.0], 0.0)
+    assert got == -math.inf
+
+
+def test_pointwise_vdot_compiles_the_variational_field_once(compile_calls):
+    spec = builtin_system("ex2-timeinvariant")
+    rng = np.random.default_rng(3)
+    for _ in range(25):
+        vdot(spec, V_SUM_SQ, rng.uniform(-2, 2, size=2),
+             rng.uniform(-2, 2, size=2), 0.0)
+    assert compile_calls == [4]   # (f, Jf xi)
+
+
 def test_candidate_variable_validation():
     spec = builtin_system("lti-remark1")
     with pytest.raises(ValueError, match="unknown variable"):
@@ -118,6 +137,14 @@ def test_sandwich_finds_overtight_upper_bound():
     assert ce is not None
     assert ce["upper_slack"] < -1e-9
     assert reverify_counterexample(spec, V_SUM_SQ, bounds, report) < -1e-6
+
+
+def test_sandwich_then_decay_compile_each_kernel_once(compile_calls):
+    spec = builtin_system("ex1-timevarying")
+    bounds = Bounds(1.0, 2.0, 0.0, 2.0)
+    for check in (check_sandwich, check_decay, check_sandwich, check_decay):
+        check(spec, V_SUM_SQ, bounds, domain(samples=200))
+    assert compile_calls == [1, 4]   # Jh xi, then (f, Jf xi)
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +250,18 @@ def test_domain_rejects_non_finite_ranges(kw):
         CheckDomain(**{**base, **kw})
 
 
+@pytest.mark.parametrize("kw", [
+    dict(alpha1=math.inf, alpha2=math.inf),
+    dict(alpha3=math.nan),
+    dict(alpha3=0.0, alpha4=math.inf),
+    dict(p=math.nan),
+    dict(p=math.inf),
+])
+def test_bounds_reject_non_finite_constants(kw):
+    with pytest.raises(ValueError, match="finite"):
+        Bounds(**{**dict(alpha1=0.5, alpha2=2.0, alpha3=1.0), **kw})
+
+
 def test_degenerate_rate_rejected():
     with pytest.raises(ValueError):
         Bounds(1.0, 2.0, 2.0, 2.0, p=2.0)   # alpha3 must stay below alpha4
@@ -314,3 +353,29 @@ def test_report_json_shape():
     assert set(doc) == {"condition", "passed", "checked", "worst_margin",
                         "counterexample"}
     assert doc["passed"] is True and doc["counterexample"] is None
+
+
+def test_nan_slack_is_a_violation_reported_as_null():
+    # at |xi| = 1e200 the certificate overflows: the random samples have
+    # nan slack (the unit-axis probes do not)
+    huge = CheckDomain(x_box=((-1.0, 1.0), (-1.0, 1.0)), samples=300,
+                       xi_radii=(1e200,))
+    report = check_decay(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                         Bounds(1.0, 2.0, 0.0, 2.0), huge)
+    assert not report.passed
+    assert math.isnan(report.worst_margin)
+    doc = report_json(report)
+    assert doc["worst_margin"] is None
+    assert doc["counterexample"]["slack"] is None
+    json.dumps(doc, allow_nan=False)
+
+
+def test_counterexample_prefers_a_numeric_slack():
+    spec = builtin_system("ex1-timevarying")
+    bounds = Bounds(1.0, 2.0, 0.0, 12.0)
+    mixed = CheckDomain(x_box=((-5.0, 5.0), (-5.0, 5.0)), samples=2_000,
+                        xi_radii=(1.0, 1e200))
+    report = check_decay(spec, V_SUM_SQ, bounds, mixed)
+    assert math.isnan(report.worst_margin)
+    assert report.counterexample["slack"] < -1e-9
+    assert reverify_counterexample(spec, V_SUM_SQ, bounds, report) < -1e-6

@@ -7,6 +7,15 @@ judging shows up as a mismatch.  The values were recorded with the serial
 checker pipeline; a batched or reordered pipeline must reproduce them bit for
 bit.
 
+The certificate cases pin `report_json` of the sandwich, decay and
+time-invariant checks (or the error each raises) for six certificates on the
+four built-ins, two seeds and three bound sets, `vdot` on 257 rows mixing
+uniform draws with the special values of the field cases, and the results
+of the reference 1e5-sample `lyapunov` runs.  They were recorded while the
+falsifier still took f from the tree-walking evaluator and Jf and Jh from
+dual numbers; one `vdot` digest was re-recorded since, as noted at its
+entry.
+
 The field cases pin the compiled kernels themselves: a sha256 over every
 value of ``vector_field(spec)``, ``AugmentedSystem.field`` and
 ``AugmentedSystem.output`` on random batches of several shapes and on rows
@@ -17,10 +26,12 @@ the variational system became single kernels.
 
 To re-record after an intended change of results, run this file as a script
 (``PYTHONPATH=src python tests/test_pipeline_golden.py``) and paste its output
-over `GOLDEN` and `FIELD_GOLDEN`.
+over the `*GOLDEN` tables.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 
@@ -30,6 +41,11 @@ import pytest
 from occtl.contraction import (
     SamplingPlan, check_oes_equilibrium, check_oes_variational,
     check_output_contraction, check_partial_contraction, verdict_json,
+)
+from occtl.cli import main
+from occtl.lyapunov import (
+    Bounds, CandidateV, CheckDomain, check_decay, check_sandwich,
+    check_time_invariant, report_json, vdot,
 )
 from occtl.sysmodel import augment, builtin_system, vector_field
 
@@ -277,6 +293,171 @@ def test_field_values_match_golden(case):
     assert field_digest(case) == FIELD_GOLDEN[case]
 
 
+# ---------------------------------------------------------------------------
+# certificate reports and vdot
+# ---------------------------------------------------------------------------
+
+#: certificates over the built-ins: with abs (dual-number partials only),
+#: with x and with t dependence
+CERTIFICATES = ("(xi1 + xi2)^2", "xi1^2 + xi2^2", "abs(xi1) + 2*abs(xi2)",
+                "exp(-0.5*t)*(xi1 + xi2)^2", "(1 + 0.1*x1^2)*xi1^2 + xi2^2",
+                "(xi1 + xi2)^2 + 0.1*sin(x1 - x2)*xi1*xi2")
+
+#: a time-varying set, a loose one with p = 1.5, and a time-invariant one
+BOUND_SETS = (Bounds(1.0, 2.0, 0.0, 2.0), Bounds(0.25, 8.0, 0.5, 3.0, p=1.5),
+              Bounds(1.0, 2.0, 2.0))
+
+CERT_SEEDS = (3, 2 ** 63 + 11)
+
+CERT_CHECKS = (check_sandwich, check_decay, check_time_invariant)
+
+CERT_CASES = [f"{name}/{i}" for name in SYSTEMS
+              for i in range(len(CERTIFICATES))]
+
+
+def _cert_lines(name: str, V: CandidateV):
+    """`report_json` of every check, seed and bound set as JSON text (key
+    order kept), or the message of the error a check raised."""
+    spec = builtin_system(name)
+    for seed in CERT_SEEDS:
+        domain = CheckDomain(x_box=((-4.0, 4.0), (-4.0, 4.0)), samples=400,
+                             seed=seed)
+        for bounds in BOUND_SETS:
+            for check in CERT_CHECKS:
+                try:
+                    yield json.dumps(report_json(check(spec, V, bounds,
+                                                       domain)))
+                except ValueError as err:
+                    yield f"error: {err}"
+
+
+def _vdot_rows():
+    """257 rows of (x1, x2, xi1, xi2, t), each coordinate a SPECIAL value
+    or a uniform draw."""
+    rng = np.random.default_rng(29)
+    rows = rng.choice(np.array(SPECIAL), size=(257, 5))
+    plain = rng.uniform(-3.0, 3.0, size=rows.shape)
+    return np.where(rng.random(rows.shape) < 0.5, plain, rows)
+
+
+def cert_digest(case: str) -> str:
+    name, index = case.split("/")
+    h = hashlib.sha256()
+    for line in _cert_lines(name,
+                            CandidateV.from_string(CERTIFICATES[int(index)])):
+        _feed(h, line)
+    return h.hexdigest()
+
+
+def vdot_digest(case: str) -> str:
+    name, index = case.split("/")
+    rows = _vdot_rows()
+    h = hashlib.sha256()
+    _feed(h, vdot(builtin_system(name),
+                  CandidateV.from_string(CERTIFICATES[int(index)]),
+                  rows[:, :2], rows[:, 2:4], rows[:, 4]))
+    return h.hexdigest()
+
+
+#: case (system/certificate index) -> sha256 of its reports
+CERT_GOLDEN = {
+    'lti-remark1/0': '792f755df13016cffa83939aec8f0db126f399b474639dc9db25bdcf21a651ad',
+    'lti-remark1/1': 'a296391ee8f50ef00eb2c5f7f675c1d4cc71495d72bffe24093f1b972519655c',
+    'lti-remark1/2': '1ffe63b4ed6486e57fb272b81291bb06d0a802bd9bb51234f41372dab918e5b3',
+    'lti-remark1/3': '2d8f3121f9df61d4868e0b74ed00169ee50008615dbb406bfe33088e8f5291ea',
+    'lti-remark1/4': '127555471ad6015d74bc65a553e5d00b042653f6d4589579ea62a3db920b1d93',
+    'lti-remark1/5': '755aedb94f8d9980bcadc69569c2ca7033f90f4b982b62f5b3e84e79e6941d56',
+    'lti-remark1-badout/0': '5453bc474d2b667f683c8edd49df77371d30f680db78d035b95d03deffec00f9',
+    'lti-remark1-badout/1': '51bbcaeebc6764fb8e49cc208db4b07ef4b0b35a382eb239a16926f20fb56c88',
+    'lti-remark1-badout/2': '1b6f493d8b23968f0d67aa5da4636969aaf683168cc584d7f4860448af8515e6',
+    'lti-remark1-badout/3': '4959b73d6ea1f7e62e0c887bd4b1824807ccef149357a3931aa01f54bdfe1b8c',
+    'lti-remark1-badout/4': '5a9e8b2c207850c54834065530a8f3f4bc3156aed2eea876de0c2925e5fd4a68',
+    'lti-remark1-badout/5': '0efc697688bb37ccab8da7f28aa65fc81f5c42cb6a75bbc1529606abad976d3b',
+    'ex1-timevarying/0': 'b0092035cbe7617a33c12329c4084e9abdb2bfd37a9c112c46b10ca5e364adab',
+    'ex1-timevarying/1': '924c621d6e6236430abcdaf90c055413c454bef1cde578f4266150175506ff43',
+    'ex1-timevarying/2': '76712a484d96989ad5007107e5e4e48e4589583e1ffba7fb7b62596f9c572ccb',
+    'ex1-timevarying/3': 'bed17552f93d643c7aea1233651302aab298dc3c5953863b12d2c84b3ef3cf7f',
+    'ex1-timevarying/4': 'ff3eef9d5bf37acb69d1bd726c25043c591332a780392eaa52bc09c394cd9b1e',
+    'ex1-timevarying/5': 'fa034560a9978f3bbcf4c29ca724f3dd803cda3ba4451efecf016a36faedf5f9',
+    'ex2-timeinvariant/0': '2353e74244a54b69dce1a1946ad7d1f7041666e9b38f19810a058fa17a6a8e5e',
+    'ex2-timeinvariant/1': '8122108d831b6be310ff906e911a15dc227386b8f3f1f666957bb5d47c9bddde',
+    'ex2-timeinvariant/2': '384e9f9d6574552d3c7ab3f83a45e916bc5b1ac34320008287bf55e9850d0864',
+    'ex2-timeinvariant/3': 'd2f3cefa4375ca2270a6610a43c32b68b480254bf018d5a1aa470f08608ccd7b',
+    'ex2-timeinvariant/4': '5e146b13b319792d9fbd99ad1870a03bd216700037ed740393ae7b72bd35dec0',
+    'ex2-timeinvariant/5': '839ba3303ac54e40a84702c47168e204e8c24c9c3c744a0f1f9a25f1531d103a',
+}
+
+#: case (system/certificate index) -> sha256 of vdot on the 257 rows
+VDOT_GOLDEN = {
+    'lti-remark1/0': 'b05407704d8db958fe9ad0362087ab2135ad7b307a8b4837a8f2d785650d12fd',
+    'lti-remark1/1': 'ba5edf16cbb67513a9cb504de91182859f8ed4bef18f64f20a216333f8687d4d',
+    'lti-remark1/2': '82b76a73599f48630617feb0bf668df195ef878fbb43b32be14ab4659c4dbd18',
+    'lti-remark1/3': '4d7babf49423ffce05afa549aa106dbaaa23fb26c8457dd13126e5b774c18e51',
+    'lti-remark1/4': '3961dbef566ef4def0e6267edf26b2f93886b75f6a85a2a87b5774402a33a45c',
+    'lti-remark1/5': 'd375ae3309f6dabf2ea5ca86771bf019cfc360c852d5fb71db54f369e60bd1c6',
+    'lti-remark1-badout/0': 'b05407704d8db958fe9ad0362087ab2135ad7b307a8b4837a8f2d785650d12fd',
+    'lti-remark1-badout/1': 'ba5edf16cbb67513a9cb504de91182859f8ed4bef18f64f20a216333f8687d4d',
+    'lti-remark1-badout/2': '82b76a73599f48630617feb0bf668df195ef878fbb43b32be14ab4659c4dbd18',
+    'lti-remark1-badout/3': '4d7babf49423ffce05afa549aa106dbaaa23fb26c8457dd13126e5b774c18e51',
+    'lti-remark1-badout/4': '3961dbef566ef4def0e6267edf26b2f93886b75f6a85a2a87b5774402a33a45c',
+    'lti-remark1-badout/5': 'd375ae3309f6dabf2ea5ca86771bf019cfc360c852d5fb71db54f369e60bd1c6',
+    'ex1-timevarying/0': '62851524fdcbab1faf1e8a5b5eacd57e33eb279c5a23331d392346e15c62631d',
+    'ex1-timevarying/1': 'f915e54ba84c3e53daefae42d9c37d3a130c9d4b9bd6bf5f8f20aea20f3c9c7d',
+    'ex1-timevarying/2': '3a86b2ee92e6da6922da3702a94bca2af46b3beb1d6850f505b44918b5c38310',
+    'ex1-timevarying/3': '3a1a908d7f0af3cf1cc3c88e76cbcf4fd46ff7e7d07fe4d0e3f97bd699d66c60',
+    'ex1-timevarying/4': '0f86e175e68455e0e77a117a60ee8c944d2cbc0b4b498259abdee7d9dc0d3e6d',
+    # re-recorded: row 157 (x1 = 1e200) gives -inf where the dual-number
+    # Jacobian gave nan; see test_vdot_zero_partial_keeps_an_overflow
+    'ex1-timevarying/5': 'a23e5449d04d40f4989f06ea621a1f60f489d567a540eb5361e07e8977a3139b',
+    'ex2-timeinvariant/0': '8fafb4ba860e7c794e8f867a562b26a590a3a1485bc48ede69a9daac616d0a6b',
+    'ex2-timeinvariant/1': '5aed1998da8ed61f29d9580deaa9cf29e5efb2d1be7a83a84c9449ccce04b3d7',
+    'ex2-timeinvariant/2': '34dd998231e112fd83c6a3b3c18bd580098c1739dcd18dd81cd576e558eda1f1',
+    'ex2-timeinvariant/3': '5740844f6b8ca2118461c249dc3ea790e180b96af77dba9cccafd8483003445b',
+    'ex2-timeinvariant/4': '47ac1d6021d2cdec11d02ff6055df4db97b7cac22e2b6a779914d91a60e2f7e6',
+    'ex2-timeinvariant/5': '3577759d144996d0602e348323dec8b26d288c59a31f6150838652a6e8713b9a',
+}
+
+
+@pytest.mark.parametrize("case", CERT_CASES)
+def test_certificate_reports_match_golden(case):
+    assert cert_digest(case) == CERT_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", CERT_CASES)
+def test_vdot_matches_golden(case):
+    assert vdot_digest(case) == VDOT_GOLDEN[case]
+
+
+#: alpha4 of the reference `lyapunov` runs: a passing and a falsified one
+CLI_ALPHA4 = ("2", "12")
+
+
+def cli_digest(alpha4: str) -> str:
+    """sha256 of the exit code and results of the reference 1e5-sample
+    `lyapunov` run."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["lyapunov", "--system", "ex1-timevarying",
+                     "--V", "(xi1+xi2)^2", "--alpha1", "1", "--alpha2", "2",
+                     "--alpha3", "0", "--alpha4", alpha4, "--p", "2",
+                     "--samples", "100000"])
+    results = json.loads(out.getvalue())["results"]
+    text = json.dumps([code, results], sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+#: alpha4 -> sha256 of the exit code and the results
+CLI_GOLDEN = {
+    '2': '48fee2aaa5c342e72f73b4f354edbd7e072fb0a4fd7b0c42698b0fda1cb1ab3f',
+    '12': 'df1545f33027c63755a4cfba7d41bf1be8c4ff70c61532e6c8be1f75df941f37',
+}
+
+
+@pytest.mark.parametrize("alpha4", CLI_ALPHA4)
+def test_reference_lyapunov_run_matches_golden(alpha4):
+    assert cli_digest(alpha4) == CLI_GOLDEN[alpha4]
+
+
 if __name__ == "__main__":
     print("GOLDEN = {")
     for case in _cases():
@@ -286,4 +467,16 @@ if __name__ == "__main__":
     print("FIELD_GOLDEN = {")
     for case in FIELD_CASES:
         print(f"    {case!r}: {field_digest(case)!r},")
+    print("}")
+    print("CERT_GOLDEN = {")
+    for case in CERT_CASES:
+        print(f"    {case!r}: {cert_digest(case)!r},")
+    print("}")
+    print("VDOT_GOLDEN = {")
+    for case in CERT_CASES:
+        print(f"    {case!r}: {vdot_digest(case)!r},")
+    print("}")
+    print("CLI_GOLDEN = {")
+    for alpha4 in CLI_ALPHA4:
+        print(f"    {alpha4!r}: {cli_digest(alpha4)!r},")
     print("}")
