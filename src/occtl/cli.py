@@ -6,8 +6,12 @@ and prints it, so runs are reproducible; series files are written with 17
 significant digits and are byte-stable for a fixed seed and version.
 
 Exit codes: 0 all checks passed / property holds; 1 a check was falsified
-(witness in the report); 2 usage or validation error; 3 numerical failure
-(blow-up or step underflow) where none was expected.
+(witness in the report); 2 usage or validation error; 3 numerical failure:
+a simulated trajectory was truncated (blow-up, step underflow, or f left its
+domain), or a point query, an output map or a certificate was evaluated
+outside its domain.  Inside the checkers a trajectory that leaves f's domain
+is a truncated item and a certificate sample where f is undefined a
+violation, not a failure of the run.
 
 The environment variable OCCTL_THREADS caps the worker count; the numeric
 engine evaluates samples as vectorised batches on one thread, so the cap is

@@ -12,9 +12,10 @@ Conventions shared by the checks:
 * pairs and samples are independent work items with their own RNG stream,
   derived as ``seed XOR index``, so results do not depend on evaluation
   order or batching;
-* trajectories that stop being finite in finite time are truncated, flagged,
-  and reported distinctly, but a truncated pair still passes when its fitted
-  decay is clean (the divergence series is built on the surviving span);
+* trajectories that stop being finite in finite time, or leave f's domain,
+  are truncated, flagged, and reported distinctly, but a truncated pair
+  still passes when its fitted decay is clean (the divergence series is
+  built on the surviving span);
 * decay rates come from a least-squares line through (t, log d(t)) with the
   first tenth of the span discounted (transient overshoot inflates c, not
   alpha) and points below a noise floor dropped (an exponentially decaying

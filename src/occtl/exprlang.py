@@ -4,7 +4,10 @@ This module supplies the symbolic layer of the toolkit: right-hand sides of
 vector fields, output maps, and Lyapunov candidates are all plain text parsed
 into immutable expression trees, evaluated either on floats or elementwise on
 numpy arrays, differentiated exactly with dual numbers or symbolically, and
-compiled into one vectorised kernel per expression list.
+compiled into one vectorised kernel per expression list.  The evaluators
+raise ExprEvalError on a domain violation; the compiled kernels have no
+domain guards and return IEEE nan or inf there, so an integrator truncates
+the one sample that left f's domain instead of the whole run failing.
 
 Grammar (EBNF)::
 
@@ -591,59 +594,19 @@ def differentiate(e: Expr, var: str) -> Expr:
 # compilation to plain Python (hot-loop evaluation)
 # ---------------------------------------------------------------------------
 
-def _g_div(a, b, src):
-    if np.any(np.asarray(b) == 0):
-        raise ExprEvalError(f"division by zero in '{src}'")
-    return a / b
-
-
-def _g_pow(a, b, src):
-    neg = np.asarray(a) < 0
-    if np.any(neg & (np.asarray(b) != np.floor(b))):
-        raise ExprEvalError(f"negative base with non-integer exponent in '{src}'")
-    if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
-        raise ExprEvalError(f"zero raised to a negative power in '{src}'")
-    return a ** b
-
-
-def _g_ln(a, src):
-    if np.any(np.asarray(a) <= 0):
-        raise ExprEvalError(f"ln of a non-positive value in '{src}'")
-    return np.log(a)
-
-
-def _g_sqrt(a, src):
-    if np.any(np.asarray(a) < 0):
-        raise ExprEvalError(f"sqrt of a negative value in '{src}'")
-    return np.sqrt(a)
-
-
-_SAFE_CALLS = {"sin": "_np.sin", "cos": "_np.cos", "tan": "_np.tan",
-               "exp": "_np.exp", "abs": "_np.abs", "tanh": "_np.tanh"}
-
-
-def _emit(e: Expr) -> str:
+def _emit(e: Expr, consts: dict[str, str]) -> str:
     if isinstance(e, Const):
-        return repr(float(e.value))
+        return consts.setdefault(repr(float(e.value)), f"_c{len(consts)}")
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):
-        return f"(-{_emit(e.operand)})"
+        return f"(-{_emit(e.operand, consts)})"
     if isinstance(e, Bin):
-        a, b = _emit(e.left), _emit(e.right)
-        if e.op in "+-*":
-            return f"({a} {e.op} {b})"
-        if e.op == "/":
-            return f"_div({a}, {b}, {to_source(e)!r})"
-        if isinstance(e.right, Const) and e.right.value == np.floor(e.right.value) \
-                and e.right.value >= 0:
-            return f"({a} ** {b})"
-        return f"_pow({a}, {b}, {to_source(e)!r})"
+        op = "**" if e.op == "^" else e.op
+        return f"({_emit(e.left, consts)} {op} {_emit(e.right, consts)})"
     if isinstance(e, Call):
-        a = _emit(e.arg)
-        if e.fn in _SAFE_CALLS:
-            return f"{_SAFE_CALLS[e.fn]}({a})"
-        return f"_{e.fn}({a}, {to_source(e)!r})"
+        fn = "log" if e.fn == "ln" else e.fn
+        return f"_np.{fn}({_emit(e.arg, consts)})"
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -652,23 +615,28 @@ def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
 
     `names` bind, in order, to the trailing-axis columns of x; expression i
     fills column i of one array shaped ``broadcast(x.shape[:-1], shape(t))
-    + (len(exprs),)``.  Semantics match `evaluate` (same domain guards, same
-    arithmetic); only the interpretation overhead is gone.  A name that is
-    neither in `names` nor t raises ExprEvalError here.
+    + (len(exprs),)``.  The arithmetic is `evaluate`'s, but the kernel has no
+    domain guards: constants are numpy float64 values and t is taken as an
+    array, so it computes under IEEE semantics and returns nan or inf where
+    `evaluate` raises (the integrators truncate such a sample alone).  A name
+    that is neither in `names` nor t raises ExprEvalError here.
     """
     exprs, names = tuple(exprs), tuple(names)
     unbound = frozenset().union(*map(free_vars, exprs)) - {*names, "t"}
     if unbound:
         raise ExprEvalError(f"unbound variable(s) {sorted(unbound)}")
-    lines = ["def _compiled(_x, t):", "    _x = _np.asarray(_x, dtype=float)"]
+    lines = ["def _compiled(_x, t):", "    _x = _np.asarray(_x, dtype=float)",
+             "    t = _np.asarray(t, dtype=float)"]
     lines += [f"    {name} = _x[..., {i}]" for i, name in enumerate(names)]
     lines += ["    _out = _np.empty(_np.broadcast_shapes(_x.shape[:-1], "
-              f"_np.shape(t)) + ({len(exprs)},))",
+              f"t.shape) + ({len(exprs)},))",
               "    with _np.errstate(all='ignore'):"]
-    lines += [f"        _out[..., {i}] = {_emit(e)}" for i, e in enumerate(exprs)]
+    consts: dict[str, str] = {}   # repr of each constant -> its name
+    lines += [f"        _out[..., {i}] = {_emit(e, consts)}"
+              for i, e in enumerate(exprs)]
     lines.append("    return _out")
-    namespace = {"_np": np, "_div": _g_div, "_pow": _g_pow,
-                 "_ln": _g_ln, "_sqrt": _g_sqrt}
+    namespace = {"_np": np}
+    namespace.update({name: np.float64(text) for text, name in consts.items()})
     source = ", ".join(map(to_source, exprs))
     exec(compile("\n".join(lines), f"<exprs {source}>", "exec"), namespace)
     return namespace["_compiled"]

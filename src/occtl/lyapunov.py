@@ -236,8 +236,9 @@ def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     flow = aug.field(np.concatenate(np.broadcast_arrays(x, xi), axis=-1), t)
     dV_dx = np.moveaxis(grad[:n], 0, -1)
     dV_dxi = np.moveaxis(grad[n:2 * n], 0, -1)
-    total = grad[2 * n] + np.sum(dV_dx * flow[..., :n], axis=-1) \
-        + np.sum(dV_dxi * flow[..., n:], axis=-1)
+    with np.errstate(all="ignore"):
+        total = grad[2 * n] + np.sum(dV_dx * flow[..., :n], axis=-1) \
+            + np.sum(dV_dxi * flow[..., n:], axis=-1)
     return float(total) if x.ndim == 1 else total
 
 
@@ -285,8 +286,9 @@ def _falsify(condition: str, spec: SystemSpec, V: CandidateV,
     v = np.broadcast_to(
         np.asarray(evaluate(V.expr, _v_env(spec.n, x, xi, t)), dtype=float),
         t.shape)
-    slack, named = terms(x, xi, t, v)
-    violated = ~(slack >= -_tolerance(v))
+    with np.errstate(all="ignore"):   # an overflowing sample judges as nan
+        slack, named = terms(x, xi, t, v)
+        violated = ~(slack >= -_tolerance(v))
     counterexample = None
     if violated.any():
         bad = np.flatnonzero(violated)
@@ -405,7 +407,9 @@ def reverify_counterexample(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     The recomputation shares no derivative code with the falsifier (central
     differences instead of compiled symbolic derivatives and dual-number
     partials of V), so a confirmed negative slack rules out a falsifier-side
-    evaluation bug.  A counterexample of nan slack is not confirmed this way.
+    evaluation bug.  A counterexample of nan slack is not confirmed this way,
+    and where f, h or V is undefined at the counterexample (the falsifier's
+    kernels give nan there) the recomputation raises ExprEvalError.
     """
     if report.counterexample is None:
         raise ValueError("report has no counterexample")

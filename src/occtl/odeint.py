@@ -8,9 +8,13 @@ be cross-checked against a second scheme.
 Divergence is a first-class result, not a crash: when a state stops being
 finite (or the adaptive step underflows while grinding into a singularity)
 the trajectory is truncated at the last finite accepted point and flagged via
-`Trajectory.failure`.  Several of the bundled demo systems genuinely escape
-to infinity in finite time while their outputs stay perfectly well behaved,
-so every consumer of trajectories has to cope with truncated horizons.
+`Trajectory.failure`.  Leaving f's domain is the same result: the compiled
+fields return nan there (sqrt of a negative value, say), so the stages stop
+being finite, the adaptive step is rejected until it reaches its floor, and
+the trajectory ends as "non_finite".  Several of the bundled demo systems
+genuinely escape to infinity in finite time while their outputs stay
+perfectly well behaved, so every consumer of trajectories has to cope with
+truncated horizons.
 
 Fields are callables ``field(x, t) -> dx/dt`` operating on the trailing axis,
 so a batch of initial states of shape (N, d) integrates in one sweep on a
@@ -44,7 +48,9 @@ class Trajectory:
     derivs: np.ndarray
     t0: float
     tf: float
-    failure: str | None = None   # None | "non_finite" | "step_underflow"
+    # None | "non_finite" (escape, or f undefined at a stage)
+    # | "step_underflow"
+    failure: str | None = None
 
     @property
     def ok(self) -> bool:

@@ -1,9 +1,10 @@
-"""Shared pytest plumbing: surface the acceptance lines in the summary, and
-count kernel compilations."""
+"""Shared pytest plumbing: surface the acceptance lines in the summary, count
+kernel compilations, and a system whose trajectories leave f's domain."""
 
 import pytest
 
 from occtl import sysmodel
+from occtl.sysmodel import SystemSpec, validate
 
 acceptance_lines: list[str] = []
 
@@ -27,3 +28,12 @@ def compile_calls(monkeypatch) -> list:
         return real(exprs, names)
     monkeypatch.setattr(sysmodel, "compile_expr", counting)
     return calls
+
+
+@pytest.fixture
+def sqrt_decay() -> SystemSpec:
+    """xdot1 = -sqrt(x1), xdot2 = -x2, y = x1 + x2.  From x1 = a > 0 the exact
+    x1 = (sqrt(a) - t/2)^2 reaches 0 at t = 2 sqrt(a); the trial stages past
+    it take sqrt of a negative value."""
+    return validate(SystemSpec.from_strings(
+        "sqrt-decay", 2, 1, ["-sqrt(x1)", "-x2"], ["x1 + x2"]))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from occtl.cli import main
+from occtl.sysmodel import system_to_json
 
 from oracles import output_equilibrium_root
 
@@ -260,6 +261,38 @@ def test_lyapunov_nan_slack_is_falsified_as_valid_json(capsys):
     checks = report["results"]["checks"]
     assert [c["passed"] for c in checks] == [False, False]
     assert [c["worst_margin"] for c in checks] == [None, None]
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["contraction", "--pairs", "5", "--box", "0.5:2,0.5:2", "--tf", "5"], 0),
+    (["oes", "--samples", "5", "--box", "0.5:2,0.5:2", "--tf", "5"], 1),
+    (["simulate", "--x0", "1,1", "--tf", "5"], 3),
+    (["lyapunov", "--V", "xi1^2 + xi2^2", "--alpha1", "0.5", "--alpha2", "2",
+      "--alpha3", "0.1", "--samples", "200"], 1),
+])
+def test_leaving_the_domain_is_a_per_sample_result(tmp_path, sqrt_decay,
+                                                   argv, code):
+    # f = (-sqrt(x1), -x2): trajectories leave its domain and the default
+    # certificate box has x1 < 0; out of process, so stderr is the real one
+    path = tmp_path / "sqrt.json"
+    path.write_text(system_to_json(sqrt_decay))
+    proc = subprocess.run(
+        [sys.executable, "-m", "occtl", *argv, "--system", str(path)],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (code, "")
+    assert json.loads(proc.stdout)["exit_code"] == code
+
+
+def test_overflowing_certificate_samples_print_no_warnings():
+    # the samples of the nan-slack test above, out of process: an overflow
+    # is judged as a violation, not reported as a numpy warning
+    proc = subprocess.run(
+        [sys.executable, "-m", "occtl", "lyapunov", "--system",
+         "ex1-timevarying", "--V", "(xi1+xi2)^2", "--alpha1", "1",
+         "--alpha2", "2", "--alpha3", "0", "--alpha4", "2", "--samples",
+         "2000", "--xi-radii", "1e200"],
+        capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 # ---------------------------------------------------------------------------

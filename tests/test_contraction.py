@@ -419,6 +419,20 @@ def test_oes_variational_holds_for_time_varying_demo():
     assert verdict.truncated == 10   # every sample rides a state escape
 
 
+def test_every_checker_returns_a_verdict_where_f_leaves_its_domain(sqrt_decay):
+    # every start leaves sqrt's domain by t = 2 sqrt(2) < tf; each item is
+    # truncated on its own instead of the verdict raising
+    plan = SamplingPlan(box=((0.5, 2.0), (0.5, 2.0)), pairs=5, tf=5.0)
+    verdicts = [check(sqrt_decay, plan) for check in (
+        check_output_contraction, check_partial_contraction,
+        check_oes_variational)]
+    verdicts.append(check_oes_equilibrium(sqrt_decay, np.zeros(1), plan))
+    assert [v.truncated for v in verdicts] == [5, 5, 5, 5]
+    assert verdicts[0].holds and verdicts[0].min_alpha >= 0.05
+    for v in verdicts:
+        verdict_json(v)
+
+
 def test_alpha_min_must_be_finite():
     with pytest.raises(ValueError, match="alpha_min must be finite"):
         check_output_contraction(builtin_system("lti-remark1"),

@@ -244,23 +244,30 @@ def test_dual_batched_matches_per_sample():
 _VARS = ("x1", "x2", "t")
 
 
-def _random_tree(rng, depth):
-    """Random tree biased toward numerically tame operations."""
+def _random_tree(rng, depth, wild=False):
+    """Random tree biased toward numerically tame operations; `wild` adds ln,
+    sqrt, variable powers and fractional or negative exponents, so many
+    trees leave their domain somewhere."""
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return Const(round(float(rng.uniform(-3, 3)), 3))
         return Var(_VARS[rng.integers(len(_VARS))])
     kind = rng.random()
     if kind < 0.15:
-        return Neg(_random_tree(rng, depth - 1))
+        return Neg(_random_tree(rng, depth - 1, wild))
     if kind < 0.30:
-        fn = ("sin", "cos", "tanh", "exp")[rng.integers(4)]
-        return Call(fn, _random_tree(rng, depth - 1))
+        fns = ("sin", "cos", "tanh", "exp") + (("ln", "sqrt") if wild else ())
+        fn = fns[rng.integers(len(fns))]
+        return Call(fn, _random_tree(rng, depth - 1, wild))
     if kind < 0.40:
-        return Bin("^", _random_tree(rng, depth - 1),
-                   Const(float(rng.integers(2, 4))))
-    op = "+-*/"[rng.integers(4)]
-    return Bin(op, _random_tree(rng, depth - 1), _random_tree(rng, depth - 1))
+        base = _random_tree(rng, depth - 1, wild)
+        exponent = round(float(rng.uniform(-3, 3)), 1) if wild \
+            else float(rng.integers(2, 4))
+        return Bin("^", base, Const(exponent))
+    ops = "+-*/^" if wild else "+-*/"
+    op = ops[rng.integers(len(ops))]
+    return Bin(op, _random_tree(rng, depth - 1, wild),
+               _random_tree(rng, depth - 1, wild))
 
 
 def _central_diff(ast, values, h=1e-6):
@@ -356,12 +363,55 @@ def test_compiled_matches_interpreted():
             assert float(fn(x, values["t"])[0]) == float(evaluate(ast, env))
 
 
-def test_compiled_raises_same_domain_errors():
-    for src, env in [("ln(x)", {"x": -1.0}), ("sqrt(x)", {"x": -1.0}),
-                     ("1/x", {"x": 0.0}), ("x^0.5", {"x": -2.0})]:
-        fn = compile_expr([parse(src)], list(env))
+def test_compiled_kernel_computes_under_ieee_where_evaluate_raises():
+    # no domain guards: each violation `evaluate` raises for is numpy's value
+    for src, x, want in [("ln(x)", -1.0, np.nan), ("sqrt(x)", -1.0, np.nan),
+                         ("1/x", 0.0, np.inf), ("x^0.5", -2.0, np.nan)]:
         with pytest.raises(ExprEvalError):
-            fn(np.array(list(env.values())), 0.0)
+            evaluate(parse(src), {"x": x})
+        fn = compile_expr([parse(src)], ["x"])
+        np.testing.assert_array_equal(fn(np.array([x]), 0.0), [want])
+        np.testing.assert_array_equal(fn(np.array([[x], [4.0]]), 0.0)[0],
+                                      [want])
+    # constant-only subtrees and t follow numpy too, never Python's float
+    # exceptions or complex powers
+    for src, want in [("1/0", np.inf), ("0^(0-1)", np.inf),
+                      ("(0-8)^(1/3)", np.nan), ("1e200^2", np.inf),
+                      ("1/t", np.inf), ("t/t", np.nan),
+                      ("x + (0-1)^0.5", np.nan)]:
+        fn = compile_expr([parse(src)], ["x"])
+        for t in (0.0, 0, np.zeros(3)):
+            out = fn(np.array([1.0]), t)
+            assert out.dtype == float
+            np.testing.assert_array_equal(out, np.full(out.shape, want))
+
+
+def _bits(v) -> int:
+    return np.asarray(v, dtype=float).reshape(()).view(np.uint64).item()
+
+
+def test_compiled_matches_evaluate_bit_for_bit_or_returns_where_it_raises():
+    # evaluate sees each sample as a one-element batch, so both sides take
+    # numpy's array loops; a sample outside the domain raises in evaluate
+    # and only comes out nan or inf in its own row of the kernel's batch
+    rng = np.random.default_rng(5)
+    matched = raised = 0
+    for _ in range(400):
+        ast = _random_tree(rng, depth=5, wild=True)
+        x = rng.uniform(-2, 2, size=(8, 2))
+        t = rng.uniform(-2, 2, size=8)
+        out = compile_expr([ast], ["x1", "x2"])(x, t)[:, 0]
+        for j in range(8):
+            env = {"x1": x[j:j + 1, 0], "x2": x[j:j + 1, 1], "t": t[j:j + 1]}
+            try:
+                want = evaluate(ast, env)
+            except ArithmeticError:
+                raised += 1
+                continue
+            assert _bits(out[j]) == _bits(want), \
+                f"{to_source(ast)} at x={x[j]}, t={t[j]}"
+            matched += 1
+    assert matched > 1000 and raised > 200, (matched, raised)
 
 
 def test_compiled_vectorized():

@@ -131,6 +131,18 @@ def test_rk4_also_truncates_on_non_finite():
     assert np.all(np.isfinite(traj.states))
 
 
+@pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
+def test_leaving_the_domain_truncates_as_non_finite(sqrt_decay, method):
+    # x1 = (1 - t/2)^2 reaches 0 at t = 2; past it the kernel gives nan,
+    # which ends this trajectory instead of raising
+    traj = integrate(vector_field(sqrt_decay), np.array([1.0, 1.0]), 0.0, 5.0,
+                     IntegratorConfig(method=method))
+    assert traj.failure == "non_finite"
+    assert traj.t_end == pytest.approx(2.0, abs=1e-2)
+    assert np.all(np.isfinite(traj.states))
+    assert np.all(np.isfinite(traj.derivs))
+
+
 # ---------------------------------------------------------------------------
 # dense output
 # ---------------------------------------------------------------------------
