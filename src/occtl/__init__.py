@@ -11,13 +11,15 @@ system  xdot = f(x, t), y = h(x, t):
   time-invariant systems, exponential convergence of outputs to an output
   equilibrium).
 
-Systems are plain text expressions; all Jacobians and variational dynamics
-are machine-derived (dual numbers for `jacobians` point queries, compiled
-symbolic derivatives in integration loops and the certificate falsifier),
-trajectories come from two independent Runge-Kutta integrators, decay rates
-from log-linear fits with explicit noise handling, and Lyapunov-style
-certificates are checked by falsification sampling with re-verifiable
-counterexamples.
+Systems are plain text expressions, compiled into the kernels every
+trajectory and output runs on (`vector_field`, `output_map`; an undefined
+output is a per-item result, and `eval_fh` is only the reference path); all
+Jacobians and variational dynamics are machine-derived (dual numbers for
+`jacobians` point queries, compiled symbolic derivatives in integration
+loops and the certificate falsifier), trajectories come from two independent
+Runge-Kutta integrators, decay rates from log-linear fits with explicit
+noise handling, and Lyapunov-style certificates are checked by
+falsification sampling with re-verifiable counterexamples.
 """
 
 from .exprlang import (
@@ -27,8 +29,8 @@ from .exprlang import (
 from .sysmodel import (
     AugmentedSystem, BUILTIN_NAMES, JacobianBundle, SystemSpec,
     SystemValidationError, augment, builtin_system, eval_fh,
-    finite_diff_jacobian, jacobians, system_from_json, system_to_json,
-    validate, vector_field,
+    finite_diff_jacobian, jacobians, json_safe, output_map, system_from_json,
+    system_to_json, validate, vector_field,
 )
 from .odeint import (
     IntegratorConfig, Trajectory, integrate, integrate_rk4, integrate_rk45,

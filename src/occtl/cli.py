@@ -8,10 +8,12 @@ significant digits and are byte-stable for a fixed seed and version.
 Exit codes: 0 all checks passed / property holds; 1 a check was falsified
 (witness in the report); 2 usage or validation error; 3 numerical failure:
 a simulated trajectory was truncated (blow-up, step underflow, or f left its
-domain), or a point query, an output map or a certificate was evaluated
-outside its domain.  Inside the checkers a trajectory that leaves f's domain
-is a truncated item and a certificate sample where f is undefined a
-violation, not a failure of the run.
+domain) or its output is not finite (h left its domain), or a point query
+or a certificate was evaluated outside its domain.  Inside the checkers a
+trajectory that leaves f's domain is a truncated item, an output outside
+h's domain fails its own item, and a certificate sample where f is
+undefined is a violation; none of them is a failure of the run.  Reports
+print every number that is not finite as null.
 
 The environment variable OCCTL_THREADS caps the worker count; the numeric
 engine evaluates samples as vectorised batches on one thread, so the cap is
@@ -42,8 +44,8 @@ from .lyapunov import (
 )
 from .odeint import IntegratorConfig, integrate, map_output, trajectory_csv
 from .sysmodel import (
-    BUILTIN_NAMES, builtin_system, eval_fh, jacobians, system_from_json,
-    vector_field,
+    BUILTIN_NAMES, builtin_system, jacobians, json_safe, output_map,
+    system_from_json, vector_field,
 )
 
 USAGE_ERROR, FALSIFIED, NUMERIC_FAILURE = 2, 1, 3
@@ -144,13 +146,14 @@ class _Reporter:
         self.out.mkdir(parents=True, exist_ok=True)
         if self.fmt == "json":
             path = self.out / f"{name}.json"
-            path.write_text(json.dumps(json_obj, indent=2))
+            path.write_text(json.dumps(json_safe(json_obj), indent=2))
         else:
             path = self.out / f"{name}.csv"
             path.write_text(csv_text)
         self.doc["files"].append(path.name)
 
     def finish(self, code: int) -> int:
+        self.doc = json_safe(self.doc)
         if self.out is not None:
             self.out.mkdir(parents=True, exist_ok=True)
             report_path = self.out / "report.json"
@@ -163,18 +166,13 @@ class _Reporter:
         return code
 
 
-def _traj_json(traj, outputs=None):
-    doc = {"t": [float(v) for v in traj.times],
-           "x": [[float(v) for v in row] for row in traj.states]}
-    if outputs is not None:
-        doc["y"] = [[float(v) for v in row] for row in outputs]
-    return doc
+def _traj_json(traj, outputs):
+    return {"t": traj.times, "x": traj.states, "y": outputs}
 
 
 def _write_divergence(rep: _Reporter, name: str, series) -> None:
     rep.write_series(name, divergence_csv(series),
-                     {"t": [float(v) for v in series.times],
-                      "d": [float(v) for v in series.d]})
+                     {"t": series.times, "d": series.d})
 
 
 def _integrator_config(args) -> IntegratorConfig:
@@ -202,24 +200,25 @@ def cmd_simulate(args) -> int:
     y = map_output(spec, traj)
     rep.add("t_end", traj.t_end)
     rep.add("failure", traj.failure)
-    rep.add("final_state", [float(v) for v in traj.states[-1]])
-    rep.add("final_output", [float(v) for v in y[-1]])
+    rep.add("final_state", traj.states[-1])
+    rep.add("final_output", y[-1])
     rep.write_series(f"simulate_{spec.name}",
                      trajectory_csv(traj, outputs=y), _traj_json(traj, y))
-    return rep.finish(0 if traj.ok else NUMERIC_FAILURE)
+    ok = traj.ok and bool(np.all(np.isfinite(y)))
+    return rep.finish(0 if ok else NUMERIC_FAILURE)
 
 
 def cmd_jacobian(args) -> int:
     rep = _Reporter(args)
     spec = load_system(args.system)
     x = _vec(args.x, spec.n, "--x")
+    # raises where f or h is undefined, where the kernels would give nan
     bundle = jacobians(spec, x, args.t)
-    f, y = eval_fh(spec, x, args.t)
-    rep.add("f", [float(v) for v in f])
-    rep.add("y", [float(v) for v in y])
-    rep.add("Jf", [[float(v) for v in row] for row in bundle.Jf])
-    rep.add("Jh", [[float(v) for v in row] for row in bundle.Jh])
-    rep.add("dh_dt", [float(v) for v in bundle.dh_dt])
+    rep.add("f", vector_field(spec)(x, args.t))
+    rep.add("y", output_map(spec)(x, args.t))
+    rep.add("Jf", bundle.Jf)
+    rep.add("Jh", bundle.Jh)
+    rep.add("dh_dt", bundle.dh_dt)
     return rep.finish(0)
 
 
@@ -261,8 +260,7 @@ def cmd_oes_eq(args) -> int:
         return check_oes_equilibrium(spec, y_star, plan, x_ref0=x_ref0,
                                      alpha_min=alpha_min)
 
-    return _run_verdict_command(args, checker,
-                                y_star=[float(v) for v in y_star])
+    return _run_verdict_command(args, checker, y_star=y_star)
 
 
 def cmd_lyapunov(args) -> int:

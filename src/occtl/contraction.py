@@ -16,6 +16,9 @@ Conventions shared by the checks:
   are truncated, flagged, and reported distinctly, but a truncated pair
   still passes when its fitted decay is clean (the divergence series is
   built on the surviving span);
+* outputs come from the compiled output map, so an output outside h's
+  domain is nan in its own series and fails only its own item (through a
+  pointwise constant or a fit scale that is not finite), never the run;
 * decay rates come from a least-squares line through (t, log d(t)) with the
   first tenth of the span discounted (transient overshoot inflates c, not
   alpha) and points below a noise floor dropped (an exponentially decaying
@@ -32,7 +35,8 @@ import numpy as np
 
 from .odeint import IntegratorConfig, integrate, sample_at
 from .sysmodel import (
-    SystemSpec, augment, eval_fh, jacobians, validate, vector_field,
+    SystemSpec, augment, eval_fh, jacobians, json_safe, output_map, validate,
+    vector_field,
 )
 
 __all__ = [
@@ -196,14 +200,13 @@ def _observe(field, x0, t0: float, tf: float, cfg: IntegratorConfig | None,
 def _pair_series(spec: SystemSpec, x0: np.ndarray, x0p: np.ndarray,
                  t0: float, tf: float,
                  cfg: IntegratorConfig | None) -> DivergenceSeries:
+    field, h = vector_field(spec), output_map(spec)
     grid, states, y, truncated = _observe(                  # (g, 2, n|m)
-        vector_field(spec), np.stack([x0, x0p]), t0, tf, cfg,
-        lambda s, g: eval_fh(spec, s, g[:, None])[1])
-    _, y0 = eval_fh(spec, np.stack([x0, x0p]), t0)
+        field, np.stack([x0, x0p]), t0, tf, cfg, lambda s, g: h(s, g[:, None]))
+    d = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1)
+    # the grid starts at t0, where sample_at returns the initial states
     return DivergenceSeries(
-        times=grid, d=np.linalg.norm(y[:, 0] - y[:, 1], axis=-1),
-        dx0=float(np.linalg.norm(x0 - x0p)),
-        dy0=float(np.linalg.norm(y0[0] - y0[1])),
+        times=grid, d=d, dx0=float(np.linalg.norm(x0 - x0p)), dy0=float(d[0]),
         truncated=truncated,
         state_dist=np.linalg.norm(states[:, 0] - states[:, 1], axis=-1))
 
@@ -271,33 +274,22 @@ def fit_rate(series: DivergenceSeries, scale: float,
 # verdict assembly
 # ---------------------------------------------------------------------------
 
-def _json_safe(value):
-    if isinstance(value, np.ndarray):
-        return [float(v) for v in np.atleast_1d(value)]
-    if isinstance(value, (np.floating, float)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    return value
-
-
 def _witness_from(result: PairResult) -> dict:
     w = {
         "pair_index": result.index,
-        "x0": _json_safe(result.x0),
-        "partner": _json_safe(result.partner),
+        "x0": result.x0,
+        "partner": result.partner,
         "reason": result.note or "decay fit failed",
-        "t_end": _json_safe(result.series.t_end),
+        "t_end": result.series.t_end,
         "truncated": result.series.truncated,
-        "dx0": _json_safe(result.series.dx0),
-        "dy0": _json_safe(result.series.dy0),
-        "max_d": _json_safe(np.max(result.series.d)),
+        "dx0": result.series.dx0,
+        "dy0": result.series.dy0,
+        "max_d": np.max(result.series.d),
     }
     if result.fit is not None and result.fit.valid:
-        w["alpha"] = _json_safe(result.fit.alpha)
-        w["c_tight"] = _json_safe(result.fit.c_tight)
-    return w
+        w["alpha"] = result.fit.alpha
+        w["c_tight"] = result.fit.c_tight
+    return json_safe(w)
 
 
 def _assemble(kind: str, results: list[PairResult], alpha_min: float) -> Verdict:
@@ -324,7 +316,11 @@ def _assemble(kind: str, results: list[PairResult], alpha_min: float) -> Verdict
 
 def _judged(index: int, x0, partner, series: DivergenceSeries, scale: float,
             alpha_min: float, floor=None) -> PairResult:
-    """Fit the decay of `series` at `scale` and judge it against alpha_min."""
+    """Fit the decay of `series` at `scale` and judge it against alpha_min;
+    a scale that is not positive and finite fails the item unfitted."""
+    if not 0 < scale < math.inf:
+        return PairResult(index, x0, partner, series, None, False,
+                          f"fit scale {scale:.4g} is not positive and finite")
     fit = fit_rate(series, scale=scale, floor=floor)
     if not fit.valid:
         note = f"invalid fit ({fit.n_points} usable points)"
@@ -356,16 +352,16 @@ def _check(kind: str, spec: SystemSpec, plan: SamplingPlan, alpha_min: float,
 
 def verdict_json(verdict: Verdict) -> dict:
     """JSON-ready summary of a verdict (heavy series omitted)."""
-    return {
+    return json_safe({
         "kind": verdict.kind,
         "holds": verdict.holds,
-        "min_alpha": _json_safe(verdict.min_alpha),
-        "max_c": _json_safe(verdict.max_c),
+        "min_alpha": verdict.min_alpha,
+        "max_c": verdict.max_c,
         "pairs": verdict.pairs,
         "truncated": verdict.truncated,
         "alpha_min": verdict.alpha_min,
         "witness": verdict.witness,
-    }
+    })
 
 
 def divergence_csv(series: DivergenceSeries) -> str:
@@ -415,19 +411,22 @@ def _project_equal_output(spec: SystemSpec, x0: np.ndarray, z: np.ndarray,
     Each step is the minimal-norm correction solving Jh dx = residual, so z
     only moves along the row space of Jh and keeps its components in the
     output's null directions.  One step is exact for affine output maps.
+    A residual that is not finite (h undefined at x0 or at a step) stops
+    the walk as not ok.
     """
-    _, y_target = eval_fh(spec, x0, t0)
+    h = output_map(spec)
+    y_target = h(x0, t0)
     x = np.array(z, dtype=float)
     for _ in range(max_iter):
-        _, y = eval_fh(spec, x, t0)
-        r = y - y_target
+        r = h(x, t0) - y_target
+        if not np.all(np.isfinite(r)):
+            return x, False
         if np.linalg.norm(r) <= tol:
             return x, True
         Jh = jacobians(spec, x, t0).Jh
         step, *_ = np.linalg.lstsq(Jh, r, rcond=None)
         x = x - step
-    _, y = eval_fh(spec, x, t0)
-    return x, bool(np.linalg.norm(y - y_target) <= tol)
+    return x, bool(np.linalg.norm(h(x, t0) - y_target) <= tol)
 
 
 def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
@@ -462,7 +461,7 @@ def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
         if not series.dy0 <= 1e-12:
             return _judged(i, x0, x0p, series, series.dy0, alpha_min)
         max_d = float(np.max(series.d))
-        if max_d > 1e-6:
+        if not max_d <= 1e-6:
             return PairResult(i, x0, x0p, series, None, False,
                               f"outputs separate to {max_d:.3g} from equal "
                               "initial outputs (no initial-output scale can "
@@ -570,21 +569,16 @@ def check_oes_equilibrium(spec: SystemSpec, y_star, plan: SamplingPlan,
         raise ValueError(f"y_star must be a finite vector of length m={spec.m}")
     if x_ref0 is not None:
         x_ref0 = np.asarray(x_ref0, dtype=float)
-    field = vector_field(spec)
+    field, h = vector_field(spec), output_map(spec)
 
     def judge(i, x0):
-        grid, _, y, truncated = _observe(
-            field, x0, plan.t0, plan.tf, cfg,
-            lambda s, g: eval_fh(spec, s, g)[1])
+        grid, _, y, truncated = _observe(field, x0, plan.t0, plan.tf, cfg, h)
         d = np.linalg.norm(y - y_star, axis=-1)
         series = DivergenceSeries(
             times=grid, d=d, dx0=float(np.linalg.norm(x0)),
             dy0=float(d[0]), truncated=truncated)
         scale = (float(np.linalg.norm(x0 - x_ref0)) if x_ref0 is not None
                  else 1.0 + float(np.linalg.norm(x0)))
-        if not scale > 0:
-            return PairResult(i, x0, x_ref0, series, None, False,
-                              "zero distance to the reference initial state")
         return _judged(i, x0, x_ref0, series, scale, alpha_min)
 
     return _check("oes-equilibrium", spec, plan, alpha_min,

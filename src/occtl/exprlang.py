@@ -4,10 +4,13 @@ This module supplies the symbolic layer of the toolkit: right-hand sides of
 vector fields, output maps, and Lyapunov candidates are all plain text parsed
 into immutable expression trees, evaluated either on floats or elementwise on
 numpy arrays, differentiated exactly with dual numbers or symbolically, and
-compiled into one vectorised kernel per expression list.  The evaluators
-raise ExprEvalError on a domain violation; the compiled kernels have no
-domain guards and return IEEE nan or inf there, so an integrator truncates
-the one sample that left f's domain instead of the whole run failing.
+compiled into one vectorised kernel per expression list.  The kernels are
+the production path for f, h and the variational system; the evaluators are
+the reference they are checked against.  The evaluators raise ExprEvalError
+on a domain violation; the compiled kernels have no domain guards and
+return IEEE nan or inf there, so an integrator truncates the one sample
+that left f's domain, and a checker fails the one item whose output left
+h's domain, instead of the whole run failing.
 
 Grammar (EBNF)::
 
@@ -602,8 +605,9 @@ def _emit(e: Expr, consts: dict[str, str]) -> str:
     if isinstance(e, Neg):
         return f"(-{_emit(e.operand, consts)})"
     if isinstance(e, Bin):
-        op = "**" if e.op == "^" else e.op
-        return f"({_emit(e.left, consts)} {op} {_emit(e.right, consts)})"
+        a, b = _emit(e.left, consts), _emit(e.right, consts)
+        # "^" as a ufunc: `**` on one state rounds unlike its row in a batch
+        return f"_np.power({a}, {b})" if e.op == "^" else f"({a} {e.op} {b})"
     if isinstance(e, Call):
         fn = "log" if e.fn == "ln" else e.fn
         return f"_np.{fn}({_emit(e.arg, consts)})"
@@ -618,8 +622,11 @@ def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
     + (len(exprs),)``.  The arithmetic is `evaluate`'s, but the kernel has no
     domain guards: constants are numpy float64 values and t is taken as an
     array, so it computes under IEEE semantics and returns nan or inf where
-    `evaluate` raises (the integrators truncate such a sample alone).  A name
-    that is neither in `names` nor t raises ExprEvalError here.
+    `evaluate` raises (the integrators truncate such a sample alone).  Powers
+    and calls are numpy ufuncs even on a single state, and + - * / round
+    alike in numpy's scalar math and its array loops, so one state gives
+    the same bits as its row in a batch.  A name that is neither in `names`
+    nor t raises ExprEvalError here.
     """
     exprs, names = tuple(exprs), tuple(names)
     unbound = frozenset().union(*map(free_vars, exprs)) - {*names, "t"}

@@ -30,7 +30,7 @@ import numpy as np
 
 from .exprlang import Expr, dual_env, evaluate, evaluate_dual, free_vars, parse
 from .sysmodel import (
-    SystemSpec, augment, eval_fh, finite_diff_jacobian, validate,
+    SystemSpec, augment, eval_fh, finite_diff_jacobian, json_safe, validate,
 )
 from .sysmodel import jacobians  # noqa: F401  looked up by bench/tracing.py
 
@@ -151,23 +151,14 @@ class FalsificationReport:
     counterexample: dict | None
 
 
-def _json_safe(value):
-    """`value` with every number that is not finite replaced by None."""
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, list):
-        return [_json_safe(v) for v in value]
-    return value if value is None or math.isfinite(value) else None
-
-
 def report_json(report: FalsificationReport) -> dict:
-    return {
+    return json_safe({
         "condition": report.condition,
         "passed": report.passed,
         "checked": report.checked,
-        "worst_margin": _json_safe(report.worst_margin),
-        "counterexample": _json_safe(report.counterexample),
-    }
+        "worst_margin": report.worst_margin,
+        "counterexample": report.counterexample,
+    })
 
 
 # ---------------------------------------------------------------------------

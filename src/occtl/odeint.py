@@ -28,6 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .sysmodel import output_map
+
 __all__ = [
     "Trajectory", "IntegratorConfig", "integrate", "integrate_rk4",
     "integrate_rk45", "sample_at", "map_output", "trajectory_csv",
@@ -291,15 +293,14 @@ def sample_at(traj: Trajectory, t):
 
 
 def map_output(spec, traj: Trajectory) -> np.ndarray:
-    """Output series y_i = h(states[i], times[i]) on the trajectory grid."""
-    from .sysmodel import eval_fh  # local import to avoid a cycle
+    """Output series y_i = h(states[i], times[i]) on the trajectory grid,
+    from the compiled output map: nan or inf where h is undefined."""
     if traj.states.shape[-1] != spec.n:
         raise ValueError(
             f"trajectory dimension {traj.states.shape[-1]} does not match n={spec.n}")
     extra = (np.newaxis,) * (traj.states.ndim - 2)
     t = traj.times[(...,) + extra]
-    _, y = eval_fh(spec, traj.states, t)
-    return y
+    return output_map(spec)(traj.states, t)
 
 
 def trajectory_csv(traj: Trajectory, outputs: np.ndarray | None = None) -> str:

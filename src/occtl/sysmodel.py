@@ -5,8 +5,10 @@ map h, over the variables x1..xn and t.  The variational (linearised-along-a-
 trajectory) system is never entered by hand: `augment` derives it from f and h
 by symbolic differentiation and compiles it, so the xi-dynamics are always the
 exact Jacobian of the supplied right-hand side.  Every field an integrator
-runs, f alone or f with its variational dynamics, is one kernel made by
-`compile_expr`.
+runs, f alone or f with its variational dynamics, and every output map the
+checkers read, h or nu, is one kernel made by `compile_expr`.  The
+tree-walking `eval_fh` is kept as the reference the kernels and the
+difference-quotient oracles are checked against.
 
 JSON document format::
 
@@ -18,6 +20,7 @@ with expressions written in the `occtl.exprlang` grammar.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -32,8 +35,8 @@ from .exprlang import (
 __all__ = [
     "SystemSpec", "AugmentedSystem", "JacobianBundle", "SystemValidationError",
     "validate", "eval_fh", "jacobians", "augment", "finite_diff_jacobian",
-    "vector_field", "system_from_json", "system_to_json", "builtin_system",
-    "BUILTIN_NAMES",
+    "vector_field", "output_map", "system_from_json", "system_to_json",
+    "builtin_system", "json_safe", "BUILTIN_NAMES",
 ]
 
 
@@ -68,6 +71,10 @@ class SystemSpec:
     @cached_property
     def _field(self):
         return compile_expr(self.f, self.state_names)
+
+    @cached_property
+    def _output(self):
+        return compile_expr(self.h, self.state_names)
 
     @cached_property
     def _augmented(self) -> "AugmentedSystem":
@@ -141,7 +148,8 @@ def _eval_stack(exprs: tuple[Expr, ...], env: Mapping) -> np.ndarray:
 
 
 def eval_fh(spec: SystemSpec, x, t) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate (f(x, t), h(x, t)).
+    """Evaluate (f(x, t), h(x, t)) by walking the trees: the reference path,
+    which raises ExprEvalError where f or h is undefined.
 
     `x` may be a single state of shape (n,) or a batch (..., n); `t` a scalar
     or an array broadcastable against the batch.  Returns arrays shaped
@@ -161,6 +169,12 @@ def vector_field(spec: SystemSpec) -> Callable[[np.ndarray, float], np.ndarray]:
     ``broadcast(x.shape[:-1], shape(t)) + (n,)``.
     """
     return spec._field
+
+
+def output_map(spec: SystemSpec) -> Callable[[np.ndarray, float], np.ndarray]:
+    """The output map as a kernel ``h(x, t)``, the twin of `vector_field`
+    with ``(m,)`` trailing: nan or inf in a row where h is undefined."""
+    return spec._output
 
 
 @dataclass(frozen=True)
@@ -272,6 +286,19 @@ def augment(spec: SystemSpec) -> AugmentedSystem:
 # ---------------------------------------------------------------------------
 # JSON interchange and built-in systems
 # ---------------------------------------------------------------------------
+
+def json_safe(value):
+    """`value` for strict JSON: containers recursively, numpy values as
+    Python lists and numbers, every number that is not finite as None."""
+    if isinstance(value, dict):
+        return {k: json_safe(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_safe(v) for v in value]
+    if isinstance(value, (np.ndarray, np.generic)):
+        return json_safe(value.tolist())
+    return None if isinstance(value, float) and not math.isfinite(value) \
+        else value
+
 
 def system_from_json(doc) -> SystemSpec:
     """Build and validate a SystemSpec from a JSON document (text or dict)."""

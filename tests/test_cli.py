@@ -295,6 +295,54 @@ def test_overflowing_certificate_samples_print_no_warnings():
     assert (proc.returncode, proc.stderr) == (1, "")
 
 
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["contraction", "--pairs", "3", "--box", "0.5:2,0.5:2", "--tf", "5",
+      "--dump-series"], 1),
+    (["partial", "--pairs", "3", "--box", "0.1:2,0.5:2", "--tf", "5",
+      "--dump-series"], 1),
+    (["oes-eq", "--y-star", "0", "--pairs", "3", "--box", "0.5:2,0.5:2",
+      "--tf", "5", "--dump-series"], 1),
+    (["simulate", "--x0", "1,1", "--tf", "5"], 3),
+])
+def test_an_output_outside_its_domain_is_a_per_item_result(tmp_path, capsys,
+                                                           argv, code):
+    # y = sqrt(x1 - 0.25) while x1 decays to 0, so outputs turn nan before
+    # the trajectories end; every report and series file stays strict JSON
+    path = tmp_path / "sqrt-out.json"
+    path.write_text(json.dumps({"name": "sqrt-out", "n": 2, "m": 1,
+                                "f": ["-sqrt(x1)", "-x2"],
+                                "h": ["sqrt(x1 - 0.25)"]}))
+    out = tmp_path / "out"
+    got = main([*argv, "--system", str(path), "--out", str(out),
+                "--format", "json"])
+    stdout, stderr = capsys.readouterr()
+    assert (got, stderr) == (code, "")
+    results = _strict_json(stdout)["results"]
+    for emitted in out.iterdir():
+        _strict_json(emitted.read_text())
+    if argv[0] == "simulate":
+        assert results["final_output"] == [None]
+    else:
+        assert results["verdict"]["holds"] is False
+        assert results["verdict"]["witness"]["max_d"] is None
+
+
+def test_jacobian_where_h_is_undefined_is_a_numerical_failure(tmp_path,
+                                                              capsys):
+    path = tmp_path / "sqrt-out.json"
+    path.write_text(json.dumps({"name": "sqrt-out", "n": 2, "m": 1,
+                                "f": ["-x1", "-x2"],
+                                "h": ["sqrt(x1 - 0.25)"]}))
+    assert main(["jacobian", "--system", str(path), "--x", "0.1,0"]) == 3
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # reproductions
 # ---------------------------------------------------------------------------

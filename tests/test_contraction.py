@@ -443,7 +443,7 @@ def test_alpha_min_must_be_finite():
 def test_pair_check_compiles_the_field_once(compile_calls):
     check_output_contraction(builtin_system("ex1-timevarying"),
                              small_plan(pairs=3, tf=1.0))
-    assert compile_calls == [2]   # one kernel holding both components of f
+    assert compile_calls == [2, 1]   # f's two components, then h
 
 
 def test_variational_check_compiles_field_and_output_once(compile_calls):

@@ -442,3 +442,17 @@ def test_compiled_names_are_positional_and_unbound_names_rejected():
     assert fn(np.array([1.0, 5.0]), 0.0)[0] == 4.0
     with pytest.raises(ExprEvalError, match="unbound"):
         compile_expr([parse("x1 + y")], ["x1"])
+
+
+@pytest.mark.parametrize("src", ["(x1 + x2)^1.7", "(x1*x2)^0.5"])
+def test_compiled_power_does_not_depend_on_the_batch(src):
+    # `**` on one state took numpy's scalar math and differed in the last
+    # bit from the batch's array loop on some rows of these draws
+    rng = np.random.default_rng(0)
+    x = rng.uniform(0.0, 2.0, size=(2000, 2))
+    t = rng.uniform(0.0, 1.0, size=2000)
+    fn = compile_expr([parse(src)], ["x1", "x2"])
+    batch = fn(x, t)
+    differ = [j for j in range(len(x))
+              if fn(x[j], t[j]).tobytes() != batch[j].tobytes()]
+    assert differ == []

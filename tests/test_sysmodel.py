@@ -1,12 +1,17 @@
+import ast
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import occtl
+from occtl.exprlang import ExprEvalError
 from occtl.sysmodel import (
     BUILTIN_NAMES, SystemSpec, SystemValidationError, augment, builtin_system,
-    eval_fh, finite_diff_jacobian, jacobians, system_from_json, system_to_json,
-    validate,
+    eval_fh, finite_diff_jacobian, jacobians, json_safe, output_map,
+    system_from_json, system_to_json, validate,
 )
 
 
@@ -77,6 +82,60 @@ def test_identity_output_map_returns_state():
     x = np.array([0.3, -1.7])
     _, y = eval_fh(spec, x, 0.0)
     np.testing.assert_array_equal(y, x)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_output_map_matches_the_reference_bit_for_bit(name):
+    spec = builtin_system(name)
+    rng = np.random.default_rng(5)
+    xs = rng.uniform(-4, 4, size=(17, 2))
+    ts = rng.uniform(0, 3, size=17)
+    h = output_map(spec)
+    assert output_map(spec) is h
+    np.testing.assert_array_equal(h(xs, ts), eval_fh(spec, xs, ts)[1])
+    np.testing.assert_array_equal(h(xs[4], ts[4]),
+                                  eval_fh(spec, xs[4], ts[4])[1])
+
+
+def test_output_map_is_nan_where_the_reference_raises():
+    spec = validate(SystemSpec.from_strings(
+        "sqrt-out", 2, 1, ["-x1", "-x2"], ["sqrt(x1 - 0.25)"]))
+    y = output_map(spec)(np.array([[1.25, 0.0], [0.1, 0.0]]), 0.0)
+    assert y[0, 0] == 1.0 and np.isnan(y[1, 0])
+    with pytest.raises(ExprEvalError, match="sqrt of a negative value"):
+        eval_fh(spec, np.array([0.1, 0.0]), 0.0)
+
+
+def test_json_safe_nulls_every_non_finite_number_and_keeps_booleans():
+    doc = {"a": [1.0, math.nan, (np.inf, -np.inf)], "ok": True,
+           "flag": np.bool_(False), "n": np.int64(3), "s": "x", "none": None,
+           "arr": np.array([[0.5, np.nan], [-0.0, 2.0]]),
+           "scalar": np.float64(-np.inf), "nested": {"v": np.float32(0.25)}}
+    safe = json_safe(doc)
+    assert safe == {"a": [1.0, None, [None, None]], "ok": True, "flag": False,
+                    "n": 3, "s": "x", "none": None,
+                    "arr": [[0.5, None], [-0.0, 2.0]], "scalar": None,
+                    "nested": {"v": 0.25}}
+    assert safe["ok"] is True and safe["flag"] is False
+    json.dumps(safe, allow_nan=False)
+
+
+#: the functions that may evaluate the trees: the reference path that the
+#: compiled kernels and the difference-quotient oracles are checked against
+REFERENCE_PATH = {"finite_diff_jacobian", "vdot_fd", "fd_variational_check"}
+
+
+def test_eval_fh_is_called_only_by_the_reference_path():
+    callers = set()
+    for path in sorted(Path(occtl.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and "eval_fh" in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    callers.add((path.name, getattr(top, "name", None)))
+    assert {name for _, name in callers} == REFERENCE_PATH, callers
 
 
 def test_eval_fh_batched_matches_loop():
