@@ -33,8 +33,8 @@ from .sysmodel import (
     system_to_json, validate, vector_field,
 )
 from .odeint import (
-    IntegratorConfig, Trajectory, integrate, integrate_rk4, integrate_rk45,
-    map_output, sample_at, trajectory_csv,
+    IntegratorConfig, Trajectory, integrate, integrate_batch, integrate_rk4,
+    integrate_rk45, map_output, sample_at, trajectory_csv,
 )
 from .contraction import (
     DivergenceSeries, FdCheck, PairResult, RateFit, SamplingPlan, Verdict,

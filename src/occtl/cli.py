@@ -23,6 +23,7 @@ recorded in reports and results never depend on it.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -219,7 +220,10 @@ def cmd_jacobian(args) -> int:
     rep.add("Jf", bundle.Jf)
     rep.add("Jh", bundle.Jh)
     rep.add("dh_dt", bundle.dh_dt)
-    return rep.finish(0)
+    # defined but not differentiable there, as sqrt at 0
+    ok = all(np.all(np.isfinite(d))
+             for d in (bundle.Jf, bundle.Jh, bundle.dh_dt))
+    return rep.finish(0 if ok else NUMERIC_FAILURE)
 
 
 def _run_verdict_command(args, checker, **results) -> int:
@@ -388,7 +392,12 @@ def _add_plan(sub):
                      help="also write every pair's divergence series")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once: parsing leaves it unchanged, and
+    a parser built per `main` call leaves a few hundred objects of cyclic
+    garbage behind, which in-process callers accumulate between full
+    collections."""
     parser = argparse.ArgumentParser(
         prog="occtl",
         description="certify-by-sampling or falsify output contraction and "

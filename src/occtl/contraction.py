@@ -10,8 +10,10 @@ Conventions shared by the checks:
 
 * all norms are Euclidean;
 * pairs and samples are independent work items with their own RNG stream,
-  derived as ``seed XOR index``, so results do not depend on evaluation
-  order or batching;
+  derived as ``seed XOR index``; all items of a check integrate as one
+  lockstep batch in which each keeps its own steps and failure, so every
+  item's result is bit for bit what it gets integrated alone (pinned
+  against the single-start loops in the test suite);
 * trajectories that stop being finite in finite time, or leave f's domain,
   are truncated, flagged, and reported distinctly, but a truncated pair
   still passes when its fitted decay is clean (the divergence series is
@@ -33,7 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .odeint import IntegratorConfig, integrate, sample_at
+from .exprlang import ExprEvalError
+from .odeint import (
+    IntegratorConfig, Trajectory, integrate, integrate_batch, sample_at,
+)
 from .sysmodel import (
     SystemSpec, augment, eval_fh, jacobians, json_safe, output_map, validate,
     vector_field,
@@ -184,25 +189,24 @@ def _sample_box(rng: np.random.Generator, box) -> np.ndarray:
     return np.array([rng.uniform(lo, hi) for lo, hi in box])
 
 
-def _observe(field, x0, t0: float, tf: float, cfg: IntegratorConfig | None,
+def _observe(traj: Trajectory,
              output) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool]:
-    """Integrate from x0 and sample a uniform grid over the surviving span.
+    """Sample a uniform grid over the surviving span of `traj`.
 
     Returns the grid, the states on it, ``output(states, grid)`` and whether
     the trajectory ended before tf.
     """
-    traj = integrate(field, x0, t0, tf, cfg)
     grid = np.linspace(traj.t0, traj.t_end, DEFAULT_GRID_POINTS)
     states = sample_at(traj, grid)
     return grid, states, output(states, grid), not traj.ok
 
 
-def _pair_series(spec: SystemSpec, x0: np.ndarray, x0p: np.ndarray,
-                 t0: float, tf: float,
-                 cfg: IntegratorConfig | None) -> DivergenceSeries:
-    field, h = vector_field(spec), output_map(spec)
+def _pair_series(spec: SystemSpec, traj: Trajectory, x0: np.ndarray,
+                 x0p: np.ndarray) -> DivergenceSeries:
+    """Output separation along a pair trajectory started at (x0, x0p)."""
+    h = output_map(spec)
     grid, states, y, truncated = _observe(                  # (g, 2, n|m)
-        field, np.stack([x0, x0p]), t0, tf, cfg, lambda s, g: h(s, g[:, None]))
+        traj, lambda s, g: h(s, g[:, None]))
     d = np.linalg.norm(y[:, 0] - y[:, 1], axis=-1)
     # the grid starts at t0, where sample_at returns the initial states
     return DivergenceSeries(
@@ -224,7 +228,9 @@ def simulate_pair(spec: SystemSpec, x0, x0p, t0: float, tf: float,
     x0p = np.asarray(x0p, dtype=float)
     if np.array_equal(x0, x0p):
         raise ValueError("the two initial states must differ")
-    return _pair_series(spec, x0, x0p, t0, tf, cfg)
+    traj = integrate(vector_field(spec), np.stack([x0, x0p]), t0, tf, cfg)
+    with np.errstate(all="ignore"):  # an overflow leaves inf or nan in d
+        return _pair_series(spec, traj, x0, x0p)
 
 
 def fit_rate(series: DivergenceSeries, scale: float,
@@ -333,21 +339,33 @@ def _judged(index: int, x0, partner, series: DivergenceSeries, scale: float,
     return PairResult(index, x0, partner, series, fit, note is None, note)
 
 
-def _check(kind: str, spec: SystemSpec, plan: SamplingPlan, alpha_min: float,
-           draw, judge) -> Verdict:
-    """The item loop of every sampling check: ``draw(rng)`` turns item i's
-    ``seed XOR i`` stream into its initial conditions (a tuple), for every
-    item before any is judged; ``judge(i, *item)`` then returns each item's
-    PairResult, in index order."""
+def _check(kind: str, spec: SystemSpec, plan: SamplingPlan,
+           cfg: IntegratorConfig | None, alpha_min: float, draw, field, start,
+           judge) -> Verdict:
+    """The item pipeline of every sampling check.
+
+    ``draw(rng)`` turns item i's ``seed XOR i`` stream into its initial
+    conditions (a tuple), for every item; ``start(item)`` is the item's
+    initial state under ``field()``, which is asked for once the spec has
+    validated.  All items then integrate as the members of one lockstep
+    batch, and ``judge(i, traj, *item)`` returns each item's PairResult, in
+    index order.
+    """
     validate(spec)
     if len(plan.box) != spec.n:
         raise ValueError(f"plan box has {len(plan.box)} intervals, system has "
                          f"n={spec.n}")
     if not math.isfinite(alpha_min):
         raise ValueError(f"alpha_min must be finite, got {alpha_min}")
-    items = [draw(_pair_rng(plan.seed, i)) for i in range(plan.pairs)]
-    return _assemble(kind, [judge(i, *item) for i, item in enumerate(items)],
-                     alpha_min)
+    # an item that overflows judges as inf or nan in its own series
+    with np.errstate(all="ignore"):
+        items = [draw(_pair_rng(plan.seed, i)) for i in range(plan.pairs)]
+        trajs = integrate_batch(field(), np.stack([start(item)
+                                                   for item in items]),
+                                plan.t0, plan.tf, cfg)
+        results = [judge(i, traj, *item)
+                   for i, (traj, item) in enumerate(zip(trajs, items))]
+    return _assemble(kind, results, alpha_min)
 
 
 def verdict_json(verdict: Verdict) -> dict:
@@ -392,11 +410,12 @@ def check_output_contraction(spec: SystemSpec, plan: SamplingPlan,
             x0p = _sample_box(rng, plan.box)
         return x0, x0p
 
-    def judge(i, x0, x0p):
-        series = _pair_series(spec, x0, x0p, plan.t0, plan.tf, cfg)
+    def judge(i, traj, x0, x0p):
+        series = _pair_series(spec, traj, x0, x0p)
         return _judged(i, x0, x0p, series, series.dx0, alpha_min)
 
-    return _check("output-contraction", spec, plan, alpha_min, draw, judge)
+    return _check("output-contraction", spec, plan, cfg, alpha_min, draw,
+                  lambda: vector_field(spec), np.stack, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +430,8 @@ def _project_equal_output(spec: SystemSpec, x0: np.ndarray, z: np.ndarray,
     Each step is the minimal-norm correction solving Jh dx = residual, so z
     only moves along the row space of Jh and keeps its components in the
     output's null directions.  One step is exact for affine output maps.
-    A residual that is not finite (h undefined at x0 or at a step) stops
-    the walk as not ok.
+    A residual or a Jh that is not finite or not defined (h undefined or
+    not differentiable at x0 or at a step) stops the walk as not ok.
     """
     h = output_map(spec)
     y_target = h(x0, t0)
@@ -423,7 +442,12 @@ def _project_equal_output(spec: SystemSpec, x0: np.ndarray, z: np.ndarray,
             return x, False
         if np.linalg.norm(r) <= tol:
             return x, True
-        Jh = jacobians(spec, x, t0).Jh
+        try:
+            Jh = jacobians(spec, x, t0).Jh
+        except ExprEvalError:
+            return x, False
+        if not np.all(np.isfinite(Jh)):
+            return x, False
         step, *_ = np.linalg.lstsq(Jh, r, rcond=None)
         x = x - step
     return x, bool(np.linalg.norm(h(x, t0) - y_target) <= tol)
@@ -449,15 +473,15 @@ def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
             if np.array_equal(z, x0):
                 continue
             projected, ok = _project_equal_output(spec, x0, z, plan.t0)
-            degenerate = np.linalg.norm(projected - x0) \
+            ok = ok and not np.linalg.norm(projected - x0) \
                 <= 1e-9 * (1.0 + np.linalg.norm(x0))
-            x0p = z if (not ok or degenerate) else projected
+            x0p = projected if ok else z
             if not np.array_equal(x0p, x0):
                 return x0, x0p
         raise RuntimeError("could not draw a distinct pair from the box")
 
-    def judge(i, x0, x0p):
-        series = _pair_series(spec, x0, x0p, plan.t0, plan.tf, cfg)
+    def judge(i, traj, x0, x0p):
+        series = _pair_series(spec, traj, x0, x0p)
         if not series.dy0 <= 1e-12:
             return _judged(i, x0, x0p, series, series.dy0, alpha_min)
         max_d = float(np.max(series.d))
@@ -469,7 +493,8 @@ def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
         return PairResult(i, x0, x0p, series, None, True,
                           "outputs remained equal along the pair")
 
-    return _check("partial-contraction", spec, plan, alpha_min, draw, judge)
+    return _check("partial-contraction", spec, plan, cfg, alpha_min, draw,
+                  lambda: vector_field(spec), np.stack, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -525,10 +550,9 @@ def check_oes_variational(spec: SystemSpec, plan: SamplingPlan,
             xi0 = rng.standard_normal(n)
         return x0, xi0 / np.linalg.norm(xi0)
 
-    def judge(i, x0, xi0):
+    def judge(i, traj, x0, xi0):
         grid, states, nu, truncated = _observe(
-            aug.field, np.concatenate([x0, xi0]), plan.t0, plan.tf, cfg,
-            lambda s, g: aug.output(s[:, :n], s[:, n:], g))
+            traj, lambda s, g: aug.output(s[:, :n], s[:, n:], g))
         xi_norm = np.linalg.norm(states[:, n:], axis=-1)
         series = DivergenceSeries(
             times=grid, d=np.linalg.norm(nu, axis=-1),
@@ -543,7 +567,8 @@ def check_oes_variational(spec: SystemSpec, plan: SamplingPlan,
         return _judged(i, x0, xi0, series, float(np.linalg.norm(xi0)),
                        alpha_min, floor)
 
-    return _check("oes-variational", spec, plan, alpha_min, draw, judge)
+    return _check("oes-variational", spec, plan, cfg, alpha_min, draw,
+                  lambda: aug.field, np.concatenate, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -569,10 +594,10 @@ def check_oes_equilibrium(spec: SystemSpec, y_star, plan: SamplingPlan,
         raise ValueError(f"y_star must be a finite vector of length m={spec.m}")
     if x_ref0 is not None:
         x_ref0 = np.asarray(x_ref0, dtype=float)
-    field, h = vector_field(spec), output_map(spec)
+    h = output_map(spec)
 
-    def judge(i, x0):
-        grid, _, y, truncated = _observe(field, x0, plan.t0, plan.tf, cfg, h)
+    def judge(i, traj, x0):
+        grid, _, y, truncated = _observe(traj, h)
         d = np.linalg.norm(y - y_star, axis=-1)
         series = DivergenceSeries(
             times=grid, d=d, dx0=float(np.linalg.norm(x0)),
@@ -581,8 +606,9 @@ def check_oes_equilibrium(spec: SystemSpec, y_star, plan: SamplingPlan,
                  else 1.0 + float(np.linalg.norm(x0)))
         return _judged(i, x0, x_ref0, series, scale, alpha_min)
 
-    return _check("oes-equilibrium", spec, plan, alpha_min,
-                  lambda rng: (_sample_box(rng, plan.box),), judge)
+    return _check("oes-equilibrium", spec, plan, cfg, alpha_min,
+                  lambda rng: (_sample_box(rng, plan.box),),
+                  lambda: vector_field(spec), lambda item: item[0], judge)
 
 
 # ---------------------------------------------------------------------------

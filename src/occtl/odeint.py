@@ -16,9 +16,15 @@ genuinely escape to infinity in finite time while their outputs stay
 perfectly well behaved, so every consumer of trajectories has to cope with
 truncated horizons.
 
-Fields are callables ``field(x, t) -> dx/dt`` operating on the trailing axis,
-so a batch of initial states of shape (N, d) integrates in one sweep on a
-shared time grid.
+Fields are callables ``field(x, t) -> dx/dt`` operating on the trailing axis.
+`integrate_batch` integrates M members in lockstep.  A member is one start of
+any shape: a state (n,), or a pair (2, n) whose two rows share every step.
+Each member keeps its own time, step, step floor, accept/reject decision and
+failure, and leaves the batch when it reaches tf or fails, so one escaping
+member costs its siblings nothing; every field call evaluates the running
+members together, each at its own time.  Each member's trajectory is bit for
+bit the one it gets alone, and the single-start functions are one-member
+batches.  Fixed-step RK4 members share one grid instead.
 """
 
 from __future__ import annotations
@@ -31,8 +37,9 @@ import numpy as np
 from .sysmodel import output_map
 
 __all__ = [
-    "Trajectory", "IntegratorConfig", "integrate", "integrate_rk4",
-    "integrate_rk45", "sample_at", "map_output", "trajectory_csv",
+    "Trajectory", "IntegratorConfig", "integrate", "integrate_batch",
+    "integrate_rk4", "integrate_rk45", "sample_at", "map_output",
+    "trajectory_csv",
 ]
 
 
@@ -86,70 +93,118 @@ class IntegratorConfig:
 
 def integrate(field, x0, t0: float, tf: float,
               cfg: IntegratorConfig | None = None) -> Trajectory:
-    """Integrate with the method picked by `cfg` (default rk45 at 1e-8)."""
+    """Integrate from one start with the method picked by `cfg` (default
+    rk45 at 1e-8): a one-member `integrate_batch`."""
+    return integrate_batch(field, np.asarray(x0, dtype=float)[np.newaxis],
+                           t0, tf, cfg)[0]
+
+
+def integrate_batch(field, x0s, t0: float, tf: float,
+                    cfg: IntegratorConfig | None = None) -> list[Trajectory]:
+    """Integrate the members of `x0s`, shaped ``(M,) + member_shape``, in
+    lockstep: one Trajectory per member, bit for bit the one `integrate`
+    returns for that member alone.
+
+    Every field call evaluates the members still running at once, each at
+    its own time, shaped ``(k,) + (1,) * (member ndim - 1)`` to broadcast
+    against the member axes; a one-member batch passes its bare state and
+    time instead.
+    """
     cfg = cfg or IntegratorConfig()
-    if cfg.method == "rk4-fixed":
-        return integrate_rk4(field, x0, t0, tf, cfg.step)
-    return integrate_rk45(field, x0, t0, tf, cfg.rtol, cfg.atol)
-
-
-def _finite(a: np.ndarray) -> bool:
-    return bool(np.all(np.isfinite(a)))
-
-
-def _check_horizon(t0: float, tf: float) -> None:
+    x0s = np.asarray(x0s, dtype=float)
+    if x0s.ndim == 0 or len(x0s) == 0:
+        raise ValueError("x0s needs a leading member axis and one member")
     # on an infinite span every stage time and the step floor are infinite
     if not (tf > t0 and math.isfinite(tf - t0)):
         raise ValueError(f"need finite t0 < tf, got t0={t0}, tf={tf}")
+    if cfg.method == "rk4-fixed":
+        return _rk4(field, x0s, t0, tf, cfg.step)
+    return _rk45(field, x0s, t0, tf, cfg.rtol, cfg.atol)
 
 
-def _build(times, states, derivs, t0, tf, failure) -> Trajectory:
-    return Trajectory(times=np.asarray(times, dtype=float),
-                      states=np.stack(states), derivs=np.stack(derivs),
-                      t0=float(t0), tf=float(tf), failure=failure)
+def integrate_rk4(field, x0, t0: float, tf: float, step: float) -> Trajectory:
+    """Classical 4th-order Runge-Kutta from one start, on a uniform grid of
+    `step` whose last step is shortened to land on tf exactly."""
+    return integrate(field, x0, t0, tf,
+                     IntegratorConfig(method="rk4-fixed", step=step))
+
+
+def integrate_rk45(field, x0, t0: float, tf: float,
+                   rtol: float = 1e-8, atol: float = 1e-8) -> Trajectory:
+    """Adaptive Dormand-Prince 5(4) from one start, with step control at
+    the given tolerances."""
+    return integrate(field, x0, t0, tf, IntegratorConfig(rtol=rtol, atol=atol))
+
+
+def _stacked(field, x0s: np.ndarray, per_member: bool):
+    """``call(x, t)``: `field` on the states x of the k running members, at
+    per-member times t shaped (k,) or at one shared time.  Per-member times
+    are shaped to broadcast against the member axes; a one-member batch
+    passes its bare state and time, as a single start always has."""
+    if len(x0s) == 1:
+        if per_member:
+            return lambda x, t: np.asarray(field(x[0], t[0]),
+                                           dtype=float)[np.newaxis]
+        return lambda x, t: np.asarray(field(x[0], t), dtype=float)[np.newaxis]
+    if not per_member:
+        return lambda x, t: np.asarray(field(x, t), dtype=float)
+    col = (-1,) + (1,) * (x0s.ndim - 2)
+    return lambda x, t: np.asarray(field(x, t.reshape(col)), dtype=float)
 
 
 # ---------------------------------------------------------------------------
 # classical RK4, fixed step
 # ---------------------------------------------------------------------------
 
-def integrate_rk4(field, x0, t0: float, tf: float, step: float) -> Trajectory:
-    """Classical 4th-order Runge-Kutta on a uniform grid.
+def _rk4(field, x0s: np.ndarray, t0: float, tf: float,
+         step: float) -> list[Trajectory]:
+    """Classical 4th-order Runge-Kutta on a uniform grid shared by all
+    members; a member stops at its first non-finite state or derivative.
 
     The final step is shortened so the grid lands on tf exactly.  Global
     error is O(step^4) for smooth fields.
     """
-    _check_horizon(t0, tf)
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be finite and positive, got {step}")
     n_steps = max(1, int(math.ceil((tf - t0) / step - 1e-9)))
     grid = t0 + step * np.arange(n_steps + 1)
     grid[-1] = tf
+    hs = np.diff(grid)
+    # stage times, once per step
+    mids, ends = (grid[:-1] + 0.5 * hs).tolist(), (grid[:-1] + hs).tolist()
 
-    x = np.asarray(x0, dtype=float)
-    k1 = np.asarray(field(x, t0), dtype=float)
-    times = [t0]
-    states = [x]
-    derivs = [k1]
-    failure = None
+    call, members = _stacked(field, x0s, False), len(x0s)
+    # member-major, so each member's trajectory is a contiguous view
+    states = np.empty((members, n_steps + 1) + x0s.shape[1:])
+    derivs = np.empty_like(states)
+    x, k1 = x0s, call(x0s, t0)
+    states[:, 0], derivs[:, 0] = x, k1
+    idx = np.arange(members)
+    points = np.full(members, n_steps + 1)
+    failure = [None] * members
     with np.errstate(all="ignore"):
-        for i in range(n_steps):
-            t, h = grid[i], grid[i + 1] - grid[i]
-            k2 = np.asarray(field(x + 0.5 * h * k1, t + 0.5 * h), dtype=float)
-            k3 = np.asarray(field(x + 0.5 * h * k2, t + 0.5 * h), dtype=float)
-            k4 = np.asarray(field(x + h * k3, t + h), dtype=float)
+        for i, (h, t_mid, t_end, t_next) in enumerate(
+                zip(hs.tolist(), mids, ends, grid[1:].tolist())):
+            k2 = call(x + 0.5 * h * k1, t_mid)
+            k3 = call(x + 0.5 * h * k2, t_mid)
+            k4 = call(x + h * k3, t_end)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if not _finite(x):
-                failure = "non_finite"
-                break
-            k1 = np.asarray(field(x, grid[i + 1]), dtype=float)
-            if not _finite(k1):
-                failure = "non_finite"
-                break
-            times.append(float(grid[i + 1]))
-            states.append(x)
-            derivs.append(k1)
-    return _build(times, states, derivs, t0, tf, failure)
+            k1 = call(x, t_next)
+            finite = np.isfinite(x + 0.0 * k1)  # x and k1 both finite
+            if not finite.all():
+                finite = finite.reshape(len(idx), -1).all(axis=1)
+                for j in idx[~finite].tolist():
+                    failure[j] = "non_finite"
+                points[idx[~finite]] = i + 1
+                idx, x, k1 = idx[finite], x[finite], k1[finite]
+                if not idx.size:
+                    break
+            if len(idx) == members:
+                states[:, i + 1], derivs[:, i + 1] = x, k1
+            else:
+                states[idx, i + 1], derivs[idx, i + 1] = x, k1
+    return [Trajectory(times=grid[:p], states=states[j, :p],
+                       derivs=derivs[j, :p], t0=float(t0), tf=float(tf),
+                       failure=failure[j])
+            for j, p in enumerate(points.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -176,74 +231,140 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 
 
-def integrate_rk45(field, x0, t0: float, tf: float,
-                   rtol: float = 1e-8, atol: float = 1e-8) -> Trajectory:
-    """Dormand-Prince 5(4) embedded pair with standard step control.
+def _factor(err: float) -> float:
+    """Step multiplier after an attempt with error norm `err`."""
+    if err == 0.0:
+        return _FACTOR_MAX
+    if not math.isfinite(err):
+        return _FACTOR_MIN
+    return min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2))
 
-    A step is accepted when the weighted rms error norm
-    ``||e_i / (atol + rtol*max(|x_i|, |xhat_i|))||_rms`` is at most 1, and the
-    step is updated by ``h <- h * clamp(0.9 * err^(-1/5), 0.2, 5.0)``.  The
-    first stage of each step reuses the last stage of the previous one (FSAL).
+
+def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
+          rtol: float, atol: float) -> list[Trajectory]:
+    """Dormand-Prince 5(4) embedded pair with standard step control, per
+    member.
+
+    A member's step is accepted when the weighted rms error norm
+    ``||e_i / (atol + rtol*max(|x_i|, |xhat_i|))||_rms`` over its own
+    elements is at most 1, and its step is updated by
+    ``h <- h * clamp(0.9 * err^(-1/5), 0.2, 5.0)``.  The first stage of each
+    step reuses the last stage of the member's previous one (FSAL).  A
+    member leaves the batch at tf or when its step falls below its floor.
     """
-    _check_horizon(t0, tf)
-    if not (0 < rtol < math.inf and 0 < atol < math.inf):
-        raise ValueError("rtol and atol must be finite and positive")
-
+    t0, tf = float(t0), float(tf)
     span = tf - t0
-    eps = np.finfo(float).eps
-    x = np.asarray(x0, dtype=float)
-    t = float(t0)
-    k1 = np.asarray(field(x, t), dtype=float)
-    times = [t]
-    states = [x]
-    derivs = [k1]
-    failure = None
-    h = span / 100.0
+    call, members = _stacked(field, x0s, True), len(x0s)
+    col = (-1,) + (1,) * (x0s.ndim - 1)  # a per-member scalar as a column
+    tiny, floor = 16.0 * np.finfo(float).eps, 1e-13 * span
+    idx = np.arange(members)
+    t = np.full(members, t0)
+    h = np.full(members, span / 100.0)
+    x, k1 = x0s, call(x0s, t)
+    # accepted points, in step order: member ids, times, states, derivs
+    rows = ([idx], [t], [x], [k1])
+    failure = [None] * members
 
     with np.errstate(all="ignore"):
-        while t < tf:
-            h = min(h, tf - t)
+        while idx.size:
+            rest = tf - t
+            h = np.minimum(h, rest)
             # below this step the grid cannot advance in double precision;
             # grinding into it means a singularity (blow-up) or stiffness
-            h_floor = max(1e-13 * span, 16.0 * eps * abs(t))
-            snap = tf - t <= max(h * (1 + 1e-12), h_floor)
-            t_new = tf if snap else t + h
-            if not snap and (h < h_floor or t_new <= t):
-                failure = "step_underflow"
-                break
+            h_floor = np.maximum(floor, tiny * np.abs(t))
+            snap = rest <= np.maximum(h * (1 + 1e-12), h_floor)
+            t_new = t + h
+            if np.count_nonzero(snap):
+                t_new[snap] = tf
+            # a step of at least the floor always advances t
+            stuck = ~snap & (h < h_floor)
+            if np.count_nonzero(stuck):
+                for i in idx[stuck].tolist():
+                    failure[i] = "step_underflow"
+                run = ~stuck
+                idx, t, h, h_floor, t_new, x, k1 = (
+                    a[run] for a in (idx, t, h, h_floor, t_new, x, k1))
+                if not idx.size:
+                    break
             h = t_new - t
+            # one member's step scales its stages as a scalar, which numpy
+            # multiplies faster than a broadcast column
+            hc = h.reshape(col) if len(idx) > 1 else h[0]
+            t_stage = t + np.multiply.outer(_C, h)
 
             k = [k1]
             for s in range(1, 7):
-                xs = x + h * sum(a * ks for a, ks in zip(_A[s], k))
-                k.append(np.asarray(field(xs, t + _C[s] * h), dtype=float))
-            x5 = x + h * sum(b * ks for b, ks in zip(_B5, k) if b != 0.0)
-            x4 = x + h * sum(b * ks for b, ks in zip(_B4, k) if b != 0.0)
+                xs = x + hc * sum(a * ks for a, ks in zip(_A[s], k))
+                k.append(call(xs, t_stage[s]))
+            x5 = x + hc * sum(b * ks for b, ks in zip(_B5, k) if b != 0.0)
+            x4 = x + hc * sum(b * ks for b, ks in zip(_B4, k) if b != 0.0)
 
-            bad = not (_finite(x5) and _finite(x4))
-            if bad:
-                err = math.inf
+            # rms error per member over its own elements; a member whose x5
+            # or x4 is not finite gets a nan error, which rejects it
+            flat5, flat4 = x5.reshape(len(idx), -1), x4.reshape(len(idx), -1)
+            ratio = (flat5 - flat4) \
+                / (atol + rtol * np.maximum(np.abs(flat5), np.abs(flat4)))
+            err = np.sqrt(np.add.reduce(ratio * ratio, axis=1)
+                          / flat5.shape[1])
+            h = h * np.array([_factor(e) for e in err.tolist()])
+
+            accept = err <= 1.0
+            accepted = np.count_nonzero(accept)
+            if accepted == len(idx):  # FSAL: k7 was evaluated at (x5, t_new)
+                t, x, k1 = t_new, x5, k[6]
+                for column, new in zip(rows, (idx, t, x, k1)):
+                    column.append(new)
+                leave = ~(t < tf)
             else:
-                weight = atol + rtol * np.maximum(np.abs(x5), np.abs(x4))
-                ratio = (x5 - x4) / weight
-                err = float(np.sqrt(np.mean(ratio * ratio)))
+                if accepted:
+                    for column, new in zip(rows, (idx, t_new, x5, k[6])):
+                        column.append(new[accept])
+                    t = np.where(accept, t_new, t)
+                    keep = accept.reshape(col)
+                    x, k1 = np.where(keep, x5, x), np.where(keep, k[6], k1)
+                # a rejection that shrank the step below the floor ends
+                # the member
+                failed = ~accept & (h < h_floor)
+                for j in np.flatnonzero(failed).tolist():
+                    finite = np.isfinite(flat5[j]).all() \
+                        and np.isfinite(flat4[j]).all()
+                    failure[idx[j]] = "step_underflow" if finite \
+                        else "non_finite"
+                leave = failed | ~(t < tf)
+            if np.count_nonzero(leave):
+                run = ~leave
+                idx, t, h, x, k1 = (a[run] for a in (idx, t, h, x, k1))
+    return _split(rows, t0, tf, failure)
 
-            if err <= 1.0:  # accept
-                t, x, k1 = t_new, x5, k[6]  # FSAL: k7 was evaluated at (x5, t_new)
-                times.append(t)
-                states.append(x)
-                derivs.append(k1)
-                factor = _FACTOR_MAX if err == 0.0 else min(
-                    _FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2))
-                h *= factor
-            else:           # reject and shrink
-                factor = _FACTOR_MIN if not math.isfinite(err) else min(
-                    _FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2))
-                h *= factor
-                if h < h_floor:
-                    failure = "non_finite" if bad else "step_underflow"
-                    break
-    return _build(times, states, derivs, t0, tf, failure)
+
+def _split(rows, t0: float, tf: float, failure) -> list[Trajectory]:
+    """One Trajectory per member from the `rows` of `_rk45`.
+
+    Each column's chunks are scattered into one array ordered by member and
+    dropped as they go, so the batch holds its points about once.  A lone
+    member's rows are in order already.
+    """
+    if len(failure) == 1:
+        columns = [[np.concatenate(chunks)] for chunks in rows[1:]]
+    else:
+        counts = np.zeros(len(failure), dtype=int)
+        for members in rows[0]:
+            counts[members] += 1
+        ends = np.cumsum(counts)
+        filled, places = ends - counts, []  # where each chunk's rows go
+        for members in rows[0]:
+            places.append(filled[members])
+            filled[members] += 1
+        columns = []
+        for chunks in rows[1:]:
+            column = np.empty((ends[-1],) + chunks[0].shape[1:])
+            for i, place in enumerate(places):
+                column[place] = chunks[i]
+                chunks[i] = None
+            columns.append(np.split(column, ends[:-1]))
+    return [Trajectory(times=ts, states=xs, derivs=ds, t0=t0, tf=tf,
+                       failure=f)
+            for ts, xs, ds, f in zip(*columns, failure)]
 
 
 # ---------------------------------------------------------------------------

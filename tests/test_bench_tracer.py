@@ -3,7 +3,9 @@
 `bench/tracing.py` swaps, for one traced operation, about 25 names that the
 modules of `occtl` look up, and fails with AttributeError when one of them
 is gone.  The benchmark's own smoke tests are not part of this suite, so
-this test enters and leaves a tracer here.
+these tests enter and leave a tracer here, and run every workload traced at
+the smoke size: a traced operation fails when a wrapped name returns what
+the tracer does not expect.
 """
 
 from pathlib import Path
@@ -26,3 +28,24 @@ def test_benchmark_tracer_installs_and_restores(monkeypatch):
         tracer.__exit__(None, None, None)
     assert lyapunov.vdot is vdot
     assert sysmodel.AugmentedSystem.field is field
+
+
+#: the report digests of the three workloads at seed 7, smoke size
+SMOKE_DIGESTS = {"contraction-ex1": "b10cd82125d048e4",
+                 "oes-ex2": "9879653076490710",
+                 "lyapunov-ex1": "0e89423203c196fe"}
+
+
+def test_traced_workloads_keep_their_digests(monkeypatch):
+    # every traced operation goes through the spans the tracer installs, so
+    # a change in how the checkers reach the integrator shows here
+    monkeypatch.syspath_prepend(str(BENCH))
+    import tracing
+    import workloads
+
+    for name, digest in SMOKE_DIGESTS.items():
+        with tracing.Tracer() as tracer:
+            outcome = workloads.run(name, 7, "smoke")
+        assert outcome.ok, (name, outcome.error)
+        assert tracer.errors == [], name
+        assert outcome.digest == digest, name

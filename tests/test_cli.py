@@ -343,6 +343,20 @@ def test_jacobian_where_h_is_undefined_is_a_numerical_failure(tmp_path,
     assert capsys.readouterr().out == ""
 
 
+def test_jacobian_where_h_is_not_differentiable_is_a_numerical_failure(
+        tmp_path, capsys):
+    # sqrt(x1 - 0.25) is defined at x1 = 0.25 but its slope is not
+    path = tmp_path / "sqrt-edge.json"
+    path.write_text(json.dumps({"name": "sqrt-edge", "n": 2, "m": 1,
+                                "f": ["-sqrt(x1)", "-x2"],
+                                "h": ["sqrt(x1 - 0.25)"]}))
+    assert main(["jacobian", "--system", str(path), "--x", "0.25,1"]) == 3
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["y"] == [0.0]
+    assert results["Jh"] == [[None, None]] and results["dh_dt"] == [None]
+    assert results["Jf"] == [[-1.0, -0.0], [-0.0, -1.0]]
+
+
 # ---------------------------------------------------------------------------
 # reproductions
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """The checkers against the closed output dynamics of the paper examples.
 
 Both built-in paper examples have y = x1 + x2, and y obeys a scalar ODE of
-its own, ydot = g(y, t) (`oracles.OUTPUT_ODES`).  For ex1,
+its own, ydot = g(y, t) (`oracles.OUTPUT_ODES`); the variational output
+nu = xi1 + xi2 then obeys nudot = dg/dy nu.  For ex1,
 dg/dy = -(4 + sin t) - 0.3 y^2 + cos y - sin y; for ex2,
 dg/dy = -3 - cos y - sin y.  Both are at most -(3 - sqrt 2) for every y and
 t, so the outputs contract with rate at least 3 - sqrt 2: an analytic fact
@@ -16,7 +17,9 @@ import math
 import numpy as np
 import pytest
 
-from occtl.contraction import SamplingPlan, check_output_contraction
+from occtl.contraction import (
+    SamplingPlan, check_oes_variational, check_output_contraction,
+)
 from occtl.lyapunov import (
     Bounds, CandidateV, CheckDomain, check_decay, check_time_invariant,
 )
@@ -48,6 +51,24 @@ def test_pair_outputs_follow_the_scalar_output_dynamics(name, tf):
         if r.fit.valid:
             assert r.fit.alpha >= RATE
 
+
+
+@pytest.mark.parametrize("name,tf", [("ex1-timevarying", 20.0),
+                                     ("ex2-timeinvariant", 5.0)])
+def test_variational_outputs_stay_inside_the_analytic_envelope(name, tf):
+    # |nu(t)| <= e^{-(3 - sqrt 2) t} |nu(0)| on every grid; nu is a small
+    # combination of xi's components, so the check's own roundoff floor
+    # 64 eps ||xi(t)|| is added, as the checker adds it to its fit floor
+    verdict = check_oes_variational(
+        builtin_system(name),
+        SamplingPlan(box=((-5, 5), (-5, 5)), pairs=8, seed=7, tf=tf))
+    assert verdict.pairs == 8
+    floor = 64.0 * np.finfo(float).eps
+    for r in verdict.results:
+        series = r.series
+        envelope = np.exp(-RATE * series.times) * series.dy0
+        assert np.all(series.d <= envelope + floor * series.state_dist), \
+            r.index
 
 V_SUM_SQ = CandidateV.from_string("(xi1 + xi2)^2")
 BOX = CheckDomain(x_box=((-5.0, 5.0), (-5.0, 5.0)), samples=10_000, seed=0)
