@@ -8,12 +8,13 @@ significant digits and are byte-stable for a fixed seed and version.
 Exit codes: 0 all checks passed / property holds; 1 a check was falsified
 (witness in the report); 2 usage or validation error; 3 numerical failure:
 a simulated trajectory was truncated (blow-up, step underflow, or f left its
-domain) or its output is not finite (h left its domain), or a point query
-or a certificate was evaluated outside its domain.  Inside the checkers a
-trajectory that leaves f's domain is a truncated item, an output outside
-h's domain fails its own item, and a certificate sample where f is
-undefined is a violation; none of them is a failure of the run.  Reports
-print every number that is not finite as null.
+domain) or its output is not finite (h left its domain), or a `jacobian`
+query is not finite (f or h undefined or not differentiable at the point),
+with the report printed all the same.  Inside the checkers a trajectory
+that leaves f's domain is a truncated item, an output outside h's domain
+fails its own item, and a certificate sample where f, h or V is undefined
+is a violation; none of them is a failure of the run.  Reports print every
+number that is not finite as null.
 
 The environment variable OCCTL_THREADS caps the worker count; the numeric
 engine evaluates samples as vectorised batches on one thread, so the cap is
@@ -177,10 +178,9 @@ def _write_divergence(rep: _Reporter, name: str, series) -> None:
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    return IntegratorConfig(method=getattr(args, "method", "rk45-adaptive"),
-                            step=getattr(args, "step", 1e-3),
-                            rtol=getattr(args, "rtol", 1e-8),
-                            atol=getattr(args, "atol", 1e-8))
+    """IntegratorConfig from the flags given; absent ones keep its defaults."""
+    given = vars(args).keys() & {"method", "step", "rtol", "atol"}
+    return IntegratorConfig(**{key: getattr(args, key) for key in given})
 
 
 def _plan(args, spec) -> SamplingPlan:
@@ -213,16 +213,14 @@ def cmd_jacobian(args) -> int:
     rep = _Reporter(args)
     spec = load_system(args.system)
     x = _vec(args.x, spec.n, "--x")
-    # raises where f or h is undefined, where the kernels would give nan
     bundle = jacobians(spec, x, args.t)
-    rep.add("f", vector_field(spec)(x, args.t))
-    rep.add("y", output_map(spec)(x, args.t))
-    rep.add("Jf", bundle.Jf)
-    rep.add("Jh", bundle.Jh)
-    rep.add("dh_dt", bundle.dh_dt)
-    # defined but not differentiable there, as sqrt at 0
-    ok = all(np.all(np.isfinite(d))
-             for d in (bundle.Jf, bundle.Jh, bundle.dh_dt))
+    values = {"f": vector_field(spec)(x, args.t),
+              "y": output_map(spec)(x, args.t), "Jf": bundle.Jf,
+              "Jh": bundle.Jh, "dh_dt": bundle.dh_dt}
+    for key, value in values.items():
+        rep.add(key, value)
+    # nan or inf where f or h is undefined or not differentiable there
+    ok = all(np.all(np.isfinite(v)) for v in values.values())
     return rep.finish(0 if ok else NUMERIC_FAILURE)
 
 
@@ -409,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(s)
     s.add_argument("--x0", required=True)
     s.add_argument("--method", choices=("rk4-fixed", "rk45-adaptive"),
-                   default="rk45-adaptive")
-    s.add_argument("--step", type=float, default=1e-3)
-    s.add_argument("--rtol", type=float, default=1e-8)
-    s.add_argument("--atol", type=float, default=1e-8)
+                   default=argparse.SUPPRESS)
+    s.add_argument("--step", type=float, default=argparse.SUPPRESS)
+    s.add_argument("--rtol", type=float, default=argparse.SUPPRESS)
+    s.add_argument("--atol", type=float, default=argparse.SUPPRESS)
     s.set_defaults(func=cmd_simulate)
 
     s = subs.add_parser("jacobian", help="print f, y, Jf, Jh, dh/dt at a point")
@@ -461,8 +459,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("name", choices=("fig1", "fig2", "remark1"))
     _add_common(s, system=False, horizon=(("--tf", 10.0),))
     s.add_argument("--pairs", type=int, default=25)
-    s.add_argument("--rtol", type=float, default=1e-8)
-    s.add_argument("--atol", type=float, default=1e-8)
+    s.add_argument("--rtol", type=float, default=argparse.SUPPRESS)
+    s.add_argument("--atol", type=float, default=argparse.SUPPRESS)
     s.set_defaults(func=cmd_reproduce)
     return parser
 

@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import ExprEvalError
 from .odeint import (
     IntegratorConfig, Trajectory, integrate, integrate_batch, sample_at,
 )
@@ -430,8 +429,8 @@ def _project_equal_output(spec: SystemSpec, x0: np.ndarray, z: np.ndarray,
     Each step is the minimal-norm correction solving Jh dx = residual, so z
     only moves along the row space of Jh and keeps its components in the
     output's null directions.  One step is exact for affine output maps.
-    A residual or a Jh that is not finite or not defined (h undefined or
-    not differentiable at x0 or at a step) stops the walk as not ok.
+    A residual or a Jh that is not finite (h undefined or not
+    differentiable at x0 or at a step) stops the walk as not ok.
     """
     h = output_map(spec)
     y_target = h(x0, t0)
@@ -442,10 +441,7 @@ def _project_equal_output(spec: SystemSpec, x0: np.ndarray, z: np.ndarray,
             return x, False
         if np.linalg.norm(r) <= tol:
             return x, True
-        try:
-            Jh = jacobians(spec, x, t0).Jh
-        except ExprEvalError:
-            return x, False
+        Jh = jacobians(spec, x, t0).Jh
         if not np.all(np.isfinite(Jh)):
             return x, False
         step, *_ = np.linalg.lstsq(Jh, r, rcond=None)

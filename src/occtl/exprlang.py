@@ -5,12 +5,13 @@ vector fields, output maps, and Lyapunov candidates are all plain text parsed
 into immutable expression trees, evaluated either on floats or elementwise on
 numpy arrays, differentiated exactly with dual numbers or symbolically, and
 compiled into one vectorised kernel per expression list.  The kernels are
-the production path for f, h and the variational system; the evaluators are
-the reference they are checked against.  The evaluators raise ExprEvalError
-on a domain violation; the compiled kernels have no domain guards and
-return IEEE nan or inf there, so an integrator truncates the one sample
-that left f's domain, and a checker fails the one item whose output left
-h's domain, instead of the whole run failing.
+the production path for f, h, the variational system and a certificate's
+value; the tree-walking `evaluate` is the reference they are checked
+against.  Only `evaluate` raises ExprEvalError on a domain violation; the
+compiled kernels and the dual numbers have no domain guards and return IEEE
+nan or inf there, so an integrator truncates the one sample that left f's
+domain, and a checker fails the one item or certificate sample that left
+h's or V's domain, instead of the whole run failing.
 
 Grammar (EBNF)::
 
@@ -319,14 +320,6 @@ def free_vars(e: Expr) -> frozenset[str]:
 # plain evaluation
 # ---------------------------------------------------------------------------
 
-def _check_pow_domain(a: Number, b: Number, at: Expr) -> None:
-    neg_base = np.asarray(a) < 0
-    if np.any(neg_base & (np.asarray(b) != np.floor(b))):
-        raise ExprEvalError("negative base with non-integer exponent", at)
-    if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
-        raise ExprEvalError("zero raised to a negative power", at)
-
-
 def evaluate(e: Expr, env: Mapping[str, Number]) -> Number:
     """Evaluate a tree in IEEE double precision.
 
@@ -363,7 +356,10 @@ def _eval(e: Expr, env: Mapping[str, Number]) -> Number:
             if np.any(np.asarray(b) == 0):
                 raise ExprEvalError("division by zero", e)
             return a / b
-        _check_pow_domain(a, b, e)
+        if np.any((np.asarray(a) < 0) & (np.asarray(b) != np.floor(b))):
+            raise ExprEvalError("negative base with non-integer exponent", e)
+        if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
+            raise ExprEvalError("zero raised to a negative power", e)
         return a ** b
     if isinstance(e, Call):
         v = _eval(e.arg, env)
@@ -419,10 +415,11 @@ def dual_env(values: Mapping[str, Number], active: Sequence[str]) -> dict[str, D
 def evaluate_dual(e: Expr, env: Mapping[str, Dual]) -> Dual:
     """Evaluate a tree on dual numbers, propagating exact partial derivatives.
 
-    The value part equals `evaluate` on the value parts of `env`; the
-    gradient part carries the partial derivatives with respect to the active
-    variables seeded by the caller.  abs is given the subgradient 0 at the
-    origin.  Domain errors match `evaluate`.
+    The value part is `evaluate`'s arithmetic on the value parts of `env`;
+    the gradient part carries the partial derivatives with respect to the
+    active variables seeded by the caller.  abs is given the subgradient 0
+    at the origin.  Like `compile_expr`'s kernels, and unlike `evaluate`,
+    this never raises on a domain violation: it computes under IEEE rules.
     """
     with np.errstate(all="ignore"):
         return _eval_dual(e, env)
@@ -436,7 +433,7 @@ def _grad_shape(env: Mapping[str, Dual]) -> tuple[int, ...]:
 
 def _eval_dual(e: Expr, env: Mapping[str, Dual]) -> Dual:
     if isinstance(e, Const):
-        return Dual(e.value, np.zeros(_grad_shape(env)))
+        return Dual(np.float64(e.value), np.zeros(_grad_shape(env)))
     if isinstance(e, Var):
         try:
             return env[e.name]
@@ -455,30 +452,23 @@ def _eval_dual(e: Expr, env: Mapping[str, Dual]) -> Dual:
         if e.op == "*":
             return Dual(a.value * b.value, a.grad * b.value + a.value * b.grad)
         if e.op == "/":
-            if np.any(np.asarray(b.value) == 0):
-                raise ExprEvalError("division by zero", e)
             return Dual(a.value / b.value,
                         (a.grad * b.value - a.value * b.grad) / (b.value * b.value))
-        return _dual_pow(a, b, e)
+        return _dual_pow(a, b)
     if isinstance(e, Call):
         return _dual_call(e, _eval_dual(e.arg, env))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _dual_pow(a: Dual, b: Dual, at: Expr) -> Dual:
-    _check_pow_domain(a.value, b.value, at)
+def _dual_pow(a: Dual, b: Dual) -> Dual:
+    value = a.value ** b.value
     if not np.any(b.grad):
         # constant exponent: plain power rule, valid for negative bases too
         p = b.value
-        value = a.value ** p
-        grad = p * a.value ** (np.asarray(p) - 1) * a.grad
-        return Dual(value, grad)
-    if np.any(np.asarray(a.value) <= 0):
-        raise ExprEvalError(
-            "non-positive base with a variable exponent", at)
-    value = a.value ** b.value
-    grad = value * (b.grad * np.log(a.value) + b.value * a.grad / a.value)
-    return Dual(value, grad)
+        return Dual(value, p * a.value ** (np.asarray(p) - 1) * a.grad)
+    # log form: nan where the base is not positive
+    return Dual(value, value * (b.grad * np.log(a.value)
+                                + b.value * a.grad / a.value))
 
 
 # ---------------------------------------------------------------------------
@@ -663,12 +653,8 @@ def _dual_call(e: Call, d: Dual) -> Dual:
         ev = np.exp(v)
         return Dual(ev, ev * g)
     if fn == "ln":
-        if np.any(np.asarray(v) <= 0):
-            raise ExprEvalError("ln of a non-positive value", e)
         return Dual(np.log(v), g / v)
     if fn == "sqrt":
-        if np.any(np.asarray(v) < 0):
-            raise ExprEvalError("sqrt of a negative value", e)
         s = np.sqrt(v)
         return Dual(s, g / (2.0 * s))
     if fn == "abs":

@@ -11,11 +11,13 @@ A candidate certificate V(x, xi, t) together with constants
 For time-invariant systems the corollary variant drops the t dependence and
 the exponential weight, and its decay constant is named alpha3 (leave alpha4
 unset for that form).  f, Jf xi and nu come from the compiled variational
-kernels of `augment`; only V's partials use dual numbers, as V may use abs.
-A passing report is evidence over the sampled domain, never a proof; a
-failing report carries a counterexample that re-evaluates to a violation
-through an independent finite-difference path, unless its slack is nan
-(a slack that is not a number counts as a violation).
+kernels of `augment` and V's value from a kernel of its own; only V's
+partials use dual numbers, as V may use abs.  None of them has domain
+guards, so a sample where f, h or V is undefined gets a nan slack, which
+counts as a violation of that sample instead of failing the run.  A passing
+report is evidence over the sampled domain, never a proof; a failing report
+carries a counterexample that re-evaluates to a violation through an
+independent finite-difference path, unless its slack is nan.
 
 Certificates are checked, never synthesised.
 """
@@ -28,7 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Expr, dual_env, evaluate, evaluate_dual, free_vars, parse
+from .exprlang import (
+    Expr, compile_expr, dual_env, evaluate, evaluate_dual, free_vars, parse,
+)
 from .sysmodel import (
     SystemSpec, augment, eval_fh, finite_diff_jacobian, json_safe, validate,
 )
@@ -262,10 +266,11 @@ def _falsify(condition: str, spec: SystemSpec, V: CandidateV,
              domain: CheckDomain, terms, requires=(),
              at_time_zero: bool = False) -> FalsificationReport:
     """Validate, raise the message of the first unmet ``(met, message)`` of
-    `requires`, draw (at t = 0 if `at_time_zero`), evaluate V, and judge the
-    slack of ``terms(x, xi, t, v) -> (slack, named terms after V)``.  A
-    slack not at least -tolerance (nan included) is a violation; the
-    counterexample is the violated sample of least slack, nan ranked last."""
+    `requires`, draw (at t = 0 if `at_time_zero`), evaluate V's compiled
+    kernel, and judge the slack of ``terms(x, xi, t, v) -> (slack, named
+    terms after V)``.  A slack not at least -tolerance (nan included, as
+    where V is undefined) is a violation; the counterexample is the violated
+    sample of least slack, nan ranked last."""
     validate(spec)
     V.check_variables(spec.n)
     for met, message in requires:
@@ -274,9 +279,8 @@ def _falsify(condition: str, spec: SystemSpec, V: CandidateV,
     x, xi, t = _sample_domain(spec.n, domain)
     if at_time_zero:
         t = np.zeros(x.shape[0])
-    v = np.broadcast_to(
-        np.asarray(evaluate(V.expr, _v_env(spec.n, x, xi, t)), dtype=float),
-        t.shape)
+    names = [f"{s}{i + 1}" for s in ("x", "xi") for i in range(spec.n)]
+    v = compile_expr([V.expr], names)(np.concatenate([x, xi], axis=-1), t)[:, 0]
     with np.errstate(all="ignore"):   # an overflowing sample judges as nan
         slack, named = terms(x, xi, t, v)
         violated = ~(slack >= -_tolerance(v))

@@ -11,10 +11,11 @@ the trajectory is truncated at the last finite accepted point and flagged via
 `Trajectory.failure`.  Leaving f's domain is the same result: the compiled
 fields return nan there (sqrt of a negative value, say), so the stages stop
 being finite, the adaptive step is rejected until it reaches its floor, and
-the trajectory ends as "non_finite".  Several of the bundled demo systems
-genuinely escape to infinity in finite time while their outputs stay
-perfectly well behaved, so every consumer of trajectories has to cope with
-truncated horizons.
+the trajectory ends as "non_finite".  A stiff adaptive member that runs out
+of its attempt budget ends the same way, as "max_steps".  Several of the
+bundled demo systems genuinely escape to infinity in finite time while their
+outputs stay perfectly well behaved, so every consumer of trajectories has
+to cope with truncated horizons.
 
 Fields are callables ``field(x, t) -> dx/dt`` operating on the trailing axis.
 `integrate_batch` integrates M members in lockstep.  A member is one start of
@@ -58,7 +59,7 @@ class Trajectory:
     t0: float
     tf: float
     # None | "non_finite" (escape, or f undefined at a stage)
-    # | "step_underflow"
+    # | "step_underflow" | "max_steps" (rk45's attempt budget ran out)
     failure: str | None = None
 
     @property
@@ -229,6 +230,8 @@ _B4 = np.array([5179/57600, 0.0, 7571/16695, 393/640, -92097/339200,
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
+#: attempts after which a member short of tf ends as "max_steps"
+_MAX_ATTEMPTS = 100_000
 
 
 def _factor(err: float) -> float:
@@ -250,7 +253,9 @@ def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
     elements is at most 1, and its step is updated by
     ``h <- h * clamp(0.9 * err^(-1/5), 0.2, 5.0)``.  The first stage of each
     step reuses the last stage of the member's previous one (FSAL).  A
-    member leaves the batch at tf or when its step falls below its floor.
+    member leaves the batch at tf, when its step falls below its floor, or
+    after `_MAX_ATTEMPTS` attempts: each running member attempts one step
+    per lockstep iteration, so this holds in any batch alike.
     """
     t0, tf = float(t0), float(tf)
     span = tf - t0
@@ -266,7 +271,9 @@ def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
     failure = [None] * members
 
     with np.errstate(all="ignore"):
-        while idx.size:
+        for _ in range(_MAX_ATTEMPTS):
+            if not idx.size:
+                break
             rest = tf - t
             h = np.minimum(h, rest)
             # below this step the grid cannot advance in double precision;
@@ -334,6 +341,9 @@ def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
             if np.count_nonzero(leave):
                 run = ~leave
                 idx, t, h, x, k1 = (a[run] for a in (idx, t, h, x, k1))
+        else:
+            for i in idx.tolist():
+                failure[i] = "max_steps"
     return _split(rows, t0, tf, failure)
 
 

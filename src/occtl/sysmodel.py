@@ -193,6 +193,8 @@ def jacobians(spec: SystemSpec, x, t) -> JacobianBundle:
     """Exact Jacobians via dual numbers with identity seeding over x1..xn.
 
     dh_dt comes from the same pass by also seeding t.  Batched like eval_fh.
+    Never raises: an entry is nan or inf where its derivative rule is
+    undefined, as where f or h is undefined or not differentiable.
     """
     x = np.asarray(x, dtype=float)
     active = list(spec.state_names) + ["t"]

@@ -263,6 +263,21 @@ def test_lyapunov_nan_slack_is_falsified_as_valid_json(capsys):
     assert [c["worst_margin"] for c in checks] == [None, None]
 
 
+@pytest.mark.parametrize("alphas", [["--alpha3", "1"],
+                                    ["--alpha3", "0", "--alpha4", "1"]])
+def test_a_certificate_undefined_at_a_sample_is_falsified(capsys, alphas):
+    # the axis probes set xi2 = 0, where the last term is 0/0
+    code = main(["lyapunov", "--system", "lti-remark1",
+                 "--V", "xi1^2 + xi2^2 + xi1*xi2^2/xi2", "--alpha1", "0.5",
+                 "--alpha2", "4", *alphas, "--samples", "200"])
+    stdout, stderr = capsys.readouterr()
+    assert (code, stderr) == (1, "")
+    for check in _strict_json(stdout)["results"]["checks"]:
+        assert check["passed"] is False and check["worst_margin"] is None
+        counterexample = check["counterexample"]
+        assert counterexample["V"] is None and counterexample["xi"][1] == 0
+
+
 @pytest.mark.parametrize("argv,code", [
     (["contraction", "--pairs", "5", "--box", "0.5:2,0.5:2", "--tf", "5"], 0),
     (["oes", "--samples", "5", "--box", "0.5:2,0.5:2", "--tf", "5"], 1),
@@ -333,14 +348,37 @@ def test_an_output_outside_its_domain_is_a_per_item_result(tmp_path, capsys,
         assert results["verdict"]["witness"]["max_d"] is None
 
 
+def _jacobian_nulls(tmp_path, capsys, f, h, x) -> set:
+    """Run `jacobian` on the system (f, h) at x, which must exit 3 with a
+    strict JSON report, and name its null entries, as "Jf[0]"."""
+    path = tmp_path / "undefined.json"
+    path.write_text(json.dumps({"name": "undefined", "n": 2, "m": len(h),
+                                "f": f, "h": h}))
+    assert main(["jacobian", "--system", str(path), f"--x={x}"]) == 3
+    stdout, stderr = capsys.readouterr()
+    assert stderr == ""
+    return {f"{key}[{i}]"
+            for key, value in _strict_json(stdout)["results"].items()
+            for i, entry in enumerate(value)
+            if None in (entry if isinstance(entry, list) else [entry])}
+
+
 def test_jacobian_where_h_is_undefined_is_a_numerical_failure(tmp_path,
                                                               capsys):
-    path = tmp_path / "sqrt-out.json"
-    path.write_text(json.dumps({"name": "sqrt-out", "n": 2, "m": 1,
-                                "f": ["-x1", "-x2"],
-                                "h": ["sqrt(x1 - 0.25)"]}))
-    assert main(["jacobian", "--system", str(path), "--x", "0.1,0"]) == 3
-    assert capsys.readouterr().out == ""
+    # the report is printed, with null where h and its derivatives are nan
+    assert _jacobian_nulls(tmp_path, capsys, ["-x1", "-x2"],
+                           ["sqrt(x1 - 0.25)"], "0.1,0") \
+        == {"y[0]", "Jh[0]", "dh_dt[0]"}
+
+
+@pytest.mark.parametrize("f,x,nulls", [
+    (["x1/x2", "-x2"], "1,0", {"f[0]", "Jf[0]"}),
+    # ln's derivative rule 1/x is finite at x1 = -1, while f[0] is not
+    (["ln(x1)", "-x2"], "-1,0", {"f[0]"}),
+])
+def test_jacobian_where_f_is_undefined_is_a_numerical_failure(
+        tmp_path, capsys, f, x, nulls):
+    assert _jacobian_nulls(tmp_path, capsys, f, ["x2"], x) == nulls
 
 
 def test_jacobian_where_h_is_not_differentiable_is_a_numerical_failure(

@@ -364,15 +364,28 @@ def test_compiled_matches_interpreted():
 
 
 def test_compiled_kernel_computes_under_ieee_where_evaluate_raises():
-    # no domain guards: each violation `evaluate` raises for is numpy's value
-    for src, x, want in [("ln(x)", -1.0, np.nan), ("sqrt(x)", -1.0, np.nan),
-                         ("1/x", 0.0, np.inf), ("x^0.5", -2.0, np.nan)]:
+    # no domain guards: each violation `evaluate` raises for is numpy's
+    # value, in the kernel and in the dual numbers alike
+    for src, env, want in [
+            ("ln(x)", {"x": -1.0}, np.nan), ("sqrt(x)", {"x": -1.0}, np.nan),
+            ("1/x", {"x": 0.0}, np.inf), ("x^0.5", {"x": -2.0}, np.nan),
+            ("x^y", {"x": -2.0, "y": 0.5}, np.nan),
+            ("x^y", {"x": 0.0, "y": -1.0}, np.inf)]:
         with pytest.raises(ExprEvalError):
-            evaluate(parse(src), {"x": x})
-        fn = compile_expr([parse(src)], ["x"])
-        np.testing.assert_array_equal(fn(np.array([x]), 0.0), [want])
-        np.testing.assert_array_equal(fn(np.array([[x], [4.0]]), 0.0)[0],
-                                      [want])
+            evaluate(parse(src), env)
+        names = list(env)
+        row = np.array(list(env.values()))
+        fn = compile_expr([parse(src)], names)
+        np.testing.assert_array_equal(fn(row, 0.0), [want])
+        np.testing.assert_array_equal(
+            fn(np.stack([row, np.full_like(row, 4.0)]), 0.0)[0], [want])
+        d = evaluate_dual(parse(src), dual_env(env, names))
+        np.testing.assert_array_equal(d.value, want)
+        if src == "ln(x)":
+            # ln's rule 1/x is defined off ln's domain, as `differentiate`'s
+            np.testing.assert_array_equal(d.grad, [-1.0])
+        else:
+            assert not np.isfinite(d.grad).any(), src
     # constant-only subtrees and t follow numpy too, never Python's float
     # exceptions or complex powers
     for src, want in [("1/0", np.inf), ("0^(0-1)", np.inf),
@@ -384,6 +397,8 @@ def test_compiled_kernel_computes_under_ieee_where_evaluate_raises():
             out = fn(np.array([1.0]), t)
             assert out.dtype == float
             np.testing.assert_array_equal(out, np.full(out.shape, want))
+            d = evaluate_dual(parse(src), dual_env({"x": 1.0, "t": t}, ["x"]))
+            np.testing.assert_array_equal(d.value, np.full(np.shape(t), want))
 
 
 def _bits(v) -> int:

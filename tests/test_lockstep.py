@@ -13,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from occtl import odeint
 from occtl.contraction import (
     SamplingPlan, Verdict, check_oes_equilibrium, check_oes_variational,
     check_output_contraction, check_partial_contraction, simulate_pair,
@@ -132,6 +133,23 @@ def test_a_member_leaving_the_domain_leaves_its_siblings_alone(sqrt_decay,
     for x0, traj in zip(x0s, batch):
         _assert_same(traj, integrate(field, x0, 0.0, 5.0, cfg))
         _assert_same(traj, _serial(field, x0, 0.0, 5.0, cfg))
+
+
+def test_a_member_out_of_attempts_leaves_its_siblings_alone(monkeypatch):
+    # the first start chatters on x1 + x2 = 0 and would take millions of
+    # steps to tf; the second reaches tf in under a hundred
+    monkeypatch.setattr(odeint, "_MAX_ATTEMPTS", 300)
+    field = vector_field(validate(SystemSpec.from_strings(
+        "stiff", 2, 1, ["t/((x1 + x2)*(x2/x2))",
+                        "x2 + -1.657 + x2/2.579 + exp(t)*x2"], ["x1"])))
+    x0s = np.array([[1.536892206527125, -0.4708326952208832], [2.0, 1.0]])
+    cfg = IntegratorConfig()
+    batch = integrate_batch(field, x0s, 0.0, 2.0, cfg)
+    assert [traj.failure for traj in batch] == ["max_steps", None]
+    assert batch[0].t_end < 2.0 and batch[1].t_end == 2.0
+    for x0, traj in zip(x0s, batch):
+        _assert_same(traj, integrate(field, x0, 0.0, 2.0, cfg))
+    _assert_same(batch[1], _serial(field, x0s[1], 0.0, 2.0, cfg))
 
 
 def test_batch_rejects_a_missing_member_axis():

@@ -288,6 +288,30 @@ def test_adaptive_vs_fixed_time_varying_pre_escape():
     assert np.max(diff) <= 1e-5
 
 
+def test_rk45_matches_scipy_dop853_on_its_own_grid():
+    # a third integrator that shares no code with this package; bounds are
+    # 10x the errors measured at rk45's default tolerances.  ex2's state is
+    # unstable and amplifies the error, its output y = x1 + x2 is not
+    integrate_ivp = pytest.importorskip("scipy.integrate").solve_ivp
+
+    def errors(name, x0, tf):
+        spec = builtin_system(name)
+        field = vector_field(spec)
+        traj = integrate_rk45(field, np.array(x0), 0.0, tf)
+        ref = integrate_ivp(lambda t, x: field(x, t), (0.0, tf), x0,
+                            method="DOP853", rtol=1e-12, atol=1e-12,
+                            t_eval=traj.times).y.T
+        assert traj.ok and len(ref) == len(traj.times)
+        err = np.abs(traj.states - ref)
+        y = map_output(spec, traj)[:, 0] - ref.sum(axis=-1)
+        return err.max(), (err / np.abs(ref)).max(), np.abs(y).max()
+
+    assert errors("lti-remark1", [3.0, -4.0], 10.0)[0] <= 4e-8
+    assert errors("ex1-timevarying", [-2.5, -5.0], 0.35)[1] <= 2.4e-7
+    assert errors("ex2-timeinvariant", [3.0, 3.0], 5.0)[1] <= 4.1e-3
+    assert errors("ex2-timeinvariant", [3.0, 3.0], 10.0)[2] <= 1.1e-4
+
+
 # ---------------------------------------------------------------------------
 # CSV export
 # ---------------------------------------------------------------------------

@@ -125,17 +125,41 @@ def test_json_safe_nulls_every_non_finite_number_and_keeps_booleans():
 REFERENCE_PATH = {"finite_diff_jacobian", "vdot_fd", "fd_variational_check"}
 
 
-def test_eval_fh_is_called_only_by_the_reference_path():
-    callers = set()
+def _where(matches) -> set:
+    """(module file, top-level name) of every node of `src/occtl` for which
+    `matches(node)` holds."""
+    found = set()
     for path in sorted(Path(occtl.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for top in tree.body:
             for node in ast.walk(top):
-                if isinstance(node, ast.Call) and "eval_fh" in (
-                        getattr(node.func, "id", None),
-                        getattr(node.func, "attr", None)):
-                    callers.add((path.name, getattr(top, "name", None)))
+                if matches(node):
+                    found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def _calls(name: str):
+    return lambda node: isinstance(node, ast.Call) and name in (
+        getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+
+def test_eval_fh_is_called_only_by_the_reference_path():
+    callers = _where(_calls("eval_fh"))
     assert {name for _, name in callers} == REFERENCE_PATH, callers
+
+
+def test_only_the_reference_path_raises_and_only_main_catches():
+    # the tree walker is the one evaluator with domain guards; production
+    # evaluates through kernels and dual numbers, which never raise, so
+    # the only handler left is the CLI's last resort for a stray error
+    assert _where(_calls("evaluate")) == {
+        ("sysmodel.py", "_eval_stack"), ("lyapunov.py", "vdot_fd"),
+        ("lyapunov.py", "reverify_counterexample")}
+
+    def catches(node):
+        return isinstance(node, ast.ExceptHandler) and "ExprEvalError" in {
+            getattr(n, "id", None) for n in ast.walk(node.type or ast.Pass())}
+    assert _where(catches) == {("cli.py", "main")}
 
 
 def test_eval_fh_batched_matches_loop():
