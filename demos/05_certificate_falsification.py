@@ -6,9 +6,8 @@
 # it, and tells you the guaranteed rate when it fails to.
 
 from occtl import (
-    Bounds, CandidateV, CheckDomain, builtin_system, check_decay,
-    check_sandwich, check_time_invariant, implied_rate,
-    reverify_counterexample, vdot,
+    Bounds, CandidateV, CheckDomain, builtin_system, check_certificate,
+    implied_rate, reverify_counterexample, vdot,
 )
 
 spec = builtin_system("ex1-timevarying")
@@ -24,8 +23,8 @@ bounds = Bounds(alpha1=1.0, alpha2=2.0, alpha3=0.0, alpha4=2.0, p=2.0)
 domain = CheckDomain(x_box=((-10.0, 10.0), (-10.0, 10.0)),
                      t_range=(0.0, 6.283185307179586),
                      samples=50_000, seed=0)
-sandwich = check_sandwich(spec, V, bounds, domain)
-decay = check_decay(spec, V, bounds, domain)
+# with alpha4 set, both conditions are judged on one draw of the domain
+sandwich, decay = check_certificate(spec, V, bounds, domain)
 print("sandwich:", sandwich.passed, f"(worst margin {sandwich.worst_margin:.2e},",
       sandwich.checked, "points)")
 print("decay:   ", decay.passed, f"(worst margin {decay.worst_margin:.2e})")
@@ -36,7 +35,7 @@ print(f"guaranteed envelope: ||y - y'|| <= {c:.4f} e^(-{alpha} (t-t0)) ||x0 - x0
 # --- a certificate that overclaims ---------------------------------------------
 
 greedy = Bounds(alpha1=1.0, alpha2=2.0, alpha3=0.0, alpha4=12.0, p=2.0)
-broken = check_decay(spec, V, greedy, domain)
+_, broken = check_certificate(spec, V, greedy, domain)
 print("\nclaiming decay rate 12 instead:", broken.passed)
 print("counterexample:", broken.counterexample)
 # counterexamples are re-checked through central differences, a derivative
@@ -47,8 +46,9 @@ print("independent re-check slack:",
 # --- time-invariant variant ------------------------------------------------------
 
 ti = builtin_system("ex2-timeinvariant")
-ti_bounds = Bounds(alpha1=1.0, alpha2=2.0, alpha3=2.0, p=2.0)  # alpha3 = decay
-report = check_time_invariant(ti, V, ti_bounds, domain)
+# without alpha4, alpha3 is the decay and one combined condition is judged
+ti_bounds = Bounds(alpha1=1.0, alpha2=2.0, alpha3=2.0, p=2.0)
+[report] = check_certificate(ti, V, ti_bounds, domain)
 c, alpha = implied_rate(ti_bounds)
 print("\ntime-invariant certificate:", report.passed,
       f" -> outputs converge to the output equilibrium at rate {alpha}")

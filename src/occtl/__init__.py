@@ -43,9 +43,9 @@ from .contraction import (
     simulate_pair, simulate_variational, verdict_json,
 )
 from .lyapunov import (
-    Bounds, CandidateV, CheckDomain, FalsificationReport, check_decay,
-    check_sandwich, check_time_invariant, implied_rate, report_json,
-    reverify_counterexample, vdot, vdot_fd,
+    Bounds, CandidateV, CheckDomain, FalsificationReport, check_certificate,
+    check_decay, check_sandwich, check_time_invariant, implied_rate,
+    report_json, reverify_counterexample, vdot, vdot_fd,
 )
 
 __version__ = "0.1.0"

@@ -466,9 +466,11 @@ def _dual_pow(a: Dual, b: Dual) -> Dual:
         # constant exponent: plain power rule, valid for negative bases too
         p = b.value
         return Dual(value, p * a.value ** (np.asarray(p) - 1) * a.grad)
-    # log form: nan where the base is not positive
-    return Dual(value, value * (b.grad * np.log(a.value)
-                                + b.value * a.grad / a.value))
+    # log form; ln(a), nan where the base is not positive, enters only the
+    # partials along which the exponent varies, as in `differentiate`
+    along_base = b.value * a.grad / a.value
+    return Dual(value, value * np.where(
+        b.grad == 0, along_base, b.grad * np.log(a.value) + along_base))
 
 
 # ---------------------------------------------------------------------------
@@ -587,21 +589,82 @@ def differentiate(e: Expr, var: str) -> Expr:
 # compilation to plain Python (hot-loop evaluation)
 # ---------------------------------------------------------------------------
 
-def _emit(e: Expr, consts: dict[str, str]) -> str:
-    if isinstance(e, Const):
-        return consts.setdefault(repr(float(e.value)), f"_c{len(consts)}")
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        return f"(-{_emit(e.operand, consts)})"
-    if isinstance(e, Bin):
-        a, b = _emit(e.left, consts), _emit(e.right, consts)
-        # "^" as a ufunc: `**` on one state rounds unlike its row in a batch
-        return f"_np.power({a}, {b})" if e.op == "^" else f"({a} {e.op} {b})"
-    if isinstance(e, Call):
-        fn = "log" if e.fn == "ln" else e.fn
-        return f"_np.{fn}({_emit(e.arg, consts)})"
-    raise TypeError(f"not an expression node: {e!r}")
+def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
+                 lines: list[str]) -> list[str]:
+    """Source of each tree, with every subtree that occurs more than once in
+    `exprs` computed once into a local whose assignment is appended to
+    `lines`.  Subtrees are keyed by structure: a constant by the repr of its
+    value (as `consts` is, so 0.0 and -0.0 stay apart), a variable by its
+    name, an operation by its operator and the keys of its children.  Keys
+    are built bottom-up once per node object, as flat tuples ``(kind,
+    label, child ids...)``, so the cost is linear in the size of the trees.
+    Only repeated operations get a local; leaves are names already."""
+    ids: dict[tuple, int] = {}     # structural key -> id
+    of_node: dict[int, int] = {}   # id() of a node object -> its id
+    keys: list[tuple] = []
+    uses: list[int] = []           # references to each id from the trees
+    constant: list[bool] = []      # whether the subtree mentions no variable
+
+    def intern(e: Expr) -> int:
+        known = of_node.get(id(e))
+        if known is not None:
+            return known
+        if isinstance(e, Const):
+            key: tuple = ("const", repr(float(e.value)))
+        elif isinstance(e, Var):
+            key = ("var", e.name)
+        elif isinstance(e, Neg):
+            key = ("neg", "-", intern(e.operand))
+        elif isinstance(e, Bin):
+            key = ("bin", e.op, intern(e.left), intern(e.right))
+        elif isinstance(e, Call):
+            key = ("call", e.fn, intern(e.arg))
+        else:
+            raise TypeError(f"not an expression node: {e!r}")
+        k = ids.get(key)
+        if k is None:
+            k = ids[key] = len(keys)
+            keys.append(key)
+            uses.append(0)
+            for child in key[2:]:
+                uses[child] += 1
+            constant.append(key[0] != "var"
+                            and all(constant[c] for c in key[2:]))
+        of_node[id(e)] = k
+        return k
+
+    local: dict[int, str] = {}
+
+    def emit(k: int) -> str:
+        kind, label, *children = keys[k]
+        if kind == "const":
+            return consts.setdefault(label, f"_c{len(consts)}")
+        if kind == "var":
+            return label
+        if k in local:
+            return local[k]
+        args = [emit(child) for child in children]
+        if kind == "neg":
+            text = f"(-{args[0]})"
+        elif kind == "bin" and label == "^" and not constant[k]:
+            # "^" as a ufunc: `**` on one state rounds unlike its row in a batch
+            text = f"_np.power({args[0]}, {args[1]})"
+        elif kind == "bin":
+            # a power of constants is one scalar in every call: `**` gives it
+            # `evaluate`'s libm pow, where the ufunc's loop rounds some apart
+            text = f"({args[0]} {'**' if label == '^' else label} {args[1]})"
+        else:
+            text = f"_np.{'log' if label == 'ln' else label}({args[0]})"
+        if uses[k] < 2:
+            return text
+        local[k] = f"_s{len(local)}"
+        lines.append(f"        {local[k]} = {text}")
+        return local[k]
+
+    roots = [intern(e) for e in exprs]
+    for k in roots:
+        uses[k] += 1
+    return [emit(k) for k in roots]
 
 
 def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
@@ -615,8 +678,12 @@ def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
     `evaluate` raises (the integrators truncate such a sample alone).  Powers
     and calls are numpy ufuncs even on a single state, and + - * / round
     alike in numpy's scalar math and its array loops, so one state gives
-    the same bits as its row in a batch.  A name that is neither in `names`
-    nor t raises ExprEvalError here.
+    the same bits as its row in a batch; only a power of constants, one
+    scalar in every call, takes `**` and so `evaluate`'s rounding.  A
+    subtree that occurs more than once in `exprs`, as f's subtrees do in
+    its Jacobian, is computed once per call and reused; it is the same
+    ufunc on the same inputs each time, so sharing it changes no bit.  A
+    name that is neither in `names` nor t raises ExprEvalError here.
     """
     exprs, names = tuple(exprs), tuple(names)
     unbound = frozenset().union(*map(free_vars, exprs)) - {*names, "t"}
@@ -629,8 +696,9 @@ def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
               f"t.shape) + ({len(exprs)},))",
               "    with _np.errstate(all='ignore'):"]
     consts: dict[str, str] = {}   # repr of each constant -> its name
-    lines += [f"        _out[..., {i}] = {_emit(e, consts)}"
-              for i, e in enumerate(exprs)]
+    columns = _emit_shared(exprs, consts, lines)
+    lines += [f"        _out[..., {i}] = {text}"
+              for i, text in enumerate(columns)]
     lines.append("    return _out")
     namespace = {"_np": np}
     namespace.update({name: np.float64(text) for text, name in consts.items()})

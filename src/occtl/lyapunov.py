@@ -10,14 +10,19 @@ A candidate certificate V(x, xi, t) together with constants
 
 For time-invariant systems the corollary variant drops the t dependence and
 the exponential weight, and its decay constant is named alpha3 (leave alpha4
-unset for that form).  f, Jf xi and nu come from the compiled variational
-kernels of `augment` and V's value from a kernel of its own; only V's
-partials use dual numbers, as V may use abs.  None of them has domain
-guards, so a sample where f, h or V is undefined gets a nan slack, which
-counts as a violation of that sample instead of failing the run.  A passing
-report is evidence over the sampled domain, never a proof; a failing report
-carries a counterexample that re-evaluates to a violation through an
-independent finite-difference path, unless its slack is nan.
+unset for that form).  `check_certificate` judges every condition of the
+certificate's form on one draw of the domain; `check_sandwich`,
+`check_decay` and `check_time_invariant` judge one condition each through
+the same pipeline.  The samples are evaluated in blocks of `_BLOCK` rows
+that stay in cache: each block's (x, xi) state is built once and read by
+V's compiled kernel and by the compiled variational kernels of `augment`
+(f, Jf xi and nu); only V's partials use dual numbers, as V may use abs.
+None of them has domain guards, so a sample where f, h or V is undefined
+gets a nan slack, which counts as a violation of that sample instead of
+failing the run.  A passing report is evidence over the sampled domain,
+never a proof; a failing report carries a counterexample that re-evaluates
+to a violation through an independent finite-difference path, unless its
+slack is nan.
 
 Certificates are checked, never synthesised.
 """
@@ -34,13 +39,14 @@ from .exprlang import (
     Expr, compile_expr, dual_env, evaluate, evaluate_dual, free_vars, parse,
 )
 from .sysmodel import (
-    SystemSpec, augment, eval_fh, finite_diff_jacobian, json_safe, validate,
+    AugmentedSystem, SystemSpec, augment, eval_fh, finite_diff_jacobian,
+    json_safe, validate,
 )
 from .sysmodel import jacobians  # noqa: F401  looked up by bench/tracing.py
 
 __all__ = [
     "CandidateV", "Bounds", "CheckDomain", "FalsificationReport",
-    "vdot", "vdot_fd", "check_sandwich", "check_decay",
+    "vdot", "vdot_fd", "check_certificate", "check_sandwich", "check_decay",
     "check_time_invariant", "implied_rate", "reverify_counterexample",
     "report_json",
 ]
@@ -49,6 +55,13 @@ __all__ = [
 #: admits exact-equality boundary cases without false alarms
 def _tolerance(v) -> np.ndarray:
     return 1e-9 + 1e-9 * np.abs(v)
+
+
+#: samples evaluated together, so that a block's state, V, variational
+#: field and slacks stay in cache; on the 1e5-sample ex1 certificate one
+#: command took 112, 96, 83 and 80 ms at 1024, 2048, 4096 and 16384 rows
+#: and 96 ms in one block
+_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -223,18 +236,23 @@ def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     aug = augment(spec)
     V.check_variables(spec.n)
     x = np.asarray(x, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    n = spec.n
-    env = _v_env(n, x, xi, t)
+    total = _vdot(aug, V, np.concatenate(
+        np.broadcast_arrays(x, np.asarray(xi, dtype=float)), axis=-1), t)
+    return float(total) if x.ndim == 1 else total
+
+
+def _vdot(aug: AugmentedSystem, V: CandidateV, state, t):
+    """`vdot` of (..., 2n) states (x, xi)."""
+    n = aug.base.n
+    env = _v_env(n, state[..., :n], state[..., n:], t)
     grad = np.asarray(evaluate_dual(V.expr, dual_env(env, list(env))).grad,
                       dtype=float)
-    flow = aug.field(np.concatenate(np.broadcast_arrays(x, xi), axis=-1), t)
+    flow = aug.field(state, t)
     dV_dx = np.moveaxis(grad[:n], 0, -1)
     dV_dxi = np.moveaxis(grad[n:2 * n], 0, -1)
     with np.errstate(all="ignore"):
-        total = grad[2 * n] + np.sum(dV_dx * flow[..., :n], axis=-1) \
+        return grad[2 * n] + np.sum(dV_dx * flow[..., :n], axis=-1) \
             + np.sum(dV_dxi * flow[..., n:], axis=-1)
-    return float(total) if x.ndim == 1 else total
 
 
 def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
@@ -262,28 +280,57 @@ def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
 # condition checks
 # ---------------------------------------------------------------------------
 
-def _falsify(condition: str, spec: SystemSpec, V: CandidateV,
-             domain: CheckDomain, terms, requires=(),
-             at_time_zero: bool = False) -> FalsificationReport:
-    """Validate, raise the message of the first unmet ``(met, message)`` of
-    `requires`, draw (at t = 0 if `at_time_zero`), evaluate V's compiled
-    kernel, and judge the slack of ``terms(x, xi, t, v) -> (slack, named
-    terms after V)``.  A slack not at least -tolerance (nan included, as
-    where V is undefined) is a violation; the counterexample is the violated
-    sample of least slack, nan ranked last."""
+def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
+             conditions, at_time_zero: bool = False
+             ) -> list[FalsificationReport]:
+    """Judge every ``(condition, terms, requires)`` of `conditions` on one
+    draw of `domain`, reports in that order.
+
+    Validates, and raises the message of the first unmet ``(met, message)``
+    of the conditions' `requires` in order, before it draws (at t = 0 if
+    `at_time_zero`).  The draw is evaluated in blocks of `_BLOCK` rows: each
+    block builds its (rows, 2n) state (x, xi) once, V's compiled kernel
+    reads it, and each ``terms(xi, t, state, v) -> (slack, named terms after
+    V)`` reads the block; the slacks and named terms are written into
+    full-length columns.  Every operation is row-wise, so the blocks give
+    the bits of one pass over the whole draw.  Each condition is then judged
+    over the whole draw: a slack not at least -tolerance (nan included, as
+    where V is undefined) is a violation, and the counterexample is the
+    violated sample of least slack, nan ranked last."""
     validate(spec)
     V.check_variables(spec.n)
-    for met, message in requires:
-        if not met:
-            raise ValueError(message)
+    for _, _, requires in conditions:
+        for met, message in requires:
+            if not met:
+                raise ValueError(message)
     x, xi, t = _sample_domain(spec.n, domain)
     if at_time_zero:
         t = np.zeros(x.shape[0])
     names = [f"{s}{i + 1}" for s in ("x", "xi") for i in range(spec.n)]
-    v = compile_expr([V.expr], names)(np.concatenate([x, xi], axis=-1), t)[:, 0]
+    v_of = compile_expr([V.expr], names)
+    size = x.shape[0]
+    v = np.empty(size)
+    slacks = [np.empty(size) for _ in conditions]
+    named = [{} for _ in conditions]
     with np.errstate(all="ignore"):   # an overflowing sample judges as nan
-        slack, named = terms(x, xi, t, v)
-        violated = ~(slack >= -_tolerance(v))
+        for start in range(0, size, _BLOCK):
+            at = slice(start, start + _BLOCK)
+            state = np.concatenate([x[at], xi[at]], axis=-1)
+            v[at] = v_of(state, t[at])[:, 0]
+            for (_, terms, _), slack, columns in zip(conditions, slacks,
+                                                     named):
+                slack[at], block_named = terms(xi[at], t[at], state, v[at])
+                for k, term in block_named.items():
+                    columns.setdefault(k, np.empty(size))[at] = term
+        tolerance = _tolerance(v)
+        return [_judge(condition, x, xi, t, v, slack, columns, tolerance)
+                for (condition, _, _), slack, columns
+                in zip(conditions, slacks, named)]
+
+
+def _judge(condition: str, x, xi, t, v, slack, named: dict,
+           tolerance) -> FalsificationReport:
+    violated = ~(slack >= -tolerance)
     counterexample = None
     if violated.any():
         bad = np.flatnonzero(violated)
@@ -291,9 +338,7 @@ def _falsify(condition: str, spec: SystemSpec, V: CandidateV,
         counterexample = {"x": [float(c) for c in x[i]],
                           "xi": [float(c) for c in xi[i]],
                           "t": float(t[i]), "V": float(v[i])}
-        counterexample.update(
-            {k: float(term[i] if np.ndim(term) else term)
-             for k, term in named.items()})
+        counterexample.update({k: float(term[i]) for k, term in named.items()})
     return FalsificationReport(condition=condition,
                                passed=counterexample is None,
                                checked=slack.size,
@@ -301,13 +346,72 @@ def _falsify(condition: str, spec: SystemSpec, V: CandidateV,
                                counterexample=counterexample)
 
 
-def _sandwich_terms(spec, bounds, x, xi, t, v, weight=1.0):
+def _sandwich_terms(aug, bounds, xi, t, state, v, weight=1.0):
     """Slacks of alpha1 ||nu||^p <= V <= alpha2 ||xi||^p weight, with
     ||nu|| and ||xi||: (lower, upper, nu_norm, xi_norm)."""
-    nu_norm = np.linalg.norm(augment(spec).output(x, xi, t), axis=-1)
+    nu_norm = np.linalg.norm(aug.state_output(state, t), axis=-1)
     xi_norm = np.linalg.norm(xi, axis=-1)
     return (v - bounds.alpha1 * nu_norm ** bounds.p,
             bounds.alpha2 * xi_norm ** bounds.p * weight - v, nu_norm, xi_norm)
+
+
+def _sandwich(spec: SystemSpec, bounds: Bounds, domain: CheckDomain):
+    t0 = domain.t_range[0]
+
+    def terms(xi, t, state, v):
+        lower, upper, nu_norm, xi_norm = _sandwich_terms(
+            augment(spec), bounds, xi, t, state, v,
+            np.exp(bounds.alpha3 * (t - t0)))
+        return np.minimum(lower, upper), {
+            "nu_norm": nu_norm, "xi_norm": xi_norm, "lower_slack": lower,
+            "upper_slack": upper, "t0": t0}
+
+    return "sandwich", terms, ()
+
+
+def _decay(spec: SystemSpec, V: CandidateV, bounds: Bounds):
+    def terms(xi, t, state, v):
+        vd = _vdot(augment(spec), V, state, t)
+        slack = -bounds.alpha4 * v - vd
+        return slack, {"vdot": vd, "slack": slack}
+
+    return "decay", terms, [(
+        bounds.alpha4 is not None,
+        "the decay check needs alpha4 (time-varying form)")]
+
+
+def _time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds):
+    def terms(xi, t, state, v):
+        aug = augment(spec)
+        lower, upper, _, _ = _sandwich_terms(aug, bounds, xi, t, state, v)
+        vd = _vdot(aug, V, state, t)
+        decay = -bounds.alpha3 * v - vd
+        return np.minimum(np.minimum(lower, upper), decay), {
+            "vdot": vd, "lower_slack": lower, "upper_slack": upper,
+            "decay_slack": decay}
+
+    return "time-invariant sandwich+decay", terms, [
+        (spec.time_invariant, f"{spec.name!r} is time-varying; use the "
+                              "sandwich and decay checks"),
+        (not V.time_dependent,
+         "the time-invariant check needs a t-independent certificate"),
+        (bounds.alpha3 > 0,
+         "the time-invariant form uses alpha3 > 0 as the decay constant")]
+
+
+def check_certificate(spec: SystemSpec, V: CandidateV, bounds: Bounds,
+                      domain: CheckDomain) -> list[FalsificationReport]:
+    """Falsify every condition of the certificate's form on one draw.
+
+    With alpha4 set (time-varying form) the reports are those of
+    `check_sandwich` and `check_decay`, in that order; without it, the one
+    report of `check_time_invariant`.  The samples are drawn, and V's kernel
+    compiled, once for all of them.
+    """
+    if bounds.alpha4 is None:
+        return [check_time_invariant(spec, V, bounds, domain)]
+    return _falsify(spec, V, domain, [_sandwich(spec, bounds, domain),
+                                      _decay(spec, V, bounds)])
 
 
 def check_sandwich(spec: SystemSpec, V: CandidateV, bounds: Bounds,
@@ -318,29 +422,13 @@ def check_sandwich(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     rescales alpha2).  Both inequalities are asserted per sample with slack
     tolerance 1e-9 (1 + |V|).
     """
-    t0 = domain.t_range[0]
-
-    def terms(x, xi, t, v):
-        lower, upper, nu_norm, xi_norm = _sandwich_terms(
-            spec, bounds, x, xi, t, v, np.exp(bounds.alpha3 * (t - t0)))
-        return np.minimum(lower, upper), {
-            "nu_norm": nu_norm, "xi_norm": xi_norm, "lower_slack": lower,
-            "upper_slack": upper, "t0": t0}
-
-    return _falsify("sandwich", spec, V, domain, terms)
+    return _falsify(spec, V, domain, [_sandwich(spec, bounds, domain)])[0]
 
 
 def check_decay(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                 domain: CheckDomain) -> FalsificationReport:
     """Falsify Vdot <= -alpha4 V over the sampled domain."""
-    def terms(x, xi, t, v):
-        vd = vdot(spec, V, x, xi, t)
-        slack = -bounds.alpha4 * v - vd
-        return slack, {"vdot": vd, "slack": slack}
-
-    return _falsify("decay", spec, V, domain, terms, [(
-        bounds.alpha4 is not None,
-        "the decay check needs alpha4 (time-varying form)")])
+    return _falsify(spec, V, domain, [_decay(spec, V, bounds)])[0]
 
 
 def check_time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds,
@@ -351,22 +439,8 @@ def check_time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     Rejects time-varying systems and t-dependent certificates; evaluation is
     at t = 0 since nothing depends on time.
     """
-    def terms(x, xi, t, v):
-        lower, upper, _, _ = _sandwich_terms(spec, bounds, x, xi, t, v)
-        vd = vdot(spec, V, x, xi, t)
-        decay = -bounds.alpha3 * v - vd
-        return np.minimum(np.minimum(lower, upper), decay), {
-            "vdot": vd, "lower_slack": lower, "upper_slack": upper,
-            "decay_slack": decay}
-
-    return _falsify("time-invariant sandwich+decay", spec, V, domain, terms, [
-        (spec.time_invariant, f"{spec.name!r} is time-varying; use the "
-                              "sandwich and decay checks"),
-        (not V.time_dependent,
-         "the time-invariant check needs a t-independent certificate"),
-        (bounds.alpha3 > 0,
-         "the time-invariant form uses alpha3 > 0 as the decay constant")],
-        at_time_zero=True)
+    return _falsify(spec, V, domain, [_time_invariant(spec, V, bounds)],
+                    at_time_zero=True)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -275,7 +275,11 @@ class AugmentedSystem:
 
     def output(self, x, xi, t) -> np.ndarray:
         """nu = Jh(x, t) xi, shaped (..., m)."""
-        state = np.concatenate(np.broadcast_arrays(x, xi), axis=-1)
+        return self.state_output(
+            np.concatenate(np.broadcast_arrays(x, xi), axis=-1), t)
+
+    def state_output(self, state, t) -> np.ndarray:
+        """`output` of (..., 2n) states (x, xi), the form `field` takes."""
         return self._output(state, t)
 
 

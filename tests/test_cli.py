@@ -381,6 +381,18 @@ def test_jacobian_where_f_is_undefined_is_a_numerical_failure(
     assert _jacobian_nulls(tmp_path, capsys, f, ["x2"], x) == nulls
 
 
+def test_jacobian_at_a_negative_base_keeps_the_partial_along_the_base(
+        tmp_path, capsys):
+    # d(x1^x2)/dx1 = x2 x1^(x2 - 1) = -4 at (-2, 2); only the partial along
+    # the exponent takes ln(x1), which is nan there
+    path = tmp_path / "power.json"
+    path.write_text(json.dumps({"name": "power", "n": 2, "m": 1,
+                                "f": ["x1^x2", "-x2"], "h": ["x1"]}))
+    assert main(["jacobian", "--system", str(path), "--x=-2,2"]) == 3
+    results = _strict_json(capsys.readouterr().out)["results"]
+    assert results["Jf"][0] == [-4.0, None]
+
+
 def test_jacobian_where_h_is_not_differentiable_is_a_numerical_failure(
         tmp_path, capsys):
     # sqrt(x1 - 0.25) is defined at x1 = 0.25 but its slope is not

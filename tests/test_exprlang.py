@@ -1,4 +1,6 @@
+import copy
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -244,30 +246,42 @@ def test_dual_batched_matches_per_sample():
 _VARS = ("x1", "x2", "t")
 
 
-def _random_tree(rng, depth, wild=False):
+def _random_tree(rng, depth, wild=False, pool=None):
     """Random tree biased toward numerically tame operations; `wild` adds ln,
     sqrt, variable powers and fractional or negative exponents, so many
-    trees leave their domain somewhere."""
+    trees leave their domain somewhere.  Given a `pool` list, every subtree
+    made is added to it, and a subtree is often an earlier one again, the
+    same object or an equal copy, so the tree repeats subtrees."""
+    if pool and rng.random() < 0.5:
+        again = pool[rng.integers(len(pool))]
+        return again if rng.random() < 0.5 else copy.deepcopy(again)
+    tree = _random_node(rng, depth, wild, pool)
+    if pool is not None:
+        pool.append(tree)
+    return tree
+
+
+def _random_node(rng, depth, wild, pool):
     if depth == 0 or rng.random() < 0.3:
         if rng.random() < 0.4:
             return Const(round(float(rng.uniform(-3, 3)), 3))
         return Var(_VARS[rng.integers(len(_VARS))])
     kind = rng.random()
     if kind < 0.15:
-        return Neg(_random_tree(rng, depth - 1, wild))
+        return Neg(_random_tree(rng, depth - 1, wild, pool))
     if kind < 0.30:
         fns = ("sin", "cos", "tanh", "exp") + (("ln", "sqrt") if wild else ())
         fn = fns[rng.integers(len(fns))]
-        return Call(fn, _random_tree(rng, depth - 1, wild))
+        return Call(fn, _random_tree(rng, depth - 1, wild, pool))
     if kind < 0.40:
-        base = _random_tree(rng, depth - 1, wild)
+        base = _random_tree(rng, depth - 1, wild, pool)
         exponent = round(float(rng.uniform(-3, 3)), 1) if wild \
             else float(rng.integers(2, 4))
         return Bin("^", base, Const(exponent))
     ops = "+-*/^" if wild else "+-*/"
     op = ops[rng.integers(len(ops))]
-    return Bin(op, _random_tree(rng, depth - 1, wild),
-               _random_tree(rng, depth - 1, wild))
+    return Bin(op, _random_tree(rng, depth - 1, wild, pool),
+               _random_tree(rng, depth - 1, wild, pool))
 
 
 def _central_diff(ast, values, h=1e-6):
@@ -334,6 +348,18 @@ def test_symbolic_derivative_matches_dual_and_fd():
             fd = _central_diff(ast, values)
             np.testing.assert_allclose(np.asarray(dual.grad, float), fd,
                                        rtol=1e-5, atol=1e-5)
+    # at a negative base only the partial along the exponent takes ln(x1),
+    # so the partials along x1 and t stay defined there
+    ast = parse("x1^x2")
+    for x1, x2 in [(-2.0, 2.0), (-0.5, 3.0), (-1.7, -1.0)]:
+        values = {"x1": x1, "x2": x2, "t": 0.5}
+        dual = evaluate_dual(ast, dual_env(values, list(_VARS)))
+        for j, name in ((0, "x1"), (2, "t")):
+            sym = evaluate(differentiate(ast, name), values)
+            assert float(dual.grad[j]) == pytest.approx(float(sym), rel=1e-12)
+        assert math.isnan(dual.grad[1])
+    assert evaluate_dual(ast, dual_env({"x1": -2.0, "x2": 2.0},
+                                       ["x1", "x2"])).grad[0] == -4.0
 
 
 def test_symbolic_derivative_rejects_abs():
@@ -411,8 +437,9 @@ def test_compiled_matches_evaluate_bit_for_bit_or_returns_where_it_raises():
     # and only comes out nan or inf in its own row of the kernel's batch
     rng = np.random.default_rng(5)
     matched = raised = 0
-    for _ in range(400):
-        ast = _random_tree(rng, depth=5, wild=True)
+    # then trees that repeat subtrees, which the kernel computes once
+    for pool in [None] * 400 + [[] for _ in range(200)]:
+        ast = _random_tree(rng, depth=5, wild=True, pool=pool)
         x = rng.uniform(-2, 2, size=(8, 2))
         t = rng.uniform(-2, 2, size=8)
         out = compile_expr([ast], ["x1", "x2"])(x, t)[:, 0]
@@ -427,6 +454,60 @@ def test_compiled_matches_evaluate_bit_for_bit_or_returns_where_it_raises():
                 f"{to_source(ast)} at x={x[j]}, t={t[j]}"
             matched += 1
     assert matched > 1000 and raised > 200, (matched, raised)
+
+
+def test_shared_subexpressions_keep_signed_zeros_and_nans_apart():
+    # Const(0.0) == Const(-0.0), but x1*0.0 and x1*-0.0 differ in sign, so
+    # the kernel must not share them; nan constants are shared by repr
+    x1, x2 = Var("x1"), Var("x2")
+    zero, neg_zero, nan = Const(0.0), Const(-0.0), Const(math.nan)
+    exprs = [Bin("*", x1, zero), Bin("*", x1, neg_zero),
+             Bin("-", Bin("*", x1, neg_zero), Bin("*", x1, zero)),
+             Call("sin", Bin("*", x2, neg_zero)), Neg(zero), Neg(neg_zero),
+             Bin("+", Call("sin", Bin("*", x2, nan)),
+                 Call("sin", Bin("*", x2, Const(math.nan)))),
+             Bin("*", Neg(Bin("*", x1, nan)), Bin("*", x1, nan))]
+    fn = compile_expr(exprs, ["x1", "x2"])
+    x = np.array([[2.0, -3.0], [-2.0, 0.0], [0.0, -0.0], [-0.0, 5.0],
+                  [np.inf, -np.inf], [np.nan, 1.0]])
+    t = np.zeros(len(x))
+    out = fn(x, t)
+    for i, e in enumerate(exprs):
+        want = evaluate(e, {"x1": x[:, 0], "x2": x[:, 1], "t": t})
+        np.testing.assert_array_equal(
+            out[:, i].view(np.uint64),
+            np.broadcast_to(np.asarray(want, dtype=float), t.shape)
+            .view(np.uint64), err_msg=to_source(e))
+
+
+class _CountingNumpy:
+    """numpy, with the calls made to each of `counted` tallied."""
+
+    def __init__(self, *counted):
+        self.counted, self.calls = counted, Counter()
+
+    def __getattr__(self, name):
+        fn = getattr(np, name)
+        if name not in self.counted:
+            return fn
+
+        def counting(*args, **kwargs):
+            self.calls[name] += 1
+            return fn(*args, **kwargs)
+        return counting
+
+
+def test_kernel_computes_each_shared_subexpression_once(monkeypatch):
+    # Jf repeats f's subtrees: ex1's (f, Jf xi) kernel needs sin(t), cos(t),
+    # sin(x1 + x2) and cos(x1 + x2) once each, not 11 sin/cos calls
+    from occtl.sysmodel import augment, builtin_system
+    kernel = augment(builtin_system("ex1-timevarying"))._field
+    state = np.random.default_rng(1).uniform(-3, 3, size=(50, 4))
+    want = kernel(state, 0.5)
+    counting = _CountingNumpy("sin", "cos")
+    monkeypatch.setitem(kernel.__globals__, "_np", counting)
+    np.testing.assert_array_equal(kernel(state, 0.5), want)
+    assert counting.calls == {"sin": 2, "cos": 2}
 
 
 def test_compiled_vectorized():

@@ -1,14 +1,17 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from occtl import lyapunov
+from occtl.cli import main
 from occtl.contraction import SamplingPlan, check_oes_variational
 from occtl.lyapunov import (
-    Bounds, CandidateV, CheckDomain, check_decay, check_sandwich,
-    check_time_invariant, implied_rate, report_json, reverify_counterexample,
-    vdot, vdot_fd,
+    Bounds, CandidateV, CheckDomain, check_certificate, check_decay,
+    check_sandwich, check_time_invariant, implied_rate, report_json,
+    reverify_counterexample, vdot, vdot_fd,
 )
 from occtl.odeint import IntegratorConfig, integrate
 from occtl.sysmodel import SystemSpec, augment, builtin_system
@@ -379,3 +382,77 @@ def test_counterexample_prefers_a_numeric_slack():
     assert math.isnan(report.worst_margin)
     assert report.counterexample["slack"] < -1e-9
     assert reverify_counterexample(spec, V_SUM_SQ, bounds, report) < -1e-6
+
+
+# ---------------------------------------------------------------------------
+# one draw per command, judged in row blocks
+# ---------------------------------------------------------------------------
+
+def _probe_rows(dom: CheckDomain) -> int:
+    """Rows the deterministic probes add to a draw of `dom`."""
+    one = dataclasses.replace(dom, samples=1)
+    return len(lyapunov._sample_domain(2, one)[0]) - 1
+
+
+@pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 1)])
+def test_row_blocks_judge_as_one_pass(monkeypatch, blocks):
+    # the draw has a multiple of the block size plus a few rows; a nan
+    # slack and a tie for the least slack (xi and -xi give the same bits)
+    # sit at its end, across the last block boundary, and the reports must
+    # equal those of one block holding the whole draw
+    times, extra = blocks
+    rows = times * lyapunov._BLOCK + extra
+    dom = domain(seed=5)
+    dom = dataclasses.replace(dom, samples=rows - _probe_rows(dom))
+    spec = builtin_system("ex1-timevarying")
+    bounds = Bounds(1.0, 2.0, 0.0, 12.0)
+    # scaling xi by 1e3 scales the decay slack by 1e6: the worst sample
+    # scaled stays the worst
+    worst = check_decay(spec, V_SUM_SQ, bounds, dom).counterexample
+    real = lyapunov._sample_domain
+
+    def draw(n, d):
+        x, xi, t = (a.copy() for a in real(n, d))
+        first, nan_row, tie = rows // 2, rows - 2, rows - 1
+        x[[first, tie]], t[[first, tie]] = worst["x"], worst["t"]
+        xi[first] = np.multiply(1e3, worst["xi"])
+        xi[tie] = -xi[first]
+        xi[nan_row] = 1e200
+        return x, xi, t
+
+    monkeypatch.setattr(lyapunov, "_sample_domain", draw)
+    blocked = check_certificate(spec, V_SUM_SQ, bounds, dom)
+    monkeypatch.setattr(lyapunov, "_BLOCK", rows + 1)
+    whole = check_certificate(spec, V_SUM_SQ, bounds, dom)
+    assert [report_json(r) for r in blocked] == \
+        [report_json(r) for r in whole]
+    decay = blocked[1]
+    assert decay.checked == rows and math.isnan(decay.worst_margin)
+    # the first of the tied least slacks, not the nan one
+    assert decay.counterexample["xi"] == [1e3 * c for c in worst["xi"]]
+
+
+@pytest.mark.parametrize("alpha4", [["--alpha4", "2"], []])
+def test_one_lyapunov_command_draws_once_and_compiles_v_once(
+        monkeypatch, compile_calls, capsys, alpha4):
+    draws, v_compiles = [], []
+    real_draw, real_compile = lyapunov._sample_domain, lyapunov.compile_expr
+
+    def draw(n, dom):
+        draws.append(dom)
+        return real_draw(n, dom)
+
+    def compile_v(exprs, names):
+        v_compiles.append(exprs)
+        return real_compile(exprs, names)
+    monkeypatch.setattr(lyapunov, "_sample_domain", draw)
+    monkeypatch.setattr(lyapunov, "compile_expr", compile_v)
+    system = "ex1-timevarying" if alpha4 else "ex2-timeinvariant"
+    code = main(["lyapunov", "--system", system, "--V", "(xi1 + xi2)^2",
+                 "--alpha1", "1", "--alpha2", "2", "--alpha3", "1", *alpha4,
+                 "--samples", "3000"])
+    checks = json.loads(capsys.readouterr().out)["results"]["checks"]
+    assert code == 0 and len(checks) == (2 if alpha4 else 1)
+    assert len(draws) == 1 and len(v_compiles) == 1
+    assert compile_calls == [1, 4]   # Jh xi, then (f, Jf xi)
+
