@@ -523,7 +523,7 @@ def simulate_variational(spec: SystemSpec, x0, xi0, t0: float, tf: float,
     traj = integrate(aug.field, np.concatenate([x0, xi0]), t0, tf, cfg)
     n = spec.n
     x, xi = traj.states[:, :n], traj.states[:, n:]
-    nu = aug.output(x, xi, traj.times)
+    nu = aug.output(traj.states, traj.times)
     return VariationalRun(times=traj.times, x=x, xi=xi, nu=nu,
                           failure=traj.failure)
 
@@ -547,8 +547,7 @@ def check_oes_variational(spec: SystemSpec, plan: SamplingPlan,
         return x0, xi0 / np.linalg.norm(xi0)
 
     def judge(i, traj, x0, xi0):
-        grid, states, nu, truncated = _observe(
-            traj, lambda s, g: aug.output(s[:, :n], s[:, n:], g))
+        grid, states, nu, truncated = _observe(traj, aug.output)
         xi_norm = np.linalg.norm(states[:, n:], axis=-1)
         series = DivergenceSeries(
             times=grid, d=np.linalg.norm(nu, axis=-1),
@@ -648,7 +647,7 @@ def fd_variational_check(spec: SystemSpec, x0, xi0, delta: float,
         / (1e-12 + np.linalg.norm(xi, axis=-1))
 
     _, y = eval_fh(spec, pair_states, grid[:, None])    # (g, 2, m)
-    nu = aug.output(vari_states[:, :spec.n], xi, grid)
+    nu = aug.output(vari_states, grid)
     q_out = (y[:, 1] - y[:, 0]) / delta
     out_dev = np.linalg.norm(q_out - nu, axis=-1) \
         / (1e-12 + np.linalg.norm(nu, axis=-1))

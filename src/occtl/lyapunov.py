@@ -17,6 +17,8 @@ the same pipeline.  The samples are evaluated in blocks of `_BLOCK` rows
 that stay in cache: each block's (x, xi) state is built once and read by
 V's compiled kernel and by the compiled variational kernels of `augment`
 (f, Jf xi and nu); only V's partials use dual numbers, as V may use abs.
+Only V and each condition's slack are kept for the whole draw; the named
+terms of a counterexample are recomputed on its own block.
 None of them has domain guards, so a sample where f, h or V is undefined
 gets a nan slack, which counts as a violation of that sample instead of
 failing the run.  A passing report is evidence over the sampled domain,
@@ -148,8 +150,9 @@ class CheckDomain:
         t_lo, t_hi = self.t_range
         if not (0 <= t_lo <= t_hi and math.isfinite(t_hi)):
             raise ValueError("t_range must satisfy 0 <= t_lo <= t_hi < inf")
-        if not all(0 < r < math.inf for r in self.xi_radii):
-            raise ValueError("xi radii must be finite and positive")
+        if not (self.xi_radii
+                and all(0 < r < math.inf for r in self.xi_radii)):
+            raise ValueError("need xi radii, each finite and positive")
 
 
 @dataclass(frozen=True)
@@ -291,14 +294,17 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     `at_time_zero`).  The draw is evaluated in blocks of `_BLOCK` rows: each
     block builds its (rows, 2n) state (x, xi) once, V's compiled kernel
     reads it, and each ``terms(xi, t, state, v) -> (slack, named terms after
-    V)`` reads the block; the slacks and named terms are written into
-    full-length columns.  Every operation is row-wise, so the blocks give
-    the bits of one pass over the whole draw.  Each condition is then judged
-    over the whole draw: a slack not at least -tolerance (nan included, as
-    where V is undefined) is a violation, and the counterexample is the
-    violated sample of least slack, nan ranked last."""
+    V)`` reads the block; only V and the slacks are kept for the whole
+    draw.  Every operation is row-wise, so the blocks give the bits of one
+    pass over the whole draw.  Each condition is then judged over the whole
+    draw: a slack not at least -tolerance (nan included, as where V is
+    undefined) is a violation, and the counterexample is the violated sample
+    of least slack, nan ranked last, with the named terms of its row."""
     validate(spec)
     V.check_variables(spec.n)
+    if len(domain.x_box) != spec.n:
+        raise ValueError(f"domain box has {len(domain.x_box)} intervals, "
+                         f"system has n={spec.n}")
     for _, _, requires in conditions:
         for met, message in requires:
             if not met:
@@ -311,24 +317,19 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     size = x.shape[0]
     v = np.empty(size)
     slacks = [np.empty(size) for _ in conditions]
-    named = [{} for _ in conditions]
     with np.errstate(all="ignore"):   # an overflowing sample judges as nan
         for start in range(0, size, _BLOCK):
             at = slice(start, start + _BLOCK)
             state = np.concatenate([x[at], xi[at]], axis=-1)
             v[at] = v_of(state, t[at])[:, 0]
-            for (_, terms, _), slack, columns in zip(conditions, slacks,
-                                                     named):
-                slack[at], block_named = terms(xi[at], t[at], state, v[at])
-                for k, term in block_named.items():
-                    columns.setdefault(k, np.empty(size))[at] = term
+            for (_, terms, _), slack in zip(conditions, slacks):
+                slack[at] = terms(xi[at], t[at], state, v[at])[0]
         tolerance = _tolerance(v)
-        return [_judge(condition, x, xi, t, v, slack, columns, tolerance)
-                for (condition, _, _), slack, columns
-                in zip(conditions, slacks, named)]
+        return [_judge(condition, terms, x, xi, t, v, slack, tolerance)
+                for (condition, terms, _), slack in zip(conditions, slacks)]
 
 
-def _judge(condition: str, x, xi, t, v, slack, named: dict,
+def _judge(condition: str, terms, x, xi, t, v, slack,
            tolerance) -> FalsificationReport:
     violated = ~(slack >= -tolerance)
     counterexample = None
@@ -338,7 +339,13 @@ def _judge(condition: str, x, xi, t, v, slack, named: dict,
         counterexample = {"x": [float(c) for c in x[i]],
                           "xi": [float(c) for c in xi[i]],
                           "t": float(t[i]), "V": float(v[i])}
-        counterexample.update({k: float(term[i]) for k, term in named.items()})
+        start = i - i % _BLOCK   # the pass's block holding i, rebuilt
+        at = slice(start, start + _BLOCK)
+        _, named = terms(xi[at], t[at],
+                         np.concatenate([x[at], xi[at]], axis=-1), v[at])
+        for k, term in named.items():   # a scalar term broadcasts
+            counterexample[k] = float(
+                np.broadcast_to(term, v[at].shape)[i - start])
     return FalsificationReport(condition=condition,
                                passed=counterexample is None,
                                checked=slack.size,
@@ -349,7 +356,7 @@ def _judge(condition: str, x, xi, t, v, slack, named: dict,
 def _sandwich_terms(aug, bounds, xi, t, state, v, weight=1.0):
     """Slacks of alpha1 ||nu||^p <= V <= alpha2 ||xi||^p weight, with
     ||nu|| and ||xi||: (lower, upper, nu_norm, xi_norm)."""
-    nu_norm = np.linalg.norm(aug.state_output(state, t), axis=-1)
+    nu_norm = np.linalg.norm(aug.output(state, t), axis=-1)
     xi_norm = np.linalg.norm(xi, axis=-1)
     return (v - bounds.alpha1 * nu_norm ** bounds.p,
             bounds.alpha2 * xi_norm ** bounds.p * weight - v, nu_norm, xi_norm)
@@ -487,19 +494,15 @@ def reverify_counterexample(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     xi = np.array(ce["xi"])
     t = ce["t"]
     v = float(evaluate(V.expr, _v_env(spec.n, x, xi, t)))
+    if report.condition == "decay":
+        return float(-bounds.alpha4 * v - vdot_fd(spec, V, x, xi, t))
+    _, Jh = finite_diff_jacobian(spec, x, t, 1e-6)
+    lower = v - bounds.alpha1 * np.linalg.norm(Jh @ xi) ** bounds.p
     if report.condition == "sandwich":
-        _, Jh = finite_diff_jacobian(spec, x, t, 1e-6)
-        nu = Jh @ xi
-        lower = v - bounds.alpha1 * np.linalg.norm(nu) ** bounds.p
         upper = bounds.alpha2 * np.linalg.norm(xi) ** bounds.p \
             * math.exp(bounds.alpha3 * (t - ce.get("t0", 0.0))) - v
         return float(min(lower, upper))
-    if report.condition == "decay":
-        return float(-bounds.alpha4 * v - vdot_fd(spec, V, x, xi, t))
     # time-invariant combined condition
-    _, Jh = finite_diff_jacobian(spec, x, t, 1e-6)
-    nu = Jh @ xi
-    lower = v - bounds.alpha1 * np.linalg.norm(nu) ** bounds.p
     upper = bounds.alpha2 * np.linalg.norm(xi) ** bounds.p - v
     decay = -bounds.alpha3 * v - vdot_fd(spec, V, x, xi, t)
     return float(min(lower, upper, decay))

@@ -273,13 +273,8 @@ class AugmentedSystem:
     def field(self, state, t) -> np.ndarray:
         return self._field(state, t)
 
-    def output(self, x, xi, t) -> np.ndarray:
-        """nu = Jh(x, t) xi, shaped (..., m)."""
-        return self.state_output(
-            np.concatenate(np.broadcast_arrays(x, xi), axis=-1), t)
-
-    def state_output(self, state, t) -> np.ndarray:
-        """`output` of (..., 2n) states (x, xi), the form `field` takes."""
+    def output(self, state, t) -> np.ndarray:
+        """nu = Jh(x, t) xi, shaped (..., m), of (..., 2n) states (x, xi)."""
         return self._output(state, t)
 
 

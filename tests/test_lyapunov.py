@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -246,11 +247,23 @@ def test_implied_rate_time_invariant_constants():
     dict(t_range=(0.0, math.nan)),
     dict(xi_radii=(1.0, math.inf)),
     dict(xi_radii=(math.nan,)),
+    dict(xi_radii=()),
 ])
 def test_domain_rejects_non_finite_ranges(kw):
     base = dict(x_box=((-1.0, 1.0), (-1.0, 1.0)))
     with pytest.raises(ValueError):
         CheckDomain(**{**base, **kw})
+
+
+@pytest.mark.parametrize("check", [check_certificate, check_sandwich,
+                                   check_decay, check_time_invariant])
+@pytest.mark.parametrize("intervals", [1, 3])
+def test_checks_reject_a_box_of_another_dimension(check, intervals):
+    dom = CheckDomain(x_box=((-1.0, 1.0),) * intervals, samples=10)
+    with pytest.raises(ValueError, match=f"box has {intervals} intervals, "
+                                         "system has n=2"):
+        check(builtin_system("lti-remark1"), V_NORM_SQ,
+              Bounds(1.0, 2.0, 1.0, 2.0), dom)
 
 
 @pytest.mark.parametrize("kw", [
@@ -421,15 +434,59 @@ def test_row_blocks_judge_as_one_pass(monkeypatch, blocks):
         return x, xi, t
 
     monkeypatch.setattr(lyapunov, "_sample_domain", draw)
-    blocked = check_certificate(spec, V_SUM_SQ, bounds, dom)
-    monkeypatch.setattr(lyapunov, "_BLOCK", rows + 1)
-    whole = check_certificate(spec, V_SUM_SQ, bounds, dom)
-    assert [report_json(r) for r in blocked] == \
-        [report_json(r) for r in whole]
-    decay = blocked[1]
+    block = lyapunov._BLOCK
+
+    def blocked_as_whole(spec, bounds):
+        monkeypatch.setattr(lyapunov, "_BLOCK", block)
+        blocked = check_certificate(spec, V_SUM_SQ, bounds, dom)
+        monkeypatch.setattr(lyapunov, "_BLOCK", rows + 1)
+        whole = check_certificate(spec, V_SUM_SQ, bounds, dom)
+        assert [report_json(r) for r in blocked] == \
+            [report_json(r) for r in whole]
+        return blocked
+
+    decay = blocked_as_whole(spec, bounds)[1]
     assert decay.checked == rows and math.isnan(decay.worst_margin)
     # the first of the tied least slacks, not the nan one
     assert decay.counterexample["xi"] == [1e3 * c for c in worst["xi"]]
+    # a violated sandwich, whose named terms include the scalar t0, and the
+    # time-invariant form: the counterexample's named terms are rebuilt from
+    # its own block, which at two blocks is the second
+    sandwich, _ = blocked_as_whole(spec, Bounds(1.0, 0.5, 0.0, 12.0))
+    [combined] = blocked_as_whole(builtin_system("ex2-timeinvariant"),
+                                  Bounds(1.0, 2.0, 12.0))
+    for report in (sandwich, combined):
+        assert report.counterexample["xi"] == [1e3 * c for c in worst["xi"]]
+    assert sandwich.counterexample["t0"] == 0.0
+    assert sandwich.counterexample["xi_norm"] == pytest.approx(
+        np.linalg.norm(sandwich.counterexample["xi"]), rel=1e-15)
+    assert sandwich.counterexample["upper_slack"] < 0
+    assert combined.counterexample["decay_slack"] < 0
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificate_check_needs_no_more_memory_than_its_draw():
+    # only V and one slack per condition outlive a block, and the
+    # counterexample's named terms come from its own block, so the peak of
+    # a failing 1e5-sample check is that of drawing its samples
+    spec = builtin_system("ex1-timevarying")
+    bounds = Bounds(1.0, 2.0, 0.0, 12.0)
+    dom = domain(samples=100_000, seed=7)
+    check_certificate(spec, V_SUM_SQ, bounds, domain(samples=10))
+    draw = _traced_peak(lambda: lyapunov._sample_domain(spec.n, dom))
+    reports = []
+    check = _traced_peak(lambda: reports.extend(
+        check_certificate(spec, V_SUM_SQ, bounds, dom)))
+    assert not reports[1].passed
+    assert check <= 1.05 * draw
 
 
 @pytest.mark.parametrize("alpha4", [["--alpha4", "2"], []])

@@ -257,7 +257,7 @@ def _field_values(name: str, kind: str):
     aug = augment(spec)
     if kind == "aug.field":
         return [aug.field(s, t) for s, t in _rows(2 * n)]
-    return [aug.output(s[..., :n], s[..., n:], t) for s, t in _rows(2 * n)]
+    return [aug.output(s, t) for s, t in _rows(2 * n)]
 
 
 def field_digest(case: str) -> str:

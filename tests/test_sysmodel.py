@@ -259,7 +259,7 @@ def test_lti_xi_block_equals_state_dynamics():
 def test_ex1_variational_output_is_xi_sum():
     aug = augment(builtin_system("ex1-timevarying"))
     xi = np.array([0.3, -1.2])
-    nu = aug.output(np.array([1.0, 2.0]), xi, 0.5)
+    nu = aug.output(np.concatenate([[1.0, 2.0], xi]), 0.5)
     np.testing.assert_allclose(nu, [xi.sum()], atol=0)
 
 
@@ -324,5 +324,6 @@ def test_augmented_field_agrees_with_dual_jacobian_route():
             b = jacobians(spec, x, t)
             np.testing.assert_allclose(out[spec.n:], b.Jf @ xi,
                                        rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(aug.output(x, xi, t), b.Jh @ xi,
+            np.testing.assert_allclose(aug.output(np.concatenate([x, xi]), t),
+                                       b.Jh @ xi,
                                        rtol=1e-12, atol=1e-12)
