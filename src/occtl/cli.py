@@ -278,7 +278,7 @@ def cmd_lyapunov(args) -> int:
         tuple((-10.0, 10.0) for _ in range(spec.n)),
         t_range=_range(args.t_range),
         samples=args.samples, seed=args.seed,
-        xi_radii=tuple(float(v) for v in args.xi_radii.split(",")))
+        xi_radii=tuple(_vec(args.xi_radii, None, "--xi-radii").tolist()))
     reports = check_certificate(spec, candidate, bounds, domain)
     c, alpha = implied_rate(bounds)
     rep.add("checks", [report_json(r) for r in reports])

@@ -6,12 +6,13 @@ into immutable expression trees, evaluated either on floats or elementwise on
 numpy arrays, differentiated exactly with dual numbers or symbolically, and
 compiled into one vectorised kernel per expression list.  The kernels are
 the production path for f, h, the variational system and a certificate's
-value; the tree-walking `evaluate` is the reference they are checked
-against.  Only `evaluate` raises ExprEvalError on a domain violation; the
-compiled kernels and the dual numbers have no domain guards and return IEEE
-nan or inf there, so an integrator truncates the one sample that left f's
-domain, and a checker fails the one item or certificate sample that left
-h's or V's domain, instead of the whole run failing.
+value, nu and Vdot; the dual numbers serve only point Jacobians, and the
+tree-walking `evaluate` is the reference they are checked against.  Only
+`evaluate` raises ExprEvalError on a domain violation; the compiled kernels
+and the dual numbers have no domain guards and return IEEE nan or inf
+there, so an integrator truncates the one sample that left f's domain, and
+a checker fails the one item or certificate sample that left h's or V's
+domain, instead of the whole run failing.
 
 Grammar (EBNF)::
 
@@ -541,15 +542,18 @@ _DERIVS = {
     "ln": lambda u: _div(_c(1.0), u),
     "sqrt": lambda u: _div(_c(1.0), _mul(_c(2.0), Call("sqrt", u))),
     "tanh": lambda u: _sub(_c(1.0), _pow(Call("tanh", u), _c(2.0))),
+    "abs": lambda u: Call("sign", u),
 }
 
 
 def differentiate(e: Expr, var: str) -> Expr:
     """Exact symbolic partial derivative with respect to `var`.
 
-    Lightly constant-folded so derivative trees stay compact.  abs is not
-    differentiable and is rejected; use the dual-number path for expressions
-    that may contain it.
+    Lightly constant-folded so derivative trees stay compact.  abs gets the
+    rule sign(u)*u', with sign(0) = 0 as in the dual numbers: the symmetric
+    subgradient at the kink.  sign is a call only derivative trees hold; the
+    grammar and `evaluate` do not know it, and `compile_expr` emits it as
+    ``np.sign``.
     """
     if isinstance(e, Const):
         return _c(0.0)
@@ -576,8 +580,6 @@ def differentiate(e: Expr, var: str) -> Expr:
         return _mul(e, _add(_mul(db, Call("ln", e.left)),
                             _mul(e.right, _div(da, e.left))))
     if isinstance(e, Call):
-        if e.fn == "abs":
-            raise ExprEvalError("abs is not differentiable symbolically", e)
         inner = differentiate(e.arg, var)
         if _is(inner, 0.0):
             return _c(0.0)

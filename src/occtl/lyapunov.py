@@ -13,18 +13,20 @@ the exponential weight, and its decay constant is named alpha3 (leave alpha4
 unset for that form).  `check_certificate` judges every condition of the
 certificate's form on one draw of the domain; `check_sandwich`,
 `check_decay` and `check_time_invariant` judge one condition each through
-the same pipeline.  The samples are evaluated in blocks of `_BLOCK` rows
-that stay in cache: each block's (x, xi) state is built once and read by
-V's compiled kernel and by the compiled variational kernels of `augment`
-(f, Jf xi and nu); only V's partials use dual numbers, as V may use abs.
-Only V and each condition's slack are kept for the whole draw; the named
-terms of a counterexample are recomputed on its own block.
-None of them has domain guards, so a sample where f, h or V is undefined
-gets a nan slack, which counts as a violation of that sample instead of
-failing the run.  A passing report is evidence over the sampled domain,
-never a proof; a failing report carries a counterexample that re-evaluates
-to a violation through an independent finite-difference path, unless its
-slack is nan.
+the same pipeline.  A check compiles one kernel of V, nu and Vdot, as far
+as its conditions read them: nu is the symbolic Jh xi and Vdot one
+symbolic tree of V's partials (abs differentiates to sign), f and Jf xi,
+so subtrees they share are computed once.  The draw is filled in place and
+evaluated in blocks of `_BLOCK` rows that stay in cache: each block's
+(x, xi) state is built once, the kernel is called once on it, and each
+condition keeps only the block's least slack and its violated row of least
+slack, with that row's named terms; nothing else as long as the draw is
+kept.  The kernel has no domain guards, so a sample where f, h or V is
+undefined gets a nan slack, which counts as a violation of that sample
+instead of failing the run.  A passing report is evidence over the sampled
+domain, never a proof; a failing report carries a counterexample that
+re-evaluates to a violation through an independent finite-difference
+path, unless its slack is nan.
 
 Certificates are checked, never synthesised.
 """
@@ -34,14 +36,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .exprlang import (
-    Expr, compile_expr, dual_env, evaluate, evaluate_dual, free_vars, parse,
+    Bin, Const, Expr, compile_expr, differentiate, evaluate, free_vars, parse,
 )
+from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 from .sysmodel import (
-    AugmentedSystem, SystemSpec, augment, eval_fh, finite_diff_jacobian,
+    SystemSpec, _tangent_names, _tangents, eval_fh, finite_diff_jacobian,
     json_safe, validate,
 )
 from .sysmodel import jacobians  # noqa: F401  looked up by bench/tracing.py
@@ -59,10 +63,10 @@ def _tolerance(v) -> np.ndarray:
     return 1e-9 + 1e-9 * np.abs(v)
 
 
-#: samples evaluated together, so that a block's state, V, variational
-#: field and slacks stay in cache; on the 1e5-sample ex1 certificate one
-#: command took 112, 96, 83 and 80 ms at 1024, 2048, 4096 and 16384 rows
-#: and 96 ms in one block
+#: samples evaluated together, so that a block's state, kernel columns and
+#: slacks stay in cache; on the 1e5-sample ex1 certificate one command took
+#: 112, 96, 83 and 80 ms at 1024, 2048, 4096 and 16384 rows and 96 ms in
+#: one block, measured before V, nu and Vdot shared one kernel
 _BLOCK = 4096
 
 
@@ -185,35 +189,64 @@ def report_json(report: FalsificationReport) -> dict:
 # sampling
 # ---------------------------------------------------------------------------
 
+def _uniform(rng: np.random.Generator, lo: float, hi: float,
+             out: np.ndarray) -> None:
+    """Fill `out` as ``rng.uniform(lo, hi, out.size)`` would, in place:
+    the same draws of the stream and lo + (hi - lo)*u, rounded alike."""
+    rng.random(out=out)
+    out *= hi - lo
+    out += lo
+
+
 def _sample_domain(n: int, domain: CheckDomain
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random draws plus deterministic probes; returns (x, xi, t) arrays."""
+    """Random draws plus deterministic probes; returns (x, xi, t) arrays.
+
+    The arrays are allocated once, at the size of the draw and its probes,
+    and filled in place: x column by column (it is column-major, so each
+    column takes the uniform draws directly), xi as normal directions scaled
+    to unit length and then to the radius of each row, t last; the probes
+    (corners of the box's first six axes, at the midpoint of the others, x
+    axis seeds x horizon endpoints) fill the tail.  The only temporaries
+    are the squares and norms of the directions.
+    """
     rng = np.random.default_rng(domain.seed)
     s = domain.samples
-    x = np.stack([rng.uniform(lo, hi, size=s) for lo, hi in domain.x_box],
-                 axis=-1)
-    dirs = rng.standard_normal((s, n))
-    norms = np.linalg.norm(dirs, axis=-1, keepdims=True)
-    dirs = np.where(norms < 1e-12, 1.0 / math.sqrt(n),
-                    dirs / np.maximum(norms, 1e-300))
-    radii = np.asarray(domain.xi_radii)[np.arange(s) % len(domain.xi_radii)]
-    xi = dirs * radii[:, None]
-    t = rng.uniform(domain.t_range[0], domain.t_range[1], size=s)
-
-    # deterministic probes: box corners x axis seeds x horizon endpoints
-    corner_axes = domain.x_box if n <= 6 else domain.x_box[:6]
-    corners = [np.array([c[i % len(c)] if i < len(c) else
-                         0.5 * (domain.x_box[i][0] + domain.x_box[i][1])
-                         for i in range(n)])
-               for c in itertools.product(*corner_axes)]
-    axes = [sign * np.eye(n)[i] for i in range(n) for sign in (+1.0, -1.0)]
+    corners = [np.array(c + tuple(0.5 * (lo + hi)
+                                  for lo, hi in domain.x_box[len(c):]))
+               for c in itertools.product(*domain.x_box[:6])]
     t_lo, t_hi = domain.t_range
     probe_ts = (t_lo,) if t_lo == t_hi else (t_lo, t_hi)
-    probe_x, probe_xi, probe_t = zip(*itertools.product(corners, axes,
-                                                         probe_ts))
-    return (np.concatenate([x, np.array(probe_x)]),
-            np.concatenate([xi, np.array(probe_xi)]),
-            np.concatenate([t, np.array(probe_t)]))
+    seeds = np.repeat([sign * np.eye(n)[i] for i in range(n)
+                       for sign in (+1.0, -1.0)], len(probe_ts), axis=0)
+    size = s + len(corners) * len(seeds)
+    x = np.empty((size, n), order="F")
+    xi = np.empty((size, n))
+    t = np.empty(size)
+
+    for (lo, hi), column in zip(domain.x_box, x.T):
+        _uniform(rng, lo, hi, column[:s])
+    dirs = xi[:s]
+    rng.standard_normal(out=dirs)
+    squares = dirs * dirs
+    norms = np.add.reduce(squares, axis=-1, keepdims=True)
+    del squares
+    np.sqrt(norms, out=norms)
+    small = norms < 1e-12
+    np.maximum(norms, 1e-300, out=norms)
+    dirs /= norms
+    np.copyto(dirs, 1.0 / math.sqrt(n), where=small)
+    del norms, small
+    for k, radius in enumerate(domain.xi_radii):
+        dirs[k::len(domain.xi_radii)] *= radius
+    _uniform(rng, t_lo, t_hi, t[:s])
+
+    for k, corner in enumerate(corners):
+        rows = slice(s + k * len(seeds), s + (k + 1) * len(seeds))
+        x[rows] = corner
+        xi[rows] = seeds
+    t[s:] = np.resize(probe_ts, size - s)
+    return x, xi, t
 
 
 def _v_env(n: int, x, xi, t) -> dict:
@@ -225,37 +258,60 @@ def _v_env(n: int, x, xi, t) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# certificate derivative along the augmented flow
+# the certificate kernel
 # ---------------------------------------------------------------------------
+
+def _vdot_expr(spec: SystemSpec, V: Expr) -> Expr:
+    """dV/dt + (0.0 + sum_i dV/dx_i*f_i) + (0.0 + sum_i dV/dxi_i*(Jf xi)_i).
+
+    The sums run left to right.  Zero partials of V stay as products
+    ``0.0*f_i``, so a sample where f is undefined gets a nan Vdot even where
+    V does not depend on x."""
+    along_x: Expr = Const(0.0)
+    for name, f in zip(spec.state_names, spec.f):
+        along_x = Bin("+", along_x, Bin("*", differentiate(V, name), f))
+    along_xi: Expr = Const(0.0)
+    for name, jf_xi in zip(_tangent_names(spec), _tangents(spec, spec.f)):
+        along_xi = Bin("+", along_xi,
+                       Bin("*", differentiate(V, name), jf_xi))
+    return Bin("+", Bin("+", differentiate(V, "t"), along_x), along_xi)
+
+
+def _kernel(spec: SystemSpec, V: CandidateV, nu: bool, decay: bool):
+    """One kernel over x1..xn, xi1..xin of the columns V, then nu_1..nu_m
+    if `nu`, then Vdot if `decay`; compiled once per spec and key.
+
+    V, nu = Jh xi and Vdot share one call, so a subtree of f, h or V that
+    several of them hold is computed once per call."""
+    key = ("certificate", V, nu, decay)
+    kernel = spec._kernels.get(key)
+    if kernel is None:
+        exprs = (V.expr,)
+        if nu:
+            exprs += _tangents(spec, spec.h)
+        if decay:
+            exprs += (_vdot_expr(spec, V.expr),)
+        kernel = spec._kernels[key] = compile_expr(
+            exprs, spec.state_names + _tangent_names(spec))
+    return kernel
+
 
 def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     """dV/dt + dV/dx f + dV/dxi (Jf xi).
 
-    f and Jf xi come from the compiled variational kernel of `augment`; the
-    partials of V come from dual numbers, since V may use abs.  Works on
-    single points (shape (n,)) or batches (..., n); the result is a float or
-    an array of the batch shape.
+    V's partials, f and Jf xi are compiled symbolic derivatives in one
+    kernel with V (abs in V differentiates to sign, 0 at the kink), the
+    kernel the falsifier's decay check reads.  Works on single points
+    (shape (n,)) or batches (..., n); the result is a float or an array of
+    the batch shape.
     """
-    aug = augment(spec)
+    validate(spec)
     V.check_variables(spec.n)
     x = np.asarray(x, dtype=float)
-    total = _vdot(aug, V, np.concatenate(
-        np.broadcast_arrays(x, np.asarray(xi, dtype=float)), axis=-1), t)
+    state = np.concatenate(
+        np.broadcast_arrays(x, np.asarray(xi, dtype=float)), axis=-1)
+    total = _kernel(spec, V, nu=False, decay=True)(state, t)[..., -1]
     return float(total) if x.ndim == 1 else total
-
-
-def _vdot(aug: AugmentedSystem, V: CandidateV, state, t):
-    """`vdot` of (..., 2n) states (x, xi)."""
-    n = aug.base.n
-    env = _v_env(n, state[..., :n], state[..., n:], t)
-    grad = np.asarray(evaluate_dual(V.expr, dual_env(env, list(env))).grad,
-                      dtype=float)
-    flow = aug.field(state, t)
-    dV_dx = np.moveaxis(grad[:n], 0, -1)
-    dV_dxi = np.moveaxis(grad[n:2 * n], 0, -1)
-    with np.errstate(all="ignore"):
-        return grad[2 * n] + np.sum(dV_dx * flow[..., :n], axis=-1) \
-            + np.sum(dV_dxi * flow[..., n:], axis=-1)
 
 
 def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
@@ -283,127 +339,147 @@ def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
 # condition checks
 # ---------------------------------------------------------------------------
 
-def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
-             conditions, at_time_zero: bool = False
-             ) -> list[FalsificationReport]:
-    """Judge every ``(condition, terms, requires)`` of `conditions` on one
-    draw of `domain`, reports in that order.
+class _Condition(NamedTuple):
+    """One condition of a certificate, as `_falsify` judges it.
 
-    Validates, and raises the message of the first unmet ``(met, message)``
-    of the conditions' `requires` in order, before it draws (at t = 0 if
-    `at_time_zero`).  The draw is evaluated in blocks of `_BLOCK` rows: each
-    block builds its (rows, 2n) state (x, xi) once, V's compiled kernel
-    reads it, and each ``terms(xi, t, state, v) -> (slack, named terms after
-    V)`` reads the block; only V and the slacks are kept for the whole
-    draw.  Every operation is row-wise, so the blocks give the bits of one
-    pass over the whole draw.  Each condition is then judged over the whole
-    draw: a slack not at least -tolerance (nan included, as where V is
-    undefined) is a violation, and the counterexample is the violated sample
-    of least slack, nan ranked last, with the named terms of its row."""
+    ``terms(xi, t, v, nu, vdot) -> (slack, named terms)`` reads one block:
+    its xi and t, and the kernel's columns V, nu (rows x m) and Vdot, the
+    last two present when `nu` and `decay` ask the kernel for them.
+    `requires` holds ``(met, message)`` pairs checked before the draw."""
+
+    name: str
+    terms: Callable
+    requires: tuple = ()
+    nu: bool = False
+    decay: bool = False
+
+
+def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
+             conditions: list[_Condition], at_time_zero: bool = False
+             ) -> list[FalsificationReport]:
+    """Judge every condition of `conditions` on one draw of `domain`,
+    reports in that order.
+
+    Validates, and raises the message of the first unmet requirement of
+    the conditions in order, before it draws (at t = 0 if `at_time_zero`).
+    One kernel gives V, nu and Vdot as far as the conditions read them.
+    The draw is evaluated in blocks of `_BLOCK` rows: each block builds its
+    (rows, 2n) state (x, xi), calls the kernel once and judges every
+    condition on its rows.  A slack not at least -tolerance (nan included,
+    as where V or f is undefined) is a violation; a block keeps its least
+    slack and its violated row of least slack, nan ranked last, with the
+    named terms of that row.  Across blocks the least slack is np.min of
+    the blocks' (so nan wins, as in one pass), and a block's violated row
+    replaces the one held only when its slack is strictly less, so ties go
+    to the lowest index.  Nothing of the length of the draw is kept but the
+    draw itself, and the reports equal those of one pass over it."""
     validate(spec)
     V.check_variables(spec.n)
     if len(domain.x_box) != spec.n:
         raise ValueError(f"domain box has {len(domain.x_box)} intervals, "
                          f"system has n={spec.n}")
-    for _, _, requires in conditions:
-        for met, message in requires:
+    for condition in conditions:
+        for met, message in condition.requires:
             if not met:
                 raise ValueError(message)
     x, xi, t = _sample_domain(spec.n, domain)
     if at_time_zero:
-        t = np.zeros(x.shape[0])
-    names = [f"{s}{i + 1}" for s in ("x", "xi") for i in range(spec.n)]
-    v_of = compile_expr([V.expr], names)
-    size = x.shape[0]
-    v = np.empty(size)
-    slacks = [np.empty(size) for _ in conditions]
+        t = np.broadcast_to(0.0, t.shape)
+    nu, decay = (any(c.nu for c in conditions),
+                 any(c.decay for c in conditions))
+    kernel = _kernel(spec, V, nu, decay)
+    m = spec.m if nu else 0
+    mins = [[] for _ in conditions]
+    worst = [(math.inf, None)] * len(conditions)   # (rank, counterexample)
     with np.errstate(all="ignore"):   # an overflowing sample judges as nan
-        for start in range(0, size, _BLOCK):
+        for start in range(0, x.shape[0], _BLOCK):
             at = slice(start, start + _BLOCK)
-            state = np.concatenate([x[at], xi[at]], axis=-1)
-            v[at] = v_of(state, t[at])[:, 0]
-            for (_, terms, _), slack in zip(conditions, slacks):
-                slack[at] = terms(xi[at], t[at], state, v[at])[0]
-        tolerance = _tolerance(v)
-        return [_judge(condition, terms, x, xi, t, v, slack, tolerance)
-                for (condition, terms, _), slack in zip(conditions, slacks)]
+            out = kernel(np.concatenate([x[at], xi[at]], axis=-1), t[at])
+            v = out[:, 0]
+            tolerance = _tolerance(v)
+            for k, condition in enumerate(conditions):
+                slack, named = condition.terms(
+                    xi[at], t[at], v, out[:, 1:1 + m],
+                    out[:, -1] if decay else None)
+                mins[k].append(np.min(slack))
+                bad = np.flatnonzero(~(slack >= -tolerance))
+                if bad.size == 0:
+                    continue
+                ranks = np.where(np.isnan(slack[bad]), np.inf, slack[bad])
+                j = np.argmin(ranks)
+                if worst[k][1] is None or ranks[j] < worst[k][0]:
+                    worst[k] = ranks[j], _counterexample(
+                        bad[j], start, x, xi, t, v, named)
+    return [FalsificationReport(condition=condition.name,
+                                passed=counterexample is None,
+                                checked=x.shape[0],
+                                worst_margin=float(np.min(block_mins)),
+                                counterexample=counterexample)
+            for condition, block_mins, (_, counterexample)
+            in zip(conditions, mins, worst)]
 
 
-def _judge(condition: str, terms, x, xi, t, v, slack,
-           tolerance) -> FalsificationReport:
-    violated = ~(slack >= -tolerance)
-    counterexample = None
-    if violated.any():
-        bad = np.flatnonzero(violated)
-        i = bad[np.argmin(np.where(np.isnan(slack[bad]), np.inf, slack[bad]))]
-        counterexample = {"x": [float(c) for c in x[i]],
-                          "xi": [float(c) for c in xi[i]],
-                          "t": float(t[i]), "V": float(v[i])}
-        start = i - i % _BLOCK   # the pass's block holding i, rebuilt
-        at = slice(start, start + _BLOCK)
-        _, named = terms(xi[at], t[at],
-                         np.concatenate([x[at], xi[at]], axis=-1), v[at])
-        for k, term in named.items():   # a scalar term broadcasts
-            counterexample[k] = float(
-                np.broadcast_to(term, v[at].shape)[i - start])
-    return FalsificationReport(condition=condition,
-                               passed=counterexample is None,
-                               checked=slack.size,
-                               worst_margin=float(np.min(slack)),
-                               counterexample=counterexample)
+def _counterexample(i: int, start: int, x, xi, t, v, named) -> dict:
+    """Row `i` of the block that begins at row `start` of the draw: its
+    sample, V and named terms (a scalar term broadcasts)."""
+    row = start + i
+    counterexample = {"x": [float(c) for c in x[row]],
+                      "xi": [float(c) for c in xi[row]],
+                      "t": float(t[row]), "V": float(v[i])}
+    for k, term in named.items():
+        counterexample[k] = float(np.broadcast_to(term, v.shape)[i])
+    return counterexample
 
 
-def _sandwich_terms(aug, bounds, xi, t, state, v, weight=1.0):
+def _sandwich_terms(bounds, xi, v, nu, weight=1.0):
     """Slacks of alpha1 ||nu||^p <= V <= alpha2 ||xi||^p weight, with
     ||nu|| and ||xi||: (lower, upper, nu_norm, xi_norm)."""
-    nu_norm = np.linalg.norm(aug.output(state, t), axis=-1)
+    nu_norm = np.linalg.norm(nu, axis=-1)
     xi_norm = np.linalg.norm(xi, axis=-1)
     return (v - bounds.alpha1 * nu_norm ** bounds.p,
             bounds.alpha2 * xi_norm ** bounds.p * weight - v, nu_norm, xi_norm)
 
 
-def _sandwich(spec: SystemSpec, bounds: Bounds, domain: CheckDomain):
+def _sandwich(bounds: Bounds, domain: CheckDomain) -> _Condition:
     t0 = domain.t_range[0]
 
-    def terms(xi, t, state, v):
+    def terms(xi, t, v, nu, vd):
         lower, upper, nu_norm, xi_norm = _sandwich_terms(
-            augment(spec), bounds, xi, t, state, v,
-            np.exp(bounds.alpha3 * (t - t0)))
+            bounds, xi, v, nu, np.exp(bounds.alpha3 * (t - t0)))
         return np.minimum(lower, upper), {
             "nu_norm": nu_norm, "xi_norm": xi_norm, "lower_slack": lower,
             "upper_slack": upper, "t0": t0}
 
-    return "sandwich", terms, ()
+    return _Condition("sandwich", terms, nu=True)
 
 
-def _decay(spec: SystemSpec, V: CandidateV, bounds: Bounds):
-    def terms(xi, t, state, v):
-        vd = _vdot(augment(spec), V, state, t)
+def _decay(bounds: Bounds) -> _Condition:
+    def terms(xi, t, v, nu, vd):
         slack = -bounds.alpha4 * v - vd
         return slack, {"vdot": vd, "slack": slack}
 
-    return "decay", terms, [(
-        bounds.alpha4 is not None,
-        "the decay check needs alpha4 (time-varying form)")]
+    return _Condition("decay", terms, requires=(
+        (bounds.alpha4 is not None,
+         "the decay check needs alpha4 (time-varying form)"),), decay=True)
 
 
-def _time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds):
-    def terms(xi, t, state, v):
-        aug = augment(spec)
-        lower, upper, _, _ = _sandwich_terms(aug, bounds, xi, t, state, v)
-        vd = _vdot(aug, V, state, t)
+def _time_invariant(spec: SystemSpec, V: CandidateV,
+                    bounds: Bounds) -> _Condition:
+    def terms(xi, t, v, nu, vd):
+        lower, upper, _, _ = _sandwich_terms(bounds, xi, v, nu)
         decay = -bounds.alpha3 * v - vd
         return np.minimum(np.minimum(lower, upper), decay), {
             "vdot": vd, "lower_slack": lower, "upper_slack": upper,
             "decay_slack": decay}
 
-    return "time-invariant sandwich+decay", terms, [
+    return _Condition("time-invariant sandwich+decay", terms, requires=(
         (spec.time_invariant, f"{spec.name!r} is time-varying; use the "
                               "sandwich and decay checks"),
         (not V.time_dependent,
          "the time-invariant check needs a t-independent certificate"),
         (bounds.alpha3 > 0,
-         "the time-invariant form uses alpha3 > 0 as the decay constant")]
+         "the time-invariant form uses alpha3 > 0 as the decay constant")),
+        nu=True, decay=True)
 
 
 def check_certificate(spec: SystemSpec, V: CandidateV, bounds: Bounds,
@@ -417,8 +493,8 @@ def check_certificate(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     """
     if bounds.alpha4 is None:
         return [check_time_invariant(spec, V, bounds, domain)]
-    return _falsify(spec, V, domain, [_sandwich(spec, bounds, domain),
-                                      _decay(spec, V, bounds)])
+    return _falsify(spec, V, domain, [_sandwich(bounds, domain),
+                                      _decay(bounds)])
 
 
 def check_sandwich(spec: SystemSpec, V: CandidateV, bounds: Bounds,
@@ -429,13 +505,13 @@ def check_sandwich(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     rescales alpha2).  Both inequalities are asserted per sample with slack
     tolerance 1e-9 (1 + |V|).
     """
-    return _falsify(spec, V, domain, [_sandwich(spec, bounds, domain)])[0]
+    return _falsify(spec, V, domain, [_sandwich(bounds, domain)])[0]
 
 
 def check_decay(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                 domain: CheckDomain) -> FalsificationReport:
     """Falsify Vdot <= -alpha4 V over the sampled domain."""
-    return _falsify(spec, V, domain, [_decay(spec, V, bounds)])[0]
+    return _falsify(spec, V, domain, [_decay(bounds)])[0]
 
 
 def check_time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds,
@@ -481,9 +557,9 @@ def reverify_counterexample(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     finite-difference path; returns the slack (negative = confirmed).
 
     The recomputation shares no derivative code with the falsifier (central
-    differences instead of compiled symbolic derivatives and dual-number
-    partials of V), so a confirmed negative slack rules out a falsifier-side
-    evaluation bug.  A counterexample of nan slack is not confirmed this way,
+    differences and the tree-walking evaluator instead of the compiled
+    symbolic derivatives of f, h and V), so a confirmed negative slack rules
+    out a falsifier-side evaluation bug.  A counterexample of nan slack is not confirmed this way,
     and where f, h or V is undefined at the counterexample (the falsifier's
     kernels give nan there) the recomputation raises ExprEvalError.
     """

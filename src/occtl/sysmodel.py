@@ -77,6 +77,12 @@ class SystemSpec:
         return compile_expr(self.h, self.state_names)
 
     @cached_property
+    def _kernels(self) -> dict:
+        """Kernels other modules compile from this spec, by their own keys;
+        like `_field`, each is compiled once per spec."""
+        return {}
+
+    @cached_property
     def _augmented(self) -> "AugmentedSystem":
         return AugmentedSystem(base=validate(self))
 
@@ -232,20 +238,32 @@ def finite_diff_jacobian(spec: SystemSpec, x, t, step: float
 # variational augmentation
 # ---------------------------------------------------------------------------
 
-def _variational_kernel(spec: SystemSpec, head: tuple[Expr, ...],
-                        exprs: tuple[Expr, ...]):
-    """Compile `head`, then ``0.0 + de/dx1*xi1 + ... + de/dxn*xin`` for each
-    e in `exprs`, into one kernel over x1..xn, xi1..xin.  The sums run left
-    to right; the leading 0.0 turns a sum of -0.0 terms into +0.0, and zero
-    derivatives stay as ``0.0*xi_j``, which is nan when xi_j is not finite."""
-    xi = tuple(f"xi{j + 1}" for j in range(spec.n))
+def _tangent_names(spec: SystemSpec) -> tuple[str, ...]:
+    """The variational variables xi1..xin, one per state."""
+    return tuple(f"xi{j + 1}" for j in range(spec.n))
+
+
+def _tangents(spec: SystemSpec, exprs: tuple[Expr, ...]) -> tuple[Expr, ...]:
+    """``0.0 + de/dx1*xi1 + ... + de/dxn*xin`` for each e in `exprs`: the
+    directional derivatives along xi, as Jf xi and nu = Jh xi.  The sums run
+    left to right; the leading 0.0 turns a sum of -0.0 terms into +0.0, and
+    zero derivatives stay as ``0.0*xi_j``, which is nan when xi_j is not
+    finite."""
     sums = []
     for e in exprs:
         total: Expr = Const(0.0)
-        for x, v in zip(spec.state_names, xi):
+        for x, v in zip(spec.state_names, _tangent_names(spec)):
             total = Bin("+", total, Bin("*", differentiate(e, x), Var(v)))
         sums.append(total)
-    return compile_expr(head + tuple(sums), spec.state_names + xi)
+    return tuple(sums)
+
+
+def _variational_kernel(spec: SystemSpec, head: tuple[Expr, ...],
+                        exprs: tuple[Expr, ...]):
+    """Compile `head`, then the `_tangents` of `exprs`, into one kernel over
+    x1..xn, xi1..xin."""
+    return compile_expr(head + _tangents(spec, exprs),
+                        spec.state_names + _tangent_names(spec))
 
 
 @dataclass(frozen=True)

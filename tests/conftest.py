@@ -3,7 +3,7 @@ kernel compilations, and a system whose trajectories leave f's domain."""
 
 import pytest
 
-from occtl import sysmodel
+from occtl import lyapunov, sysmodel
 from occtl.sysmodel import SystemSpec, validate
 
 acceptance_lines: list[str] = []
@@ -18,8 +18,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def compile_calls(monkeypatch) -> list:
-    """Number of expressions of each kernel `sysmodel` compiles during the
-    test, in compile order."""
+    """Number of expressions of each kernel `sysmodel` and `lyapunov`
+    compile during the test, in compile order."""
     calls = []
     real = sysmodel.compile_expr
 
@@ -27,6 +27,7 @@ def compile_calls(monkeypatch) -> list:
         calls.append(len(exprs))
         return real(exprs, names)
     monkeypatch.setattr(sysmodel, "compile_expr", counting)
+    monkeypatch.setattr(lyapunov, "compile_expr", counting)
     return calls
 
 

@@ -2,16 +2,20 @@
 
 Everything here is deliberately computed without the package's own numerics:
 closed-form eigendecompositions, bisection, plain difference quotients, the
-paper examples' scalar output dynamics on their own RK4, and the single-start
+paper examples' scalar output dynamics on their own RK4, the single-start
 RK4 and Dormand-Prince loops that the lockstep batch of `occtl.odeint` must
-reproduce bit for bit.
+reproduce bit for bit, and the dual-number Vdot and the stacking draw that
+the certificate falsifier of `occtl.lyapunov` replaced.
 """
 
+import itertools
 import math
 
 import numpy as np
 
+from occtl.exprlang import dual_env, evaluate_dual
 from occtl.odeint import Trajectory
+from occtl.sysmodel import augment
 
 
 def lti_analytic(x0, t):
@@ -250,3 +254,56 @@ def serial_rk45(field, x0, t0: float, tf: float,
                     failure = "non_finite" if bad else "step_underflow"
                     break
     return _build(times, states, derivs, t0, tf, failure)
+
+
+# ---------------------------------------------------------------------------
+# the certificate falsifier's former Vdot and draw
+# ---------------------------------------------------------------------------
+
+def dual_vdot(spec, V, state, t):
+    """dV/dt + dV/dx f + dV/dxi (Jf xi) of (..., 2n) states (x, xi): V's
+    partials from dual numbers, f and Jf xi from the variational field of
+    `augment`, summed with np.sum."""
+    n = spec.n
+    env = {f"x{i + 1}": state[..., i] for i in range(n)}
+    env.update({f"xi{i + 1}": state[..., n + i] for i in range(n)})
+    env["t"] = t
+    grad = np.asarray(evaluate_dual(V.expr, dual_env(env, list(env))).grad,
+                      dtype=float)
+    flow = augment(spec).field(state, t)
+    dV_dx = np.moveaxis(grad[:n], 0, -1)
+    dV_dxi = np.moveaxis(grad[n:2 * n], 0, -1)
+    with np.errstate(all="ignore"):
+        return grad[2 * n] + np.sum(dV_dx * flow[..., :n], axis=-1) \
+            + np.sum(dV_dxi * flow[..., n:], axis=-1)
+
+
+def stacked_sample_domain(n, domain):
+    """The certificate draw built by stacking and concatenating: uniform x
+    per box interval, unit normal directions times the cycling radii,
+    uniform t, then the box-corner x axis-seed x endpoint probes."""
+    rng = np.random.default_rng(domain.seed)
+    s = domain.samples
+    x = np.stack([rng.uniform(lo, hi, size=s) for lo, hi in domain.x_box],
+                 axis=-1)
+    dirs = rng.standard_normal((s, n))
+    norms = np.linalg.norm(dirs, axis=-1, keepdims=True)
+    dirs = np.where(norms < 1e-12, 1.0 / math.sqrt(n),
+                    dirs / np.maximum(norms, 1e-300))
+    radii = np.asarray(domain.xi_radii)[np.arange(s) % len(domain.xi_radii)]
+    xi = dirs * radii[:, None]
+    t = rng.uniform(domain.t_range[0], domain.t_range[1], size=s)
+
+    corner_axes = domain.x_box if n <= 6 else domain.x_box[:6]
+    corners = [np.array([c[i % len(c)] if i < len(c) else
+                         0.5 * (domain.x_box[i][0] + domain.x_box[i][1])
+                         for i in range(n)])
+               for c in itertools.product(*corner_axes)]
+    axes = [sign * np.eye(n)[i] for i in range(n) for sign in (+1.0, -1.0)]
+    t_lo, t_hi = domain.t_range
+    probe_ts = (t_lo,) if t_lo == t_hi else (t_lo, t_hi)
+    probe_x, probe_xi, probe_t = zip(*itertools.product(corners, axes,
+                                                         probe_ts))
+    return (np.concatenate([x, np.array(probe_x)]),
+            np.concatenate([xi, np.array(probe_xi)]),
+            np.concatenate([t, np.array(probe_t)]))

@@ -123,6 +123,18 @@ def test_non_finite_input_is_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["simulate", *LTI, "--x0", "1,,1"], "--x0"),
+    ([*LYAPUNOV, "--xi-radii", "1,,2"], "--xi-radii"),
+])
+def test_malformed_vector_names_its_flag(capsys, argv, flag):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {flag} must be comma-separated numbers, got " \
+                  f"'{argv[-1]}'\n"
+
+
 # ---------------------------------------------------------------------------
 # simulate and jacobian
 # ---------------------------------------------------------------------------

@@ -362,9 +362,20 @@ def test_symbolic_derivative_matches_dual_and_fd():
                                        ["x1", "x2"])).grad[0] == -4.0
 
 
-def test_symbolic_derivative_rejects_abs():
-    with pytest.raises(ExprEvalError):
-        differentiate(parse("abs(x1)"), "x1")
+def test_symbolic_abs_derivative_is_its_sign_with_zero_at_the_kink():
+    # sign(u)*u', the dual numbers' subgradient; sign is a kernel call only
+    d = differentiate(parse("abs(x1*x2)"), "x1")
+    assert d == Bin("*", Call("sign", parse("x1*x2")), Var("x2"))
+    fn = compile_expr([d], ["x1", "x2"])
+    x = np.array([[2.0, -3.0], [-2.0, -3.0], [0.0, 5.0], [-0.0, 5.0],
+                  [np.nan, 1.0]])
+    got = fn(x, 0.0)[:, 0]
+    dual = evaluate_dual(parse("abs(x1*x2)"), dual_env(
+        {"x1": x[:, 0], "x2": x[:, 1]}, ["x1"])).grad[0]
+    assert got.tobytes() == dual.tobytes()
+    np.testing.assert_array_equal(got, [3.0, -3.0, 0.0, 0.0, np.nan])
+    with pytest.raises(ExprSyntaxError, match="unknown function 'sign'"):
+        parse("sign(x1)")
 
 
 def test_compiled_matches_interpreted():

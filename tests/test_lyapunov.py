@@ -14,8 +14,10 @@ from occtl.lyapunov import (
     check_sandwich, check_time_invariant, implied_rate, report_json,
     reverify_counterexample, vdot, vdot_fd,
 )
+from occtl.exprlang import evaluate
 from occtl.odeint import IntegratorConfig, integrate
 from occtl.sysmodel import SystemSpec, augment, builtin_system
+from oracles import dual_vdot, stacked_sample_domain
 
 V_SUM_SQ = CandidateV.from_string("(xi1 + xi2)^2")
 V_NORM_SQ = CandidateV.from_string("xi1^2 + xi2^2")
@@ -96,13 +98,37 @@ def test_vdot_zero_partial_keeps_an_overflow():
     assert got == -math.inf
 
 
+@pytest.mark.parametrize("system", ["ex1-timevarying", "ex2-timeinvariant"])
+@pytest.mark.parametrize("certificate", [
+    "(xi1 + xi2)^2", "(xi1 + xi2)^2 + 0.01*(x1^2 + x2^2)*xi1^2"])
+def test_vdot_matches_the_dual_number_oracle_on_a_draw(system, certificate):
+    spec = builtin_system(system)
+    V = CandidateV.from_string(certificate)
+    x, xi, t = lyapunov._sample_domain(spec.n, domain(samples=100_000,
+                                                      seed=7))
+    got = vdot(spec, V, x, xi, t)
+    want = dual_vdot(spec, V, np.concatenate([x, xi], axis=-1), t)
+    assert got.shape == (100_032,)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_vdot_differentiates_abs_to_its_sign():
+    # V = |xi1| + 2|xi2| on lti-remark1: Vdot = sign(xi1)(Jf xi)_1 +
+    # 2 sign(xi2)(Jf xi)_2, with sign(0) = 0
+    spec = builtin_system("lti-remark1")
+    V = CandidateV.from_string("abs(xi1) + 2*abs(xi2)")
+    assert vdot(spec, V, (0.0, 0.0), (1.0, -1.0), 0.0) == -3.0 - 2.0 * 3.0
+    assert vdot(spec, V, (0.0, 0.0), (0.0, 1.0), 0.0) == -4.0
+    assert vdot(spec, V, (0.0, 0.0), (0.0, 0.0), 0.0) == 0.0
+
+
 def test_pointwise_vdot_compiles_the_variational_field_once(compile_calls):
     spec = builtin_system("ex2-timeinvariant")
     rng = np.random.default_rng(3)
     for _ in range(25):
         vdot(spec, V_SUM_SQ, rng.uniform(-2, 2, size=2),
              rng.uniform(-2, 2, size=2), 0.0)
-    assert compile_calls == [4]   # (f, Jf xi)
+    assert compile_calls == [2]   # (V, Vdot)
 
 
 def test_candidate_variable_validation():
@@ -148,7 +174,7 @@ def test_sandwich_then_decay_compile_each_kernel_once(compile_calls):
     bounds = Bounds(1.0, 2.0, 0.0, 2.0)
     for check in (check_sandwich, check_decay, check_sandwich, check_decay):
         check(spec, V_SUM_SQ, bounds, domain(samples=200))
-    assert compile_calls == [1, 4]   # Jh xi, then (f, Jf xi)
+    assert compile_calls == [2, 2]   # (V, Jh xi), then (V, Vdot)
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +327,6 @@ def test_implied_rate_feeds_empirical_threshold():
 # ---------------------------------------------------------------------------
 
 def test_vdot_matches_time_derivative_along_trajectories():
-    from occtl.exprlang import evaluate
     spec = builtin_system("ex2-timeinvariant")
     aug = augment(spec)
     cfg = IntegratorConfig(method="rk4-fixed", step=5e-4)
@@ -464,6 +489,83 @@ def test_row_blocks_judge_as_one_pass(monkeypatch, blocks):
     assert combined.counterexample["decay_slack"] < 0
 
 
+def test_a_block_tie_goes_to_the_lower_index(monkeypatch):
+    # xi and -xi give the same bits, so a sample copied into two blocks
+    # with xi negated in one holds the least slack twice; the counterexample
+    # is the lower row, the one np.argmin over the slacks of the whole draw
+    # picks (computed here through the dual-number oracle)
+    spec = builtin_system("ex1-timevarying")
+    bounds = Bounds(1.0, 2.0, 0.0, 12.0)
+    dom = domain(samples=1_000, seed=5)
+    worst = check_decay(spec, V_SUM_SQ, bounds, dom).counterexample
+    monkeypatch.setattr(lyapunov, "_BLOCK", 64)
+    real = lyapunov._sample_domain
+    for low, high in ((100, 900), (900, 100)):
+        def draw(n, d):
+            x, xi, t = (a.copy() for a in real(n, d))
+            x[[low, high]], t[[low, high]] = worst["x"], worst["t"]
+            xi[low] = np.multiply(1e3, worst["xi"])
+            xi[high] = -xi[low]
+            return x, xi, t
+
+        monkeypatch.setattr(lyapunov, "_sample_domain", draw)
+        report = check_decay(spec, V_SUM_SQ, bounds, dom)
+        x, xi, t = draw(spec.n, dom)
+        v = evaluate(V_SUM_SQ.expr, {"xi1": xi[:, 0], "xi2": xi[:, 1]})
+        with np.errstate(all="ignore"):
+            slack = -bounds.alpha4 * v - dual_vdot(
+                spec, V_SUM_SQ, np.concatenate([x, xi], axis=-1), t)
+        bad = np.flatnonzero(~(slack >= -lyapunov._tolerance(v)))
+        first = bad[np.argmin(np.where(np.isnan(slack[bad]), np.inf,
+                                       slack[bad]))]
+        assert first == min(low, high)
+        assert report.counterexample["xi"] == list(xi[first])
+        assert report.counterexample["slack"] == slack[first]
+        assert report.worst_margin == np.min(slack)
+
+
+def test_decay_is_nan_where_f_is_undefined_and_v_ignores_x():
+    # dV/dx1 = 0 stays a product with f, so at x1 < 0, where ln(x1) is
+    # undefined, Vdot is nan and every sample a nan-slack violation
+    spec = SystemSpec.from_strings("log", 1, 1, ["ln(x1)"], ["x1"])
+    V = CandidateV.from_string("xi1^2")
+    dom = CheckDomain(x_box=((-2.0, -1.0),), samples=100, seed=3)
+    report = check_decay(spec, V, Bounds(1.0, 2.0, 0.0, 2.0), dom)
+    assert not report.passed and math.isnan(report.worst_margin)
+    assert math.isnan(report.counterexample["slack"])
+    assert math.isnan(report.counterexample["vdot"])
+    assert report_json(report)["counterexample"]["slack"] is None
+    x, xi, t = lyapunov._sample_domain(1, dom)
+    assert np.all(np.isnan(vdot(spec, V, x, xi, t)))
+    assert np.all(np.isnan(dual_vdot(spec, V,
+                                     np.concatenate([x, xi], axis=-1), t)))
+
+
+@pytest.mark.parametrize("n, kw", [
+    (1, {}), (2, {}), (3, {}), (7, {}),
+    (2, dict(t_range=(1.5, 1.5))),
+    (2, dict(xi_radii=(2.5,))),
+    (3, dict(samples=1_001, xi_radii=(0.5, 2.0))),
+    (2, dict(seed=2 ** 63 + 11)),
+])
+def test_draw_fills_the_bytes_of_the_stacked_draw(n, kw):
+    dom = CheckDomain(**{**dict(x_box=tuple((-1.0 - i, 2.0 + 0.5 * i)
+                                            for i in range(n)),
+                                samples=1_000, seed=7), **kw})
+    got = lyapunov._sample_domain(n, dom)
+    want = stacked_sample_domain(n, dom)
+    for a, b in zip(got, want):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_draw_needs_little_more_memory_than_it_returns():
+    dom = domain(samples=100_000, seed=7)
+    lyapunov._sample_domain(2, domain(samples=10))
+    drawn = []
+    peak = _traced_peak(lambda: drawn.extend(lyapunov._sample_domain(2, dom)))
+    assert peak <= 1.75 * sum(a.nbytes for a in drawn)
+
+
 def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
@@ -511,5 +613,5 @@ def test_one_lyapunov_command_draws_once_and_compiles_v_once(
     checks = json.loads(capsys.readouterr().out)["results"]["checks"]
     assert code == 0 and len(checks) == (2 if alpha4 else 1)
     assert len(draws) == 1 and len(v_compiles) == 1
-    assert compile_calls == [1, 4]   # Jh xi, then (f, Jf xi)
+    assert compile_calls == [3]   # (V, Jh xi, Vdot)
 

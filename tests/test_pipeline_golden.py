@@ -13,8 +13,8 @@ four built-ins, two seeds and three bound sets, `vdot` on 257 rows mixing
 uniform draws with the special values of the field cases, and the results
 of the reference 1e5-sample `lyapunov` runs.  They were recorded while the
 falsifier still took f from the tree-walking evaluator and Jf and Jh from
-dual numbers; one `vdot` digest was re-recorded since, as noted at its
-entry.
+dual numbers; the `vdot` digests were re-recorded since, as noted at their
+table.
 
 The field cases pin the compiled kernels themselves: a sha256 over every
 value of ``vector_field(spec)``, ``AugmentedSystem.field`` and
@@ -48,6 +48,7 @@ from occtl.lyapunov import (
     check_time_invariant, report_json, vdot,
 )
 from occtl.sysmodel import augment, builtin_system, vector_field
+from oracles import dual_vdot
 
 SYSTEMS = ("lti-remark1", "lti-remark1-badout", "ex1-timevarying",
            "ex2-timeinvariant")
@@ -297,7 +298,7 @@ def test_field_values_match_golden(case):
 # certificate reports and vdot
 # ---------------------------------------------------------------------------
 
-#: certificates over the built-ins: with abs (dual-number partials only),
+#: certificates over the built-ins: with abs (its derivative is sign),
 #: with x and with t dependence
 CERTIFICATES = ("(xi1 + xi2)^2", "xi1^2 + xi2^2", "abs(xi1) + 2*abs(xi2)",
                 "exp(-0.5*t)*(xi1 + xi2)^2", "(1 + 0.1*x1^2)*xi1^2 + xi2^2",
@@ -387,34 +388,62 @@ CERT_GOLDEN = {
     'ex2-timeinvariant/5': '839ba3303ac54e40a84702c47168e204e8c24c9c3c744a0f1f9a25f1531d103a',
 }
 
-#: case (system/certificate index) -> sha256 of vdot on the 257 rows
+#: case (system/certificate index) -> sha256 of vdot on the 257 rows.
+#: All re-recorded when Vdot became one compiled symbolic tree instead of
+#: dual-number partials: no row with every coordinate below 1e200 moved,
+#: and no row that was a number (test_vdot_matches_the_dual_number_oracle).
+#: On rows with an inf, nan or 1e200 coordinate, a nan's sign bit follows
+#: the new order of operations, and where the dual numbers multiplied a zero
+#: partial by inf the tree has no such product, so nan becomes +-inf or 0.0
 VDOT_GOLDEN = {
-    'lti-remark1/0': 'b05407704d8db958fe9ad0362087ab2135ad7b307a8b4837a8f2d785650d12fd',
-    'lti-remark1/1': 'ba5edf16cbb67513a9cb504de91182859f8ed4bef18f64f20a216333f8687d4d',
-    'lti-remark1/2': '82b76a73599f48630617feb0bf668df195ef878fbb43b32be14ab4659c4dbd18',
-    'lti-remark1/3': '4d7babf49423ffce05afa549aa106dbaaa23fb26c8457dd13126e5b774c18e51',
-    'lti-remark1/4': '3961dbef566ef4def0e6267edf26b2f93886b75f6a85a2a87b5774402a33a45c',
-    'lti-remark1/5': 'd375ae3309f6dabf2ea5ca86771bf019cfc360c852d5fb71db54f369e60bd1c6',
-    'lti-remark1-badout/0': 'b05407704d8db958fe9ad0362087ab2135ad7b307a8b4837a8f2d785650d12fd',
-    'lti-remark1-badout/1': 'ba5edf16cbb67513a9cb504de91182859f8ed4bef18f64f20a216333f8687d4d',
-    'lti-remark1-badout/2': '82b76a73599f48630617feb0bf668df195ef878fbb43b32be14ab4659c4dbd18',
-    'lti-remark1-badout/3': '4d7babf49423ffce05afa549aa106dbaaa23fb26c8457dd13126e5b774c18e51',
-    'lti-remark1-badout/4': '3961dbef566ef4def0e6267edf26b2f93886b75f6a85a2a87b5774402a33a45c',
-    'lti-remark1-badout/5': 'd375ae3309f6dabf2ea5ca86771bf019cfc360c852d5fb71db54f369e60bd1c6',
-    'ex1-timevarying/0': '62851524fdcbab1faf1e8a5b5eacd57e33eb279c5a23331d392346e15c62631d',
-    'ex1-timevarying/1': 'f915e54ba84c3e53daefae42d9c37d3a130c9d4b9bd6bf5f8f20aea20f3c9c7d',
-    'ex1-timevarying/2': '3a86b2ee92e6da6922da3702a94bca2af46b3beb1d6850f505b44918b5c38310',
-    'ex1-timevarying/3': '3a1a908d7f0af3cf1cc3c88e76cbcf4fd46ff7e7d07fe4d0e3f97bd699d66c60',
-    'ex1-timevarying/4': '0f86e175e68455e0e77a117a60ee8c944d2cbc0b4b498259abdee7d9dc0d3e6d',
-    # re-recorded: row 157 (x1 = 1e200) gives -inf where the dual-number
-    # Jacobian gave nan; see test_vdot_zero_partial_keeps_an_overflow
-    'ex1-timevarying/5': 'a23e5449d04d40f4989f06ea621a1f60f489d567a540eb5361e07e8977a3139b',
-    'ex2-timeinvariant/0': '8fafb4ba860e7c794e8f867a562b26a590a3a1485bc48ede69a9daac616d0a6b',
-    'ex2-timeinvariant/1': '5aed1998da8ed61f29d9580deaa9cf29e5efb2d1be7a83a84c9449ccce04b3d7',
-    'ex2-timeinvariant/2': '34dd998231e112fd83c6a3b3c18bd580098c1739dcd18dd81cd576e558eda1f1',
-    'ex2-timeinvariant/3': '5740844f6b8ca2118461c249dc3ea790e180b96af77dba9cccafd8483003445b',
-    'ex2-timeinvariant/4': '47ac1d6021d2cdec11d02ff6055df4db97b7cac22e2b6a779914d91a60e2f7e6',
-    'ex2-timeinvariant/5': '3577759d144996d0602e348323dec8b26d288c59a31f6150838652a6e8713b9a',
+    # 16 nan rows change sign
+    'lti-remark1/0': 'b02cd4648c7d68f72054c8a49dee794a5d877dff9ff6d4f33be6fa5ae50648b1',
+    # 19 nan rows change sign; 14 nan rows become +-inf
+    'lti-remark1/1': '54f62fb9a71c3deafca771b6642859e786069e7bfe438ecb407018f02ec7d16d',
+    # 14 nan rows change sign; 7 nan rows become +-inf
+    'lti-remark1/2': '7365f6907babd5c307ed6fbdaa97874dd3656d75badf0edfba53a8684e2ff17f',
+    # 18 nan rows change sign; 2 nan rows become +-inf, 6 become 0.0
+    'lti-remark1/3': 'b44b63bd8cf04dbb21dfd9419dc085ab404f468fcc9c6a526c4566e21c52d8dc',
+    # 12 nan rows change sign; 42 nan rows become +-inf
+    'lti-remark1/4': 'f30535818515ce5bdf04a6ed284fc66c131271a2d0f5e87b555361133ccb3232',
+    # 16 nan rows change sign
+    'lti-remark1/5': '4e4e98b1d8c6479529c8fa8f4da5b1a64969163be8510ae720332cdb4ca5d1c1',
+    # 16 nan rows change sign
+    'lti-remark1-badout/0': 'b02cd4648c7d68f72054c8a49dee794a5d877dff9ff6d4f33be6fa5ae50648b1',
+    # 19 nan rows change sign; 14 nan rows become +-inf
+    'lti-remark1-badout/1': '54f62fb9a71c3deafca771b6642859e786069e7bfe438ecb407018f02ec7d16d',
+    # 14 nan rows change sign; 7 nan rows become +-inf
+    'lti-remark1-badout/2': '7365f6907babd5c307ed6fbdaa97874dd3656d75badf0edfba53a8684e2ff17f',
+    # 18 nan rows change sign; 2 nan rows become +-inf, 6 become 0.0
+    'lti-remark1-badout/3': 'b44b63bd8cf04dbb21dfd9419dc085ab404f468fcc9c6a526c4566e21c52d8dc',
+    # 12 nan rows change sign; 42 nan rows become +-inf
+    'lti-remark1-badout/4': 'f30535818515ce5bdf04a6ed284fc66c131271a2d0f5e87b555361133ccb3232',
+    # 16 nan rows change sign
+    'lti-remark1-badout/5': '4e4e98b1d8c6479529c8fa8f4da5b1a64969163be8510ae720332cdb4ca5d1c1',
+    # 23 nan rows change sign; 6 nan rows become +-inf
+    'ex1-timevarying/0': '7e1fcf4cac0b92fa6f19c857f9694d74d326f2275d8edc9d50e6b6f93af6eff2',
+    # 26 nan rows change sign; 9 nan rows become +-inf
+    'ex1-timevarying/1': '5dc47bc9c3b632a2d48219de5fb8b2570757dd7f196741acd290d90474396252',
+    # 19 nan rows change sign; 5 nan rows become +-inf
+    'ex1-timevarying/2': '528773c35b22de2a284cd37e3b308945076e31c01c4353194ed6043191c06662',
+    # 18 nan rows change sign; 14 nan rows become +-inf
+    'ex1-timevarying/3': 'dc1e4e240c8f06c43755e2b9a5407adf3d55f65fa1b54adeeaa85819459e4f67',
+    # 22 nan rows change sign; 19 nan rows become +-inf
+    'ex1-timevarying/4': '85723a64426f8e0be0c4c56433664806b1655e3ea38c4fb9854b2eae460426b8',
+    # 18 nan rows change sign
+    'ex1-timevarying/5': '6bde143c1d2a12a6409487c88ba7f721485cd372de932ce21bd8c327d38afaae',
+    # 16 nan rows change sign; 20 nan rows become +-inf
+    'ex2-timeinvariant/0': '16d0456ac5e0d3717f7296824115b596f01cc19b02477844d89c26a172e355f9',
+    # 19 nan rows change sign; 12 nan rows become +-inf
+    'ex2-timeinvariant/1': 'cfe7e75c806ab20552ea95805b163051566abb038c39ecb6c23f4f478ae0028b',
+    # 14 nan rows change sign; 8 nan rows become +-inf
+    'ex2-timeinvariant/2': '661548dce3671dc158e8e6cd255c79e7960516f94bd0f6a9f4c1dda05007a189',
+    # 18 nan rows change sign; 31 nan rows become +-inf, 6 become 0.0
+    'ex2-timeinvariant/3': '7916efa7dbd3e71d67202d16b4fb3cd648ee0421c6eacc98011cc2dda7826cb7',
+    # 12 nan rows change sign; 26 nan rows become +-inf
+    'ex2-timeinvariant/4': 'b3267057d6db73024d78395aae0184ddcbbfeb23a59f3d5d47adfbe6a99dfcd4',
+    # 16 nan rows change sign; 2 nan rows become +-inf
+    'ex2-timeinvariant/5': 'e22a4d555659daf50b749229110e7adea9edb79808c63e90165291468f5f7417',
 }
 
 
@@ -426,6 +455,25 @@ def test_certificate_reports_match_golden(case):
 @pytest.mark.parametrize("case", CERT_CASES)
 def test_vdot_matches_golden(case):
     assert vdot_digest(case) == VDOT_GOLDEN[case]
+
+
+@pytest.mark.parametrize("case", CERT_CASES)
+def test_vdot_matches_the_dual_number_oracle(case):
+    # bit for bit wherever the dual numbers give a number.  Where they give
+    # nan, a row holding an infinite, nan or 1e200 coordinate may differ:
+    # the dual numbers carry zero partials along and multiply them by an
+    # infinite value, the compiled tree has dropped them (nan there, inf or
+    # 0 here), and the sign bit of a nan follows each path's operations
+    name, index = case.split("/")
+    spec = builtin_system(name)
+    V = CandidateV.from_string(CERTIFICATES[int(index)])
+    rows = _vdot_rows()
+    got = vdot(spec, V, rows[:, :2], rows[:, 2:4], rows[:, 4])
+    want = dual_vdot(spec, V, rows[:, :4], rows[:, 4])
+    same = got.view(np.uint64) == want.view(np.uint64)
+    assert np.all(same | np.isnan(want))
+    ordinary = np.all(np.abs(rows) < 1e200, axis=1)
+    assert ordinary.sum() > 30 and np.all(same[ordinary])
 
 
 #: alpha4 of the reference `lyapunov` runs: a passing and a falsified one
