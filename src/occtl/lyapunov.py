@@ -18,15 +18,18 @@ as its conditions read them: nu is the symbolic Jh xi and Vdot one
 symbolic tree of V's partials (abs differentiates to sign), f and Jf xi,
 so subtrees they share are computed once.  The draw is filled in place and
 evaluated in blocks of `_BLOCK` rows that stay in cache: each block's
-(x, xi) state is built once, the kernel is called once on it, and each
-condition keeps only the block's least slack and its violated row of least
-slack, with that row's named terms; nothing else as long as the draw is
-kept.  The kernel has no domain guards, so a sample where f, h or V is
-undefined gets a nan slack, which counts as a violation of that sample
-instead of failing the run.  A passing report is evidence over the sampled
-domain, never a proof; a failing report carries a counterexample that
-re-evaluates to a violation through an independent finite-difference
-path, unless its slack is nan.
+(x, xi) state is copied into one buffer of the check, the kernel is called
+once on it, and each condition keeps only the block's least slack and its
+violated row of least slack, with that row's named terms; nothing else as
+long as the draw is kept.  The kernel has no domain guards, so a sample
+where f, h or V is undefined gets a nan slack, which counts as a violation
+of that sample instead of failing the run.  To keep that where V does not
+depend on some x_i, Vdot multiplies f_i by the zero partial, unless an
+interval enclosure proves f finite on the whole sampling box; then the
+product, +-0.0, is left out, which changes no bit of Vdot.  A passing
+report is evidence over the sampled domain, never a proof; a failing
+report carries a counterexample that re-evaluates to a violation through
+an independent finite-difference path, unless its slack is nan.
 
 Certificates are checked, never synthesised.
 """
@@ -41,7 +44,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .exprlang import (
-    Bin, Const, Expr, compile_expr, differentiate, evaluate, free_vars, parse,
+    Bin, Const, Expr, compile_expr, differentiate, evaluate, finite_on_box,
+    free_vars, parse,
 )
 from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 from .sysmodel import (
@@ -261,15 +265,21 @@ def _v_env(n: int, x, xi, t) -> dict:
 # the certificate kernel
 # ---------------------------------------------------------------------------
 
-def _vdot_expr(spec: SystemSpec, V: Expr) -> Expr:
+def _vdot_expr(spec: SystemSpec, V: Expr, f_finite: bool = False) -> Expr:
     """dV/dt + (0.0 + sum_i dV/dx_i*f_i) + (0.0 + sum_i dV/dxi_i*(Jf xi)_i).
 
-    The sums run left to right.  Zero partials of V stay as products
-    ``0.0*f_i``, so a sample where f is undefined gets a nan Vdot even where
-    V does not depend on x."""
+    The sums run left to right.  A zero partial of V along x stays as the
+    product ``0.0*f_i``, so a sample where f is undefined gets a nan Vdot
+    even where V does not depend on x, unless `f_finite` says that every
+    f_i is finite on the samples: such a product is then +-0.0, and adding
+    it to a sum that starts at 0.0, which is never -0.0, changes no bit, so
+    it is left out."""
     along_x: Expr = Const(0.0)
     for name, f in zip(spec.state_names, spec.f):
-        along_x = Bin("+", along_x, Bin("*", differentiate(V, name), f))
+        partial = differentiate(V, name)
+        if not (f_finite and isinstance(partial, Const)
+                and partial.value == 0.0):
+            along_x = Bin("+", along_x, Bin("*", partial, f))
     along_xi: Expr = Const(0.0)
     for name, jf_xi in zip(_tangent_names(spec), _tangents(spec, spec.f)):
         along_xi = Bin("+", along_xi,
@@ -277,33 +287,47 @@ def _vdot_expr(spec: SystemSpec, V: Expr) -> Expr:
     return Bin("+", Bin("+", differentiate(V, "t"), along_x), along_xi)
 
 
-def _kernel(spec: SystemSpec, V: CandidateV, nu: bool, decay: bool):
+def _kernel(spec: SystemSpec, V: CandidateV, nu: bool, decay: bool,
+            f_finite: bool = False):
     """One kernel over x1..xn, xi1..xin of the columns V, then nu_1..nu_m
     if `nu`, then Vdot if `decay`; compiled once per spec and key.
 
     V, nu = Jh xi and Vdot share one call, so a subtree of f, h or V that
-    several of them hold is computed once per call."""
-    key = ("certificate", V, nu, decay)
+    several of them hold is computed once per call.  `f_finite`, that f is
+    proven finite wherever the kernel will be called, lets Vdot leave out
+    its products of f with a zero partial (`_vdot_expr`)."""
+    key = ("certificate", V, nu, decay, f_finite)
     kernel = spec._kernels.get(key)
     if kernel is None:
         exprs = (V.expr,)
         if nu:
             exprs += _tangents(spec, spec.h)
         if decay:
-            exprs += (_vdot_expr(spec, V.expr),)
+            exprs += (_vdot_expr(spec, V.expr, f_finite),)
         kernel = spec._kernels[key] = compile_expr(
             exprs, spec.state_names + _tangent_names(spec))
     return kernel
+
+
+def _f_finite(spec: SystemSpec, domain: CheckDomain,
+              at_time_zero: bool) -> bool:
+    """Whether f is proven finite on every sample of `domain`'s draw: each
+    x lies in `x_box` and t in `t_range`, or at 0 if `at_time_zero`."""
+    box = dict(zip(spec.state_names, domain.x_box))
+    box["t"] = (0.0, 0.0) if at_time_zero else domain.t_range
+    return finite_on_box(spec.f, box)
 
 
 def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     """dV/dt + dV/dx f + dV/dxi (Jf xi).
 
     V's partials, f and Jf xi are compiled symbolic derivatives in one
-    kernel with V (abs in V differentiates to sign, 0 at the kink), the
-    kernel the falsifier's decay check reads.  Works on single points
-    (shape (n,)) or batches (..., n); the result is a float or an array of
-    the batch shape.
+    kernel with V (abs in V differentiates to sign, 0 at the kink).  The
+    points have no box to prove f finite on, so every zero partial of V
+    multiplies f, as in the falsifier's decay kernel where f is not proven
+    finite; where f is finite, both kernels give these bits.  Works on single
+    points (shape (n,)) or batches (..., n); the result is a float or an
+    array of the batch shape.
     """
     validate(spec)
     V.check_variables(spec.n)
@@ -362,17 +386,20 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
 
     Validates, and raises the message of the first unmet requirement of
     the conditions in order, before it draws (at t = 0 if `at_time_zero`).
-    One kernel gives V, nu and Vdot as far as the conditions read them.
-    The draw is evaluated in blocks of `_BLOCK` rows: each block builds its
-    (rows, 2n) state (x, xi), calls the kernel once and judges every
-    condition on its rows.  A slack not at least -tolerance (nan included,
-    as where V or f is undefined) is a violation; a block keeps its least
-    slack and its violated row of least slack, nan ranked last, with the
-    named terms of that row.  Across blocks the least slack is np.min of
-    the blocks' (so nan wins, as in one pass), and a block's violated row
-    replaces the one held only when its slack is strictly less, so ties go
-    to the lowest index.  Nothing of the length of the draw is kept but the
-    draw itself, and the reports equal those of one pass over it."""
+    One kernel gives V, nu and Vdot as far as the conditions read them,
+    Vdot without its products of f with a zero partial of V where f is
+    proven finite on the draw's box (`_f_finite`).  The draw is evaluated
+    in blocks of `_BLOCK` rows: each block copies its (x, xi) state into
+    one column-major (rows, 2n) buffer allocated once per check, calls the
+    kernel once and judges every condition on its rows.  A slack not at
+    least -tolerance (nan included, as where V or f is undefined) is a
+    violation; a block keeps its least slack and its violated row of least
+    slack, nan ranked last, with the named terms of that row.  Across
+    blocks the least slack is np.min of the blocks' (so nan wins, as in
+    one pass), and a block's violated row replaces the one held only when
+    its slack is strictly less, so ties go to the lowest index.  Nothing of
+    the length of the draw is kept but the draw itself, and the reports
+    equal those of one pass over it."""
     validate(spec)
     V.check_variables(spec.n)
     if len(domain.x_box) != spec.n:
@@ -387,14 +414,19 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
         t = np.broadcast_to(0.0, t.shape)
     nu, decay = (any(c.nu for c in conditions),
                  any(c.decay for c in conditions))
-    kernel = _kernel(spec, V, nu, decay)
+    kernel = _kernel(spec, V, nu, decay,
+                     decay and _f_finite(spec, domain, at_time_zero))
     m = spec.m if nu else 0
     mins = [[] for _ in conditions]
     worst = [(math.inf, None)] * len(conditions)   # (rank, counterexample)
+    state = np.empty((min(_BLOCK, x.shape[0]), 2 * spec.n), order="F")
     with np.errstate(all="ignore"):   # an overflowing sample judges as nan
         for start in range(0, x.shape[0], _BLOCK):
             at = slice(start, start + _BLOCK)
-            out = kernel(np.concatenate([x[at], xi[at]], axis=-1), t[at])
+            block = state[:len(x[at])]
+            block[:, :spec.n] = x[at]
+            block[:, spec.n:] = xi[at]
+            out = kernel(block, t[at])
             v = out[:, 0]
             tolerance = _tolerance(v)
             for k, condition in enumerate(conditions):

@@ -541,6 +541,88 @@ def test_decay_is_nan_where_f_is_undefined_and_v_ignores_x():
                                      np.concatenate([x, xi], axis=-1), t)))
 
 
+@pytest.fixture
+def kernels_built(monkeypatch) -> list:
+    """`f_finite` of each certificate kernel a check asks for."""
+    built = []
+    real = lyapunov._kernel
+
+    def recording(spec, V, nu, decay, f_finite=False):
+        built.append(f_finite)
+        return real(spec, V, nu, decay, f_finite)
+    monkeypatch.setattr(lyapunov, "_kernel", recording)
+    return built
+
+
+@pytest.mark.parametrize("f, x_box", [
+    # the enclosure overflows: Python's `**` raises on (1e200)^3
+    (builtin_system("ex1-timevarying").sources()["f"],
+     ((-1e200, 1e200),) * 2),
+    (["x1^3"], ((-1e103, 1e103),)),
+    # calls the enclosure does not bound, even where f is finite (abs is
+    # refused in f by `validate`, and by the enclosure in test_exprlang)
+    (["ln(x1)"], ((1.0, 2.0),)),
+    (["-sqrt(x1)"], ((1.0, 2.0),)),
+    (["tan(x1)"], ((-1.0, 1.0),)),
+    (["exp(-x1)"], ((-1.0, 1.0),)),
+    (["1/x1"], ((-1.0, 1.0),)),
+])
+def test_decay_keeps_the_products_where_f_is_not_proven_finite(
+        kernels_built, f, x_box):
+    spec = SystemSpec.from_strings("unproven", len(f), 1, f, ["x1"])
+    V = CandidateV.from_string("xi1^2")
+    dom = CheckDomain(x_box=x_box, samples=100, seed=3)
+    check_decay(spec, V, Bounds(1.0, 2.0, 0.0, 2.0), dom)
+    assert kernels_built == [False]
+
+
+@pytest.mark.parametrize("system", ["ex1-timevarying", "ex2-timeinvariant"])
+@pytest.mark.parametrize("certificate", [
+    "(xi1 + xi2)^2", "(xi1 + xi2)^2 + 0.01*(x1^2 + x2^2)*xi1^2",
+    "-t*xi1^2"])
+def test_folded_decay_kernel_keeps_every_bit(system, certificate):
+    # for finite f, 0.0*f_i is +-0.0 and the sums it joined start at 0.0,
+    # so they never hold -0.0; leaving it out changes no bit, not even where
+    # dV/dt = -xi1^2 is -0.0, on the probe rows with xi1 = 0
+    spec = builtin_system(system)
+    V = CandidateV.from_string(certificate)
+    dom = domain(samples=100_000, seed=7)
+    assert lyapunov._f_finite(spec, dom, at_time_zero=False)
+    x, xi, t = lyapunov._sample_domain(spec.n, dom)
+    state = np.concatenate([x, xi], axis=-1)
+    with np.errstate(all="ignore"):
+        full = lyapunov._kernel(spec, V, nu=False, decay=True)(state, t)
+        folded = lyapunov._kernel(spec, V, nu=False, decay=True,
+                                  f_finite=True)(state, t)
+    assert full.tobytes() == folded.tobytes()
+    assert np.any(xi[:, 0] == 0.0)
+    if "x1" not in certificate:
+        assert lyapunov._vdot_expr(spec, V.expr, True) \
+            != lyapunov._vdot_expr(spec, V.expr)
+
+
+def test_reference_lyapunov_command_takes_the_folded_kernel(
+        kernels_built, capsys):
+    # ex1 on the CLI's default box [-10, 10]^2: f is proven finite
+    code = main(["lyapunov", "--system", "ex1-timevarying",
+                 "--V", "(xi1+xi2)^2", "--alpha1", "1", "--alpha2", "2",
+                 "--alpha3", "0", "--alpha4", "2", "--samples", "3000"])
+    assert code == 0 and kernels_built == [True]
+    capsys.readouterr()
+
+
+def test_block_layout_changes_no_bit():
+    # each block's state is a column-major buffer; the kernel gives the
+    # bits it gives on the row-major stack of x and xi
+    spec = builtin_system("ex1-timevarying")
+    x, xi, t = lyapunov._sample_domain(spec.n, domain(samples=4096, seed=7))
+    rows = np.concatenate([x, xi], axis=-1)
+    kernel = lyapunov._kernel(spec, V_SUM_SQ, nu=True, decay=True)
+    with np.errstate(all="ignore"):
+        assert kernel(rows, t).tobytes() \
+            == kernel(np.asfortranarray(rows), t).tobytes()
+
+
 @pytest.mark.parametrize("n, kw", [
     (1, {}), (2, {}), (3, {}), (7, {}),
     (2, dict(t_range=(1.5, 1.5))),
