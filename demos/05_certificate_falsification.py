@@ -13,7 +13,7 @@ from occtl import (
 spec = builtin_system("ex1-timevarying")
 V = CandidateV.from_string("(xi1 + xi2)^2")
 
-# Vdot is assembled from dual-number partials of V and the compiled
+# Vdot is one compiled symbolic tree: the partials of V along the
 # variational field (f, Jf xi) of the system
 print("Vdot at a point:", vdot(spec, V, (0.0, 0.0), (1.0, 1.0), 0.0))
 

@@ -14,12 +14,12 @@ system  xdot = f(x, t), y = h(x, t):
 Systems are plain text expressions, compiled into the kernels every
 trajectory and output runs on (`vector_field`, `output_map`; an undefined
 output is a per-item result, and `eval_fh` is only the reference path); all
-Jacobians and variational dynamics are machine-derived (dual numbers for
-`jacobians` point queries only; compiled symbolic derivatives in
-integration loops and for a certificate's nu and Vdot), trajectories come
-from two independent Runge-Kutta integrators, decay rates from log-linear
-fits with explicit noise handling, and Lyapunov-style certificates are
-checked by falsification sampling with re-verifiable counterexamples.
+Jacobians and variational dynamics are machine-derived (compiled symbolic
+derivatives in `jacobians`, in integration loops and for a certificate's nu
+and Vdot), trajectories come from two independent Runge-Kutta integrators,
+decay rates from log-linear fits with explicit noise handling, and
+Lyapunov-style certificates are checked by falsification sampling with
+re-verifiable counterexamples.
 """
 
 from .exprlang import (

@@ -6,15 +6,14 @@ into immutable expression trees, evaluated either on floats or elementwise on
 numpy arrays, differentiated exactly with dual numbers or symbolically,
 proven finite over a box of their variables by interval enclosure where
 they can be (`finite_on_box`), and compiled into one vectorised kernel per
-expression list.  The kernels are the production path for f, h, the
-variational system and a certificate's value, nu and Vdot; the dual
-numbers serve only point Jacobians, and the tree-walking `evaluate` is the
-reference they are checked against.  Only `evaluate` raises ExprEvalError
-on a domain violation; the compiled kernels and the dual numbers have no
-domain guards and return IEEE nan or inf there, so an integrator truncates
-the one sample that left f's domain, and a checker fails the one item or
-certificate sample that left h's or V's domain, instead of the whole run
-failing.
+expression list.  The kernels are the production path for f, h, their
+Jacobians, the variational system and a certificate's value, nu and Vdot;
+the dual numbers and the tree-walking `evaluate` are the references they
+are checked against.  Only `evaluate` raises ExprEvalError on a domain
+violation; the compiled kernels and the dual numbers have no domain guards
+and return IEEE nan or inf there, so an integrator truncates the one sample
+that left f's domain, and a checker fails the one item or certificate
+sample that left h's or V's domain, instead of the whole run failing.
 
 Grammar (EBNF)::
 

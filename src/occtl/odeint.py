@@ -391,7 +391,7 @@ def sample_at(traj: Trajectory, t):
     """
     t_arr = np.asarray(t, dtype=float)
     lo, hi = traj.times[0], traj.times[-1]
-    if np.any(t_arr < lo) or np.any(t_arr > hi):
+    if not np.all((lo <= t_arr) & (t_arr <= hi)):
         raise ValueError(
             f"sample time(s) outside the trajectory horizon [{lo}, {hi}]")
     if len(traj.times) == 1:

@@ -5,8 +5,8 @@ map h, over the variables x1..xn and t.  The variational (linearised-along-a-
 trajectory) system is never entered by hand: `augment` derives it from f and h
 by symbolic differentiation and compiles it, so the xi-dynamics are always the
 exact Jacobian of the supplied right-hand side.  Every field an integrator
-runs, f alone or f with its variational dynamics, and every output map the
-checkers read, h or nu, is one kernel made by `compile_expr`.  The
+runs, f alone or with its variational dynamics, every output map, h or
+nu, and `jacobians` are each one kernel made by `compile_expr`.  The
 tree-walking `eval_fh` is kept as the reference the kernels and the
 difference-quotient oracles are checked against.
 
@@ -28,9 +28,10 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .exprlang import (
-    Bin, Call, Const, Expr, Var, compile_expr, differentiate, dual_env,
-    evaluate, evaluate_dual, free_vars, parse, to_source,
+    Bin, Call, Const, Expr, Var, compile_expr, differentiate, evaluate,
+    free_vars, parse, to_source,
 )
+from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 
 __all__ = [
     "SystemSpec", "AugmentedSystem", "JacobianBundle", "SystemValidationError",
@@ -75,6 +76,14 @@ class SystemSpec:
     @cached_property
     def _output(self):
         return compile_expr(self.h, self.state_names)
+
+    @cached_property
+    def _jacobians(self):
+        """dfi/dxj (row-major), then dhi/dxj, then dhi/dt, in one kernel."""
+        x = self.state_names
+        return compile_expr(
+            [differentiate(e, v) for e in self.f + self.h for v in x]
+            + [differentiate(e, "t") for e in self.h], x)
 
     @cached_property
     def _kernels(self) -> dict:
@@ -141,12 +150,6 @@ def validate(spec: SystemSpec) -> SystemSpec:
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _env(spec: SystemSpec, x: np.ndarray, t) -> dict:
-    env: dict = {name: x[..., i] for i, name in enumerate(spec.state_names)}
-    env["t"] = t
-    return env
-
-
 def _eval_stack(exprs: tuple[Expr, ...], env: Mapping) -> np.ndarray:
     cols = [np.asarray(evaluate(e, env), dtype=float) for e in exprs]
     return np.stack(np.broadcast_arrays(*cols), axis=-1) if len(cols) > 1 \
@@ -162,7 +165,8 @@ def eval_fh(spec: SystemSpec, x, t) -> tuple[np.ndarray, np.ndarray]:
     (..., n) and (..., m).
     """
     x = np.asarray(x, dtype=float)
-    env = _env(spec, x, t)
+    env = {name: x[..., i] for i, name in enumerate(spec.state_names)}
+    env["t"] = t
     return _eval_stack(spec.f, env), _eval_stack(spec.h, env)
 
 
@@ -196,30 +200,21 @@ class JacobianBundle:
 
 
 def jacobians(spec: SystemSpec, x, t) -> JacobianBundle:
-    """Exact Jacobians via dual numbers with identity seeding over x1..xn.
-
-    dh_dt comes from the same pass by also seeding t.  Batched like eval_fh.
-    Never raises: an entry is nan or inf where its derivative rule is
-    undefined, as where f or h is undefined or not differentiable.
-    """
-    x = np.asarray(x, dtype=float)
-    active = list(spec.state_names) + ["t"]
-    env = dual_env(_env(spec, x, t), active)
-
-    def rows(exprs):
-        # dual gradients are (n+1,)+batch; split state part and move it last
-        out = [evaluate_dual(e, env).grad for e in exprs]
-        return np.stack([np.moveaxis(g[:spec.n], 0, -1) for g in out], axis=-2), out
-
-    Jf, _ = rows(spec.f)
-    Jh, h_grads = rows(spec.h)
-    dh_dt = np.stack([g[spec.n] for g in h_grads], axis=-1)
-    return JacobianBundle(Jf=Jf, Jh=Jh, dh_dt=dh_dt)
+    """Exact Jacobians over x1..xn, and dh_dt, from compiled symbolic
+    partials.  Batched like eval_fh.  Never raises: an entry is nan or inf
+    where f or h is undefined or not differentiable, and 0.0 along a
+    variable its component does not mention."""
+    n, m = spec.n, spec.m
+    out = spec._jacobians(x, t)
+    batch = out.shape[:-1]
+    return JacobianBundle(Jf=out[..., :n * n].reshape(batch + (n, n)),
+                          Jh=out[..., n * n:-m].reshape(batch + (m, n)),
+                          dh_dt=out[..., -m:])
 
 
 def finite_diff_jacobian(spec: SystemSpec, x, t, step: float
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """Central-difference (Jf, Jh): the oracle the dual path is tested against."""
+    """Central-difference (Jf, Jh): the oracle `jacobians` is tested against."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(x, dtype=float)
@@ -273,9 +268,9 @@ class AugmentedSystem:
     The combined field is F(x, xi, t) = (f(x, t), Jf(x, t) xi) with output
     nu = Jh(x, t) xi.  The xi-block is linear in xi and vanishes at xi = 0.
     The Jacobian entries are symbolic derivatives of the base system; F and
-    nu are each compiled once into one kernel over x1..xn, xi1..xin.  They
-    agree with the dual-number `jacobians` op to rounding, which the test
-    suite asserts at rtol 1e-12.
+    nu are each compiled once into one kernel over x1..xn, xi1..xin; at the
+    unit seed e_j their xi-block and nu are column j of `jacobians`' Jf and
+    Jh, bit for bit.
     """
 
     base: SystemSpec

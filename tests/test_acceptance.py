@@ -221,7 +221,7 @@ def test_criterion_8a_jacobians_against_finite_differences():
                 <= 1e-5 * (1.0 + np.max(np.abs(b.Jh)))
             cases += 1
     assert cases == 1000
-    _announce(8, "a) dual-number vs central-difference Jacobians agree to "
+    _announce(8, "a) compiled vs central-difference Jacobians agree to "
                  "1e-5 relative on 1000 random cases")
 
 

@@ -123,6 +123,13 @@ def test_non_finite_input_is_usage_error(capsys, argv):
     assert capsys.readouterr().out == ""
 
 
+def test_negative_lyapunov_seed_is_a_usage_error_naming_the_seed(capsys):
+    assert main([*LYAPUNOV, "--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
 @pytest.mark.parametrize("argv, flag", [
     (["simulate", *LTI, "--x0", "1,,1"], "--x0"),
     ([*LYAPUNOV, "--xi-radii", "1,,2"], "--xi-radii"),
@@ -377,10 +384,11 @@ def _jacobian_nulls(tmp_path, capsys, f, h, x) -> set:
 
 def test_jacobian_where_h_is_undefined_is_a_numerical_failure(tmp_path,
                                                               capsys):
-    # the report is printed, with null where h and its derivatives are nan
+    # the report is printed, with null where h and its x-partials are nan;
+    # h does not mention t, so dh/dt is the exact symbolic 0.0
     assert _jacobian_nulls(tmp_path, capsys, ["-x1", "-x2"],
                            ["sqrt(x1 - 0.25)"], "0.1,0") \
-        == {"y[0]", "Jh[0]", "dh_dt[0]"}
+        == {"y[0]", "Jh[0]"}
 
 
 @pytest.mark.parametrize("f,x,nulls", [
@@ -407,7 +415,8 @@ def test_jacobian_at_a_negative_base_keeps_the_partial_along_the_base(
 
 def test_jacobian_where_h_is_not_differentiable_is_a_numerical_failure(
         tmp_path, capsys):
-    # sqrt(x1 - 0.25) is defined at x1 = 0.25 but its slope is not
+    # sqrt(x1 - 0.25) is defined at x1 = 0.25 but its slope is not; the
+    # partials along x2 and t, which h does not mention, are exact zeros
     path = tmp_path / "sqrt-edge.json"
     path.write_text(json.dumps({"name": "sqrt-edge", "n": 2, "m": 1,
                                 "f": ["-sqrt(x1)", "-x2"],
@@ -415,7 +424,7 @@ def test_jacobian_where_h_is_not_differentiable_is_a_numerical_failure(
     assert main(["jacobian", "--system", str(path), "--x", "0.25,1"]) == 3
     results = json.loads(capsys.readouterr().out)["results"]
     assert results["y"] == [0.0]
-    assert results["Jh"] == [[None, None]] and results["dh_dt"] == [None]
+    assert results["Jh"] == [[None, 0.0]] and results["dh_dt"] == [0.0]
     assert results["Jf"] == [[-1.0, -0.0], [-0.0, -1.0]]
 
 

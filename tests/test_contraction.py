@@ -446,6 +446,22 @@ def test_pair_check_compiles_the_field_once(compile_calls):
     assert compile_calls == [2, 1]   # f's two components, then h
 
 
+def test_partial_check_compiles_each_kernel_once(compile_calls):
+    check_partial_contraction(builtin_system("lti-remark1"),
+                              small_plan(pairs=4, tf=1.0))
+    assert compile_calls == [1, 7, 2]   # h, then (Jf, Jh, dh/dt), then f
+
+
+@pytest.mark.xfail(strict=True, reason="RK45 at rtol = atol = 1e-8 leaves "
+                   "decaying pairs on a noise plateau near atol, above the "
+                   "1e-9*d0 fit floor")
+def test_lti_pairs_keep_contracting_over_a_long_horizon():
+    verdict = check_output_contraction(
+        builtin_system("lti-remark1"),
+        small_plan(box=((-5.0, 5.0), (-5.0, 5.0)), pairs=5, seed=3, tf=100.0))
+    assert verdict.holds
+
+
 def test_variational_check_compiles_field_and_output_once(compile_calls):
     check_oes_variational(builtin_system("ex2-timeinvariant"),
                           small_plan(pairs=3, tf=1.0))

@@ -281,6 +281,15 @@ def test_domain_rejects_non_finite_ranges(kw):
         CheckDomain(**{**base, **kw})
 
 
+def test_domain_rejects_a_negative_seed_and_keeps_seeds_past_64_bits():
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+        CheckDomain(x_box=box, seed=-1)
+    big = CheckDomain(x_box=box, samples=10, seed=2 ** 64)
+    assert check_certificate(builtin_system("lti-remark1"), V_NORM_SQ,
+                             Bounds(0.5, 2.0, 1.0), big)[0].checked > 0
+
+
 @pytest.mark.parametrize("check", [check_certificate, check_sandwich,
                                    check_decay, check_time_invariant])
 @pytest.mark.parametrize("intervals", [1, 3])

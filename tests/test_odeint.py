@@ -183,6 +183,13 @@ def test_sample_at_outside_horizon():
         sample_at(traj, -0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]])
+def test_sample_at_nan_time_is_outside_the_horizon(t):
+    traj = integrate_rk45(decay, np.array([1.0]), 0.0, 1.0)
+    with pytest.raises(ValueError, match="outside the trajectory horizon"):
+        sample_at(traj, t)
+
+
 def test_sample_at_vectorized_matches_scalar():
     field = vector_field(builtin_system("lti-remark1"))
     traj = integrate_rk45(field, np.array([2.0, -1.0]), 0.0, 3.0)

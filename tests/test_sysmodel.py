@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import occtl
-from occtl.exprlang import ExprEvalError
+from occtl.exprlang import ExprEvalError, dual_env, evaluate_dual
 from occtl.sysmodel import (
     BUILTIN_NAMES, SystemSpec, SystemValidationError, augment, builtin_system,
     eval_fh, finite_diff_jacobian, jacobians, json_safe, output_map,
@@ -150,8 +150,10 @@ def test_eval_fh_is_called_only_by_the_reference_path():
 
 def test_only_the_reference_path_raises_and_only_main_catches():
     # the tree walker is the one evaluator with domain guards; production
-    # evaluates through kernels and dual numbers, which never raise, so
-    # the only handler left is the CLI's last resort for a stray error
+    # evaluates through compiled kernels only, which never raise, so the
+    # only handler left is the CLI's last resort for a stray error
+    assert _where(_calls("evaluate_dual")) == set()
+    assert _where(_calls("dual_env")) == set()
     assert _where(_calls("evaluate")) == {
         ("sysmodel.py", "_eval_stack"), ("lyapunov.py", "vdot_fd"),
         ("lyapunov.py", "reverify_counterexample")}
@@ -211,7 +213,7 @@ def test_finite_diff_requires_positive_step():
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_dual_jacobians_match_central_differences_randomly(name):
+def test_compiled_jacobians_match_central_differences_randomly(name):
     spec = builtin_system(name)
     rng = np.random.default_rng(hash(name) % 2**32)
     for _ in range(50):
@@ -223,6 +225,23 @@ def test_dual_jacobians_match_central_differences_randomly(name):
         scale_h = 1.0 + np.max(np.abs(b.Jh))
         assert np.max(np.abs(b.Jf - Jf_fd)) <= 1e-5 * scale_f
         assert np.max(np.abs(b.Jh - Jh_fd)) <= 1e-5 * scale_h
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_jacobians_equal_the_dual_numbers_bit_for_bit(name):
+    spec = builtin_system(name)
+    rng = np.random.default_rng(500)
+    names = list(spec.state_names) + ["t"]
+    for _ in range(100):
+        point = rng.uniform(-5, 5, size=spec.n + 1)
+        env = dual_env(dict(zip(names, point)), names)
+        b = jacobians(spec, point[:-1], point[-1])
+        Jf = np.array([evaluate_dual(e, env).grad[:-1] for e in spec.f])
+        grads = np.array([evaluate_dual(e, env).grad for e in spec.h])
+        assert np.isfinite(grads).all()
+        assert np.array_equal(b.Jf, Jf)
+        assert np.array_equal(b.Jh, grads[:, :-1])
+        assert np.array_equal(b.dh_dt, grads[:, -1])
 
 
 def test_jacobians_batched_match_loop():
@@ -312,18 +331,19 @@ def test_json_missing_key():
 
 
 def test_augmented_field_agrees_with_dual_jacobian_route():
+    # at the unit seed e_j the xi-block and nu are column j of Jf and Jh,
+    # which test_jacobians_equal_the_dual_numbers_bit_for_bit pins to the
+    # dual-number Jacobians
     rng = np.random.default_rng(300)
     for name in BUILTIN_NAMES:
         spec = builtin_system(name)
         aug = augment(spec)
         for _ in range(10):
             x = rng.uniform(-3, 3, size=spec.n)
-            xi = rng.uniform(-2, 2, size=spec.n)
             t = float(rng.uniform(0, 6))
-            out = aug.field(np.concatenate([x, xi]), t)
             b = jacobians(spec, x, t)
-            np.testing.assert_allclose(out[spec.n:], b.Jf @ xi,
-                                       rtol=1e-12, atol=1e-12)
-            np.testing.assert_allclose(aug.output(np.concatenate([x, xi]), t),
-                                       b.Jh @ xi,
-                                       rtol=1e-12, atol=1e-12)
+            for j, seed in enumerate(np.eye(spec.n)):
+                state = np.concatenate([x, seed])
+                assert np.array_equal(aug.field(state, t)[spec.n:],
+                                      b.Jf[:, j])
+                assert np.array_equal(aug.output(state, t), b.Jh[:, j])
