@@ -31,6 +31,7 @@ Conventions shared by the checks:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,8 +83,12 @@ class SamplingPlan:
                     f"box interval [{lo}, {hi}] is empty or not finite")
         if self.pairs < 1:
             raise ValueError("need at least one pair")
-        if not 0 <= int(self.seed) < 2 ** 64:
-            raise ValueError("seed must fit in 64 bits")
+        try:
+            if not 0 <= operator.index(self.seed) < 2 ** 64:
+                raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
+        except TypeError:
+            raise ValueError(
+                f"seed must be an integer, got {self.seed!r}") from None
         if not (self.tf > self.t0 and math.isfinite(self.tf - self.t0)):
             raise ValueError(
                 f"need finite t0 < tf, got [{self.t0}, {self.tf}]")

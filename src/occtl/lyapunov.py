@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -155,8 +156,12 @@ class CheckDomain:
                     f"x_box interval [{lo}, {hi}] is empty or not finite")
         if self.samples < 1:
             raise ValueError("need at least one sample")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        try:
+            if operator.index(self.seed) < 0:
+                raise ValueError(f"seed must be non-negative, got {self.seed}")
+        except TypeError:
+            raise ValueError(
+                f"seed must be an integer, got {self.seed!r}") from None
         t_lo, t_hi = self.t_range
         if not (0 <= t_lo <= t_hi and math.isfinite(t_hi)):
             raise ValueError("t_range must satisfy 0 <= t_lo <= t_hi < inf")

@@ -25,7 +25,8 @@ failure, and leaves the batch when it reaches tf or fails, so one escaping
 member costs its siblings nothing; every field call evaluates the running
 members together, each at its own time.  Each member's trajectory is bit for
 bit the one it gets alone, and the single-start functions are one-member
-batches.  Fixed-step RK4 members share one grid instead.
+batches.  Fixed-step RK4 members share one grid instead.  Both integrators
+keep only the points that their running members reach.
 """
 
 from __future__ import annotations
@@ -161,32 +162,31 @@ def _rk4(field, x0s: np.ndarray, t0: float, tf: float,
          step: float) -> list[Trajectory]:
     """Classical 4th-order Runge-Kutta on a uniform grid shared by all
     members; a member stops at its first non-finite state or derivative.
+    Each step logs its running members' points to `rows`, as `_rk45` does.
 
     The final step is shortened so the grid lands on tf exactly.  Global
-    error is O(step^4) for smooth fields.
+    error is O(step^4) for smooth fields.  A grid too large to allocate
+    raises ValueError.
     """
-    n_steps = max(1, int(math.ceil((tf - t0) / step - 1e-9)))
-    grid = t0 + step * np.arange(n_steps + 1)
+    try:
+        grid = t0 + step * np.arange(
+            max(1, math.ceil((tf - t0) / step - 1e-9)) + 1)
+    except (MemoryError, OverflowError, ValueError):
+        raise ValueError(f"rk4 step {step} is too small for the horizon "
+                         f"{tf - t0}: {(tf - t0) / step:.3g} steps") from None
     grid[-1] = tf
-    hs = np.diff(grid)
-    # stage times, once per step
-    mids, ends = (grid[:-1] + 0.5 * hs).tolist(), (grid[:-1] + hs).tolist()
-
     call, members = _stacked(field, x0s, False), len(x0s)
-    # member-major, so each member's trajectory is a contiguous view
-    states = np.empty((members, n_steps + 1) + x0s.shape[1:])
-    derivs = np.empty_like(states)
-    x, k1 = x0s, call(x0s, t0)
-    states[:, 0], derivs[:, 0] = x, k1
     idx = np.arange(members)
-    points = np.full(members, n_steps + 1)
+    x, k1 = x0s, call(x0s, t0)
+    rows = ids, times, states, derivs = (
+        [idx], [grid[:1].repeat(members)], [x], [k1])
     failure = [None] * members
     with np.errstate(all="ignore"):
-        for i, (h, t_mid, t_end, t_next) in enumerate(
-                zip(hs.tolist(), mids, ends, grid[1:].tolist())):
-            k2 = call(x + 0.5 * h * k1, t_mid)
-            k3 = call(x + 0.5 * h * k2, t_mid)
-            k4 = call(x + h * k3, t_end)
+        for i, (t, t_next) in enumerate(zip(grid.tolist(), grid[1:].tolist())):
+            h = t_next - t
+            k2 = call(x + 0.5 * h * k1, t + 0.5 * h)
+            k3 = call(x + 0.5 * h * k2, t + 0.5 * h)
+            k4 = call(x + h * k3, t + h)
             x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             k1 = call(x, t_next)
             finite = np.isfinite(x + 0.0 * k1)  # x and k1 both finite
@@ -194,18 +194,15 @@ def _rk4(field, x0s: np.ndarray, t0: float, tf: float,
                 finite = finite.reshape(len(idx), -1).all(axis=1)
                 for j in idx[~finite].tolist():
                     failure[j] = "non_finite"
-                points[idx[~finite]] = i + 1
                 idx, x, k1 = idx[finite], x[finite], k1[finite]
                 if not idx.size:
                     break
-            if len(idx) == members:
-                states[:, i + 1], derivs[:, i + 1] = x, k1
-            else:
-                states[idx, i + 1], derivs[idx, i + 1] = x, k1
-    return [Trajectory(times=grid[:p], states=states[j, :p],
-                       derivs=derivs[j, :p], t0=float(t0), tf=float(tf),
-                       failure=failure[j])
-            for j, p in enumerate(points.tolist())]
+            at = grid[i + 1:i + 2]
+            ids.append(idx)
+            times.append(at if len(idx) == 1 else at.repeat(len(idx)))
+            states.append(x)
+            derivs.append(k1)
+    return _split(rows, float(t0), float(tf), failure)
 
 
 # ---------------------------------------------------------------------------
@@ -294,9 +291,7 @@ def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
                 if not idx.size:
                     break
             h = t_new - t
-            # one member's step scales its stages as a scalar, which numpy
-            # multiplies faster than a broadcast column
-            hc = h.reshape(col) if len(idx) > 1 else h[0]
+            hc = h.reshape(col)
             t_stage = t + np.multiply.outer(_C, h)
 
             k = [k1]
@@ -348,30 +343,23 @@ def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
 
 
 def _split(rows, t0: float, tf: float, failure) -> list[Trajectory]:
-    """One Trajectory per member from the `rows` of `_rk45`.
+    """One Trajectory per member from the accepted points that `_rk4` and
+    `_rk45` log in `rows`: chunks of member ids, times, states and derivs,
+    one chunk per step.
 
-    Each column's chunks are scattered into one array ordered by member and
-    dropped as they go, so the batch holds its points about once.  A lone
-    member's rows are in order already.
+    A stable sort by member id gives each member's rows in step order.  Each
+    column's chunks are dropped once joined, and the joined copy once each
+    member has gathered its rows, so the batch holds one column twice at most.
     """
-    if len(failure) == 1:
-        columns = [[np.concatenate(chunks)] for chunks in rows[1:]]
-    else:
-        counts = np.zeros(len(failure), dtype=int)
-        for members in rows[0]:
-            counts[members] += 1
-        ends = np.cumsum(counts)
-        filled, places = ends - counts, []  # where each chunk's rows go
-        for members in rows[0]:
-            places.append(filled[members])
-            filled[members] += 1
-        columns = []
-        for chunks in rows[1:]:
-            column = np.empty((ends[-1],) + chunks[0].shape[1:])
-            for i, place in enumerate(places):
-                column[place] = chunks[i]
-                chunks[i] = None
-            columns.append(np.split(column, ends[:-1]))
+    ids = np.concatenate(rows[0])
+    pieces = np.split(np.argsort(ids, kind="stable"),
+                      np.cumsum(np.bincount(ids, minlength=len(failure)))[:-1])
+    columns = []
+    for chunks in rows[1:]:
+        joined = np.concatenate(chunks)
+        chunks.clear()
+        columns.append([joined[piece] for piece in pieces])
+        del joined
     return [Trajectory(times=ts, states=xs, derivs=ds, t0=t0, tf=tf,
                        failure=f)
             for ts, xs, ds, f in zip(*columns, failure)]

@@ -158,6 +158,19 @@ def test_simulate_writes_csv_and_reports(tmp_path, capsys):
     assert (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("step, steps", [("1e-15", "1e+16"),
+                                         ("1e-300", "1e+301"),
+                                         ("5e-324", "inf")])
+def test_an_rk4_step_too_small_for_its_horizon_is_a_usage_error(capsys, step,
+                                                               steps):
+    assert main(["simulate", *LTI, "--x0", "1,1", "--method", "rk4-fixed",
+                 "--tf", "10", "--step", step]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (f"error: rk4 step {float(step)} is too small for the "
+                   f"horizon 10.0: {steps} steps\n")
+
+
 def test_simulate_blowup_exits_3(capsys):
     code, report = run_cli(capsys, "simulate", "--system", "ex1-timevarying",
                            "--x0=-2.5,-5", "--tf", "5")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -41,6 +42,18 @@ def small_plan(**kw):
 def test_plan_validation(kw):
     with pytest.raises(ValueError):
         small_plan(**kw)
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.7)])
+def test_plan_rejects_a_non_integer_seed_naming_it(seed):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"seed must be an integer, got {seed!r}")):
+        small_plan(seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(3), np.uint64(2 ** 64 - 1), True])
+def test_plan_takes_numpy_and_bool_seeds(seed):
+    assert small_plan(seed=seed).seed == seed
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -288,6 +289,24 @@ def test_domain_rejects_a_negative_seed_and_keeps_seeds_past_64_bits():
     big = CheckDomain(x_box=box, samples=10, seed=2 ** 64)
     assert check_certificate(builtin_system("lti-remark1"), V_NORM_SQ,
                              Bounds(0.5, 2.0, 1.0), big)[0].checked > 0
+
+
+@pytest.mark.parametrize("seed", [1.5, np.float64(2.7)])
+def test_domain_rejects_a_non_integer_seed_naming_it(seed):
+    with pytest.raises(ValueError,
+                       match=re.escape(f"seed must be an integer, got {seed!r}")):
+        CheckDomain(x_box=((-1.0, 1.0), (-1.0, 1.0)), seed=seed)
+
+
+@pytest.mark.parametrize("seed", [np.int64(1), np.uint64(1), True])
+def test_domain_takes_numpy_and_bool_seeds(seed):
+    box = ((-1.0, 1.0), (-1.0, 1.0))
+    drawn = lyapunov._sample_domain(2, CheckDomain(x_box=box, samples=10,
+                                                   seed=seed))
+    expected = lyapunov._sample_domain(2, CheckDomain(x_box=box, samples=10,
+                                                      seed=1))
+    for got, want in zip(drawn, expected):
+        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("check", [check_certificate, check_sandwich,

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
 from occtl.odeint import (
-    IntegratorConfig, integrate, integrate_rk4, integrate_rk45, map_output,
-    sample_at, trajectory_csv,
+    IntegratorConfig, integrate, integrate_batch, integrate_rk4, integrate_rk45,
+    map_output, sample_at, trajectory_csv,
 )
 from occtl.sysmodel import SystemSpec, builtin_system, validate, vector_field
 
@@ -129,6 +130,23 @@ def test_rk4_also_truncates_on_non_finite():
     assert traj.failure == "non_finite"
     assert traj.t_end < 5.0
     assert np.all(np.isfinite(traj.states))
+
+
+def test_an_rk4_batch_holds_only_the_points_its_members_reach():
+    # every pair escapes within the first 500 of the grid's 20,000 steps
+    field = vector_field(builtin_system("ex1-timevarying"))
+    x0 = np.random.default_rng(7).uniform(-5.0, 5.0, size=(10, 2, 2))
+    cfg = IntegratorConfig(method="rk4-fixed", step=1e-3)
+    tracemalloc.start()
+    try:
+        trajs = integrate_batch(field, x0, 0.0, 20.0, cfg)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert all(traj.failure == "non_finite" for traj in trajs)
+    kept = sum(a.nbytes for traj in trajs
+               for a in (traj.times, traj.states, traj.derivs))
+    assert held <= 2 * kept
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
