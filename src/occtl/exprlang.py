@@ -776,8 +776,9 @@ def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
     lines = ["def _compiled(_x, t):", "    _x = _np.asarray(_x, dtype=float)",
              "    t = _np.asarray(t, dtype=float)"]
     lines += [f"    {name} = _x[..., {i}]" for i, name in enumerate(names)]
-    lines += ["    _out = _np.empty(_np.broadcast_shapes(_x.shape[:-1], "
-              f"t.shape) + ({len(exprs)},))",
+    batch = (f"_np.broadcast({names[0]}, t).shape" if names
+             else "_np.broadcast_shapes(_x.shape[:-1], t.shape)")
+    lines += [f"    _out = _np.empty({batch} + ({len(exprs)},))",
               "    with _np.errstate(all='ignore'):"]
     consts: dict[str, str] = {}   # repr of each constant -> its name
     columns = _emit_shared(exprs, consts, lines)

@@ -209,20 +209,19 @@ def _rk4(field, x0s: np.ndarray, t0: float, tf: float,
 # Dormand-Prince 5(4), adaptive step
 # ---------------------------------------------------------------------------
 
-# Butcher tableau (Hairer, Norsett & Wanner, "Solving ODEs I", table 5.2)
+# Butcher tableau (Hairer, Norsett & Wanner, "Solving ODEs I", table 5.2);
+# _A keeps its zero weight, as 0 * inf is nan, and the solutions skip theirs
 _C = np.array([0.0, 1/5, 3/10, 4/5, 8/9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1/5]),
-    np.array([3/40, 9/40]),
-    np.array([44/45, -56/15, 32/9]),
-    np.array([19372/6561, -25360/2187, 64448/6561, -212/729]),
-    np.array([9017/3168, -355/33, 46732/5247, 49/176, -5103/18656]),
-    np.array([35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84]),
-]
+_A = [np.array(row)[:, np.newaxis] for row in (
+    [], [1/5], [3/40, 9/40], [44/45, -56/15, 32/9],
+    [19372/6561, -25360/2187, 64448/6561, -212/729],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+    [35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84])]
 _B5 = np.array([35/384, 0.0, 500/1113, 125/192, -2187/6784, 11/84, 0.0])
 _B4 = np.array([5179/57600, 0.0, 7571/16695, 393/640, -92097/339200,
                 187/2100, 1/40])
+_I5, _I4 = np.flatnonzero(_B5), np.flatnonzero(_B4)  # the stages weighted
+_W5, _W4 = _B5[_I5, np.newaxis], _B4[_I4, np.newaxis]
 
 _SAFETY = 0.9
 _FACTOR_MIN = 0.2
@@ -231,13 +230,17 @@ _FACTOR_MAX = 5.0
 _MAX_ATTEMPTS = 100_000
 
 
-def _factor(err: float) -> float:
-    """Step multiplier after an attempt with error norm `err`."""
-    if err == 0.0:
-        return _FACTOR_MAX
-    if not math.isfinite(err):
-        return _FACTOR_MIN
-    return min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2))
+def _step_factors(err: np.ndarray) -> np.ndarray:
+    """clamp(0.9 * err^(-1/5), 0.2, 5.0): 5.0 at err = 0, 0.2 if not finite."""
+    # err = 0 goes in as the least subnormal, whose power clamps to 5.0 too
+    powers = np.array([math.pow(e or 5e-324, -0.2) for e in err.tolist()])
+    return np.fmin(_FACTOR_MAX, np.fmax(_FACTOR_MIN, _SAFETY * powers))
+
+
+def _advance(x, hx, weights, slopes):
+    """``x + h * (0 + w_0 k_0 + w_1 k_1 + ...)`` from (s, N) slopes."""
+    out = np.add.reduce(weights * slopes, axis=0, initial=0.0)
+    return np.add(np.multiply(out, hx, out=out), x, out=out)
 
 
 def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
@@ -253,15 +256,18 @@ def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
     member leaves the batch at tf, when its step falls below its floor, or
     after `_MAX_ATTEMPTS` attempts: each running member attempts one step
     per lockstep iteration, so this holds in any batch alike.
+
+    Each stage sums its slopes by one reduce over a buffer of all seven, in
+    stage order after a leading 0.0 as a serial sum adds, and err^(-1/5) is
+    libm's pow per member (numpy's vector power rounds some apart), so a
+    member keeps the bits it gets alone.  A logged derivative is the field's
+    own array: a view of the buffer would keep all seven slopes alive.
     """
     t0, tf = float(t0), float(tf)
-    span = tf - t0
     call, members = _stacked(field, x0s, True), len(x0s)
-    col = (-1,) + (1,) * (x0s.ndim - 1)  # a per-member scalar as a column
-    tiny, floor = 16.0 * np.finfo(float).eps, 1e-13 * span
-    idx = np.arange(members)
-    t = np.full(members, t0)
-    h = np.full(members, span / 100.0)
+    tiny, floor = 16.0 * np.finfo(float).eps, 1e-13 * (tf - t0)
+    idx, t = np.arange(members), np.full(members, t0)
+    h = np.full(members, (tf - t0) / 100.0)
     x, k1 = x0s, call(x0s, t)
     # accepted points, in step order: member ids, times, states, derivs
     rows = ([idx], [t], [x], [k1])
@@ -277,64 +283,57 @@ def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
             # grinding into it means a singularity (blow-up) or stiffness
             h_floor = np.maximum(floor, tiny * np.abs(t))
             snap = rest <= np.maximum(h * (1 + 1e-12), h_floor)
-            t_new = t + h
-            if np.count_nonzero(snap):
-                t_new[snap] = tf
+            t_new = np.where(snap, tf, t + h)
             # a step of at least the floor always advances t
-            stuck = ~snap & (h < h_floor)
-            if np.count_nonzero(stuck):
-                for i in idx[stuck].tolist():
+            run = snap | (h >= h_floor)
+            if not run.all():
+                for i in idx[~run].tolist():
                     failure[i] = "step_underflow"
-                run = ~stuck
                 idx, t, h, h_floor, t_new, x, k1 = (
                     a[run] for a in (idx, t, h, h_floor, t_new, x, k1))
                 if not idx.size:
                     break
             h = t_new - t
-            hc = h.reshape(col)
             t_stage = t + np.multiply.outer(_C, h)
 
-            k = [k1]
+            stages = np.empty((7,) + x.shape)
+            slopes = stages.reshape(7, -1)  # flat over the running elements
+            stages[0], hx, flat = k1, h.repeat(x[0].size), x.reshape(-1)
             for s in range(1, 7):
-                xs = x + hc * sum(a * ks for a, ks in zip(_A[s], k))
-                k.append(call(xs, t_stage[s]))
-            x5 = x + hc * sum(b * ks for b, ks in zip(_B5, k) if b != 0.0)
-            x4 = x + hc * sum(b * ks for b, ks in zip(_B4, k) if b != 0.0)
+                xs = _advance(flat, hx, _A[s], slopes[:s]).reshape(x.shape)
+                stages[s] = k7 = call(xs, t_stage[s])
+            x5 = _advance(flat, hx, _W5, slopes.take(_I5, 0)).reshape(x.shape)
+            x4 = _advance(flat, hx, _W4, slopes.take(_I4, 0))
 
-            # rms error per member over its own elements; a member whose x5
-            # or x4 is not finite gets a nan error, which rejects it
+            # rms error per member, nan (rejected) where x5 or x4 is not finite
             flat5, flat4 = x5.reshape(len(idx), -1), x4.reshape(len(idx), -1)
             ratio = (flat5 - flat4) \
                 / (atol + rtol * np.maximum(np.abs(flat5), np.abs(flat4)))
             err = np.sqrt(np.add.reduce(ratio * ratio, axis=1)
                           / flat5.shape[1])
-            h = h * np.array([_factor(e) for e in err.tolist()])
+            h = h * _step_factors(err)
 
             accept = err <= 1.0
             accepted = np.count_nonzero(accept)
             if accepted == len(idx):  # FSAL: k7 was evaluated at (x5, t_new)
-                t, x, k1 = t_new, x5, k[6]
+                t, x, k1 = t_new, x5, k7
                 for column, new in zip(rows, (idx, t, x, k1)):
                     column.append(new)
-                leave = ~(t < tf)
+                run = t < tf
             else:
                 if accepted:
-                    for column, new in zip(rows, (idx, t_new, x5, k[6])):
+                    for column, new in zip(rows, (idx, t_new, x5, k7)):
                         column.append(new[accept])
                     t = np.where(accept, t_new, t)
-                    keep = accept.reshape(col)
-                    x, k1 = np.where(keep, x5, x), np.where(keep, k[6], k1)
-                # a rejection that shrank the step below the floor ends
-                # the member
+                    keep = accept.reshape((-1,) + (1,) * (x.ndim - 1))
+                    x, k1 = np.where(keep, x5, x), np.where(keep, k7, k1)
+                # a rejection that shrinks the step below its floor ends it
                 failed = ~accept & (h < h_floor)
                 for j in np.flatnonzero(failed).tolist():
-                    finite = np.isfinite(flat5[j]).all() \
-                        and np.isfinite(flat4[j]).all()
-                    failure[idx[j]] = "step_underflow" if finite \
-                        else "non_finite"
-                leave = failed | ~(t < tf)
-            if np.count_nonzero(leave):
-                run = ~leave
+                    failure[idx[j]] = "step_underflow" if np.isfinite(
+                        (flat5[j], flat4[j])).all() else "non_finite"
+                run = ~failed & (t < tf)
+            if not run.all():
                 idx, t, h, x, k1 = (a[run] for a in (idx, t, h, x, k1))
         else:
             for i in idx.tolist():

@@ -186,6 +186,16 @@ _FACTOR_MIN = 0.2
 _FACTOR_MAX = 5.0
 
 
+def step_factor(err: float) -> float:
+    """Step multiplier after an attempt with error norm `err`: the scalar
+    rule that `occtl.odeint._step_factors` applies to every member at once."""
+    if err == 0.0:
+        return _FACTOR_MAX
+    if not math.isfinite(err):
+        return _FACTOR_MIN
+    return min(_FACTOR_MAX, max(_FACTOR_MIN, _SAFETY * err ** -0.2))
+
+
 def serial_rk45(field, x0, t0: float, tf: float,
                    rtol: float = 1e-8, atol: float = 1e-8) -> Trajectory:
     """Dormand-Prince 5(4) embedded pair with standard step control.

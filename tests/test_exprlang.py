@@ -545,6 +545,41 @@ def test_compiled_list_fills_one_column_per_expression():
     assert fn(np.array([1.0, 2.0]), 0.5).shape == (4,)
 
 
+@pytest.mark.parametrize("x_shape, t_shape, out_shape", [
+    ((2,), (), (3,)),
+    ((4, 2), (4,), (4, 3)),
+    ((4, 2, 2), (4, 1), (4, 2, 3)),
+    ((2,), (5,), (5, 3)),
+    ((0, 2), (0,), (0, 3)),
+])
+def test_compiled_output_shape_is_the_broadcast_of_x_rows_and_t(
+        x_shape, t_shape, out_shape):
+    exprs = [parse(s) for s in ("x1*t", "x2 - x1", "3")]
+    fn = compile_expr(exprs, ["x1", "x2"])
+    rng = np.random.default_rng(0)
+    x, t = rng.uniform(-1, 1, x_shape), rng.uniform(0, 1, t_shape)
+    out = fn(x, t)
+    assert out.shape == out_shape
+    for i, e in enumerate(exprs):
+        want = evaluate(e, {"x1": x[..., 0], "x2": x[..., 1], "t": t})
+        np.testing.assert_array_equal(out[..., i],
+                                      np.broadcast_to(want, out_shape[:-1]))
+    # a kernel that binds no name takes the batch shape from x alone
+    assert compile_expr([parse("2*t")], [])(np.ones(x_shape[:-1] + (0,)),
+                                            t).shape == out_shape[:-1] + (1,)
+
+
+@pytest.mark.parametrize("x_shape, t_shape", [((4, 2), (3,)),
+                                              ((4, 2, 2), (4,))])
+def test_compiled_rejects_times_that_do_not_broadcast(x_shape, t_shape):
+    fn = compile_expr([parse("x1*t")], ["x1", "x2"])
+    with pytest.raises(ValueError):
+        fn(np.ones(x_shape), np.ones(t_shape))
+    with pytest.raises(ValueError):
+        compile_expr([parse("2*t")], [])(np.ones(x_shape[:-1] + (0,)),
+                                         np.ones(t_shape))
+
+
 def test_compiled_names_are_positional_and_unbound_names_rejected():
     fn = compile_expr([parse("a - b")], ["b", "a"])
     assert fn(np.array([1.0, 5.0]), 0.0)[0] == 4.0

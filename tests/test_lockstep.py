@@ -8,6 +8,8 @@ here every member is compared, bit for bit, with the parent loops kept in
 shapes and both methods.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -19,9 +21,11 @@ from occtl.contraction import (
     check_output_contraction, check_partial_contraction, simulate_pair,
 )
 from occtl.odeint import IntegratorConfig, integrate, integrate_batch
-from occtl.sysmodel import SystemSpec, augment, validate, vector_field
+from occtl.sysmodel import (
+    SystemSpec, augment, builtin_system, validate, vector_field,
+)
 
-from oracles import serial_rk4, serial_rk45
+from oracles import serial_rk4, serial_rk45, step_factor
 from test_exprlang import _random_tree
 
 METHODS = ("rk45-adaptive", "rk4-fixed")
@@ -181,3 +185,67 @@ def test_members_get_per_member_times_that_broadcast(member, t_shape):
         return -x
     integrate_batch(field, np.ones((3,) + member), 0.0, 0.1)
     assert seen == {((3,) + member, t_shape)}
+
+
+def test_step_factors_match_the_scalar_rule_bit_for_bit():
+    # the clamp's edges are at (0.9/5)^5 and (0.9/0.2)^5; 0 and the
+    # non-finite errors take the scalar rule's own branches
+    edges = [0.0, 5e-324, (0.9 / 5.0) ** 5, 1.0, (0.9 / 0.2) ** 5, 1e300,
+             math.inf, math.nan]
+    spread = 10.0 ** np.random.default_rng(5).uniform(-12.0, 12.0, 100_000)
+    for err in (np.array(edges), spread):
+        want = np.array([step_factor(e) for e in err.tolist()])
+        assert _bits(odeint._step_factors(err)) == _bits(want)
+
+
+def test_equilibrium_escaping_and_ordinary_members_match_the_serial_loop(
+        monkeypatch):
+    # (0, 0) is an equilibrium: every error is exactly 0.  From x1 = 1e120
+    # x1^3 overflows at once, so the errors are nan until the step floor;
+    # from x1 = 30 the state escapes in finite time through step underflow
+    spec = validate(SystemSpec.from_strings("cubic", 2, 1, ["x1^3", "-x2"],
+                                            ["x1 + x2"]))
+    field = vector_field(spec)
+    x0s = np.array([[0.0, 0.0], [1e120, 1.0], [30.0, 1.0], [-0.5, 2.0],
+                    [0.1, -1.0]])
+    errs = []
+    real = odeint._step_factors
+
+    def spy(err):
+        errs.extend(err.tolist())
+        return real(err)
+    monkeypatch.setattr(odeint, "_step_factors", spy)
+    batch = integrate_batch(field, x0s, 0.0, 2.0)
+    assert [traj.failure for traj in batch] == [
+        None, "non_finite", "step_underflow", None, None]
+    assert 0.0 in errs and any(math.isnan(e) for e in errs)
+    for x0, traj in zip(x0s, batch):
+        _assert_same(traj, serial_rk45(field, x0, 0.0, 2.0))
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_each_field_call_evaluates_exactly_the_running_members(method):
+    # ex1's pairs escape at different times, so members leave the batch
+    # one by one; alone, a member makes 1 + 6 * (its attempts) calls (RK4:
+    # 4 per step), and in the batch each iteration calls every running
+    # member together, each call with one row per member
+    field = vector_field(builtin_system("ex1-timevarying"))
+    x0s = np.random.default_rng(3).uniform(-5.0, 5.0, (6, 2, 2))
+    cfg = IntegratorConfig(method=method, step=1e-2)
+    per = 6 if method == "rk45-adaptive" else 4
+    rows = []
+
+    def counted(x, t):
+        rows.append(len(x) if x.ndim == 3 else 1)
+        return field(x, t)
+    iterations = []
+    for x0 in x0s:
+        rows.clear()
+        integrate(counted, x0, 0.0, 20.0, cfg)
+        assert (len(rows) - 1) % per == 0
+        iterations.append((len(rows) - 1) // per)
+    assert len(set(iterations)) > 2
+    rows.clear()
+    integrate_batch(counted, x0s, 0.0, 20.0, cfg)
+    running = [sum(n > i for n in iterations) for i in range(max(iterations))]
+    assert rows == [len(x0s)] + [k for k in running for _ in range(per)]

@@ -9,7 +9,9 @@ from occtl.odeint import (
     IntegratorConfig, integrate, integrate_batch, integrate_rk4, integrate_rk45,
     map_output, sample_at, trajectory_csv,
 )
-from occtl.sysmodel import SystemSpec, builtin_system, validate, vector_field
+from occtl.sysmodel import (
+    SystemSpec, augment, builtin_system, validate, vector_field,
+)
 
 from oracles import counting_field, lti_analytic
 
@@ -147,6 +149,29 @@ def test_an_rk4_batch_holds_only_the_points_its_members_reach():
     kept = sum(a.nbytes for traj in trajs
                for a in (traj.times, traj.states, traj.derivs))
     assert held <= 2 * kept
+
+
+@pytest.mark.parametrize("system, field, shape, tf", [
+    ("ex2-timeinvariant", lambda spec: augment(spec).field, (50, 4), 5.0),
+    ("ex1-timevarying", vector_field, (50, 2, 2), 20.0),
+])
+def test_an_rk45_batch_peaks_near_the_points_it_keeps(system, field, shape,
+                                                      tf):
+    # each step logs the field's own k7, not a view of the step's stage
+    # buffer, which would keep all seven stages alive (about 4x the kept
+    # bytes at the peak)
+    field = field(builtin_system(system))
+    x0 = np.random.default_rng(7).uniform(-5.0, 5.0, size=shape)
+    field(x0, np.zeros((len(x0),) + (1,) * (x0.ndim - 2)))  # compile first
+    tracemalloc.start()
+    try:
+        trajs = integrate_batch(field, x0, 0.0, tf)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = sum(a.nbytes for traj in trajs
+               for a in (traj.times, traj.states, traj.derivs))
+    assert peak <= 2.5 * kept
 
 
 @pytest.mark.parametrize("method", ["rk45-adaptive", "rk4-fixed"])
