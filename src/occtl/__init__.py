@@ -40,7 +40,7 @@ from .contraction import (
     DivergenceSeries, FdCheck, PairResult, RateFit, SamplingPlan, Verdict,
     check_oes_equilibrium, check_oes_variational, check_output_contraction,
     check_partial_contraction, divergence_csv, fd_variational_check, fit_rate,
-    simulate_pair, simulate_variational, verdict_json,
+    simulate_pair, verdict_json,
 )
 from .lyapunov import (
     Bounds, CandidateV, CheckDomain, FalsificationReport, check_certificate,

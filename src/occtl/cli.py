@@ -6,11 +6,12 @@ and prints it, so runs are reproducible; series files are written with 17
 significant digits and are byte-stable for a fixed seed and version.
 
 Exit codes: 0 all checks passed / property holds; 1 a check was falsified
-(witness in the report); 2 usage or validation error; 3 numerical failure:
-a simulated trajectory was truncated (blow-up, step underflow, or f left its
-domain) or its output is not finite (h left its domain), or a `jacobian`
-query is not finite (f or h undefined or not differentiable at the point),
-with the report printed all the same.  Inside the checkers a trajectory
+(witness in the report); 2 usage or validation error, a malformed or
+unreadable system file among them; 3 numerical failure: a simulated
+trajectory was truncated (blow-up, step underflow, or f left its domain) or
+its output is not finite (h left its domain), or a `jacobian` query is not
+finite (f or h undefined or not differentiable at the point), with the
+report printed all the same.  Inside the checkers a trajectory
 that leaves f's domain is a truncated item, an output outside h's domain
 fails its own item, and a certificate sample where f, h or V is undefined
 is a violation; none of them is a failure of the run.  Reports print every
@@ -75,6 +76,9 @@ def load_system(path_or_name: str):
     if path.exists():
         try:
             return system_from_json(path.read_text())
+        except OSError as err:
+            raise UsageError(f"cannot read system file {path}: "
+                             f"{err.strerror or err}") from None
         except json.JSONDecodeError as err:
             raise UsageError(f"malformed system JSON {path}: {err}") from None
     raise UsageError(
@@ -180,9 +184,16 @@ def _write_divergence(rep: _Reporter, name: str, series) -> None:
 
 
 def _integrator_config(args) -> IntegratorConfig:
-    """IntegratorConfig from the flags given; absent ones keep its defaults."""
+    """IntegratorConfig from the flags given; absent ones keep its defaults.
+    A flag that the chosen method does not read is a usage error."""
     given = vars(args).keys() & {"method", "step", "rtol", "atol"}
-    return IntegratorConfig(**{key: getattr(args, key) for key in given})
+    cfg = IntegratorConfig(**{key: getattr(args, key) for key in given})
+    unread = given & ({"rtol", "atol"} if cfg.method == "rk4-fixed"
+                      else {"step"})
+    if unread:
+        raise UsageError(f"method {cfg.method} does not read "
+                         + ", ".join(f"--{key}" for key in sorted(unread)))
+    return cfg
 
 
 def _plan(args, spec) -> SamplingPlan:

@@ -47,9 +47,9 @@ from .sysmodel import (
 __all__ = [
     "SamplingPlan", "DivergenceSeries", "RateFit", "PairResult", "Verdict",
     "FdCheck", "simulate_pair", "fit_rate", "check_output_contraction",
-    "check_partial_contraction", "simulate_variational",
-    "check_oes_variational", "check_oes_equilibrium", "fd_variational_check",
-    "verdict_json", "divergence_csv", "DEFAULT_ALPHA_MIN",
+    "check_partial_contraction", "check_oes_variational",
+    "check_oes_equilibrium", "fd_variational_check", "verdict_json",
+    "divergence_csv", "DEFAULT_ALPHA_MIN",
 ]
 
 #: smallest fitted decay rate a passing pair may have
@@ -153,7 +153,12 @@ class PairResult:
 
 @dataclass(frozen=True)
 class Verdict:
-    """Aggregate sampling verdict with the evidence that produced it."""
+    """Aggregate sampling verdict with the evidence that produced it.
+
+    `witness` describes the lowest-index failing item (None when every item
+    passed), so `min_alpha`, the least fitted rate over all items, may come
+    from another item than the witness's alpha.
+    """
 
     kind: str
     holds: bool
@@ -162,7 +167,6 @@ class Verdict:
     pairs: int
     truncated: int
     alpha_min: float
-    worst_pair: PairResult | None
     witness: dict | None
     results: tuple[PairResult, ...]
 
@@ -308,18 +312,12 @@ def _assemble(kind: str, results: list[PairResult], alpha_min: float) -> Verdict
     min_alpha = min((r.fit.alpha for r in fitted), default=math.nan)
     max_c = max((r.fit.c_tight for r in fitted), default=math.nan)
     failed = [r for r in results if not r.passed]
-    if failed:
-        worst = min(failed, key=lambda r: (r.fit.alpha if r.fit and r.fit.valid
-                                           else -math.inf))
-    else:
-        worst = min(fitted, key=lambda r: r.fit.alpha, default=None)
     return Verdict(
         kind=kind, holds=holds,
         min_alpha=float(min_alpha), max_c=float(max_c),
         pairs=len(results),
         truncated=sum(r.series.truncated for r in results),
         alpha_min=alpha_min,
-        worst_pair=worst,
         witness=_witness_from(failed[0]) if failed else None,
         results=tuple(results))
 
@@ -499,39 +497,8 @@ def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
 
 
 # ---------------------------------------------------------------------------
-# variational simulation and OES of the variational family
+# OES of the variational family
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class VariationalRun:
-    """Joint solution of the base state and its variational companion."""
-
-    times: np.ndarray
-    x: np.ndarray     # (g, n)
-    xi: np.ndarray    # (g, n)
-    nu: np.ndarray    # (g, m)
-    failure: str | None
-
-    @property
-    def ok(self) -> bool:
-        return self.failure is None
-
-
-def simulate_variational(spec: SystemSpec, x0, xi0, t0: float, tf: float,
-                         cfg: IntegratorConfig | None = None) -> VariationalRun:
-    """Integrate the 2n augmented system and report nu on its grid."""
-    aug = augment(spec)
-    x0 = np.asarray(x0, dtype=float)
-    xi0 = np.asarray(xi0, dtype=float)
-    if not np.linalg.norm(xi0) > 0:
-        raise ValueError("the variational seed xi0 must be nonzero")
-    traj = integrate(aug.field, np.concatenate([x0, xi0]), t0, tf, cfg)
-    n = spec.n
-    x, xi = traj.states[:, :n], traj.states[:, n:]
-    nu = aug.output(traj.states, traj.times)
-    return VariationalRun(times=traj.times, x=x, xi=xi, nu=nu,
-                          failure=traj.failure)
-
 
 def check_oes_variational(spec: SystemSpec, plan: SamplingPlan,
                           cfg: IntegratorConfig | None = None,
@@ -593,7 +560,10 @@ def check_oes_equilibrium(spec: SystemSpec, y_star, plan: SamplingPlan,
     if y_star.shape != (spec.m,) or not np.all(np.isfinite(y_star)):
         raise ValueError(f"y_star must be a finite vector of length m={spec.m}")
     if x_ref0 is not None:
-        x_ref0 = np.asarray(x_ref0, dtype=float)
+        x_ref0 = np.atleast_1d(np.asarray(x_ref0, dtype=float))
+        if x_ref0.shape != (spec.n,) or not np.all(np.isfinite(x_ref0)):
+            raise ValueError(
+                f"x_ref0 must be a finite vector of length n={spec.n}")
     h = output_map(spec)
 
     def judge(i, traj, x0):

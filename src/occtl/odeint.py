@@ -71,11 +71,6 @@ class Trajectory:
     def t_end(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def blowup_time(self) -> float | None:
-        """Time of divergence when the run failed, else None."""
-        return None if self.ok else self.t_end
-
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -197,9 +192,8 @@ def _rk4(field, x0s: np.ndarray, t0: float, tf: float,
                 idx, x, k1 = idx[finite], x[finite], k1[finite]
                 if not idx.size:
                     break
-            at = grid[i + 1:i + 2]
             ids.append(idx)
-            times.append(at if len(idx) == 1 else at.repeat(len(idx)))
+            times.append(grid[i + 1:i + 2].repeat(len(idx)))
             states.append(x)
             derivs.append(k1)
     return _split(rows, float(t0), float(tf), failure)
@@ -392,8 +386,7 @@ def sample_at(traj: Trajectory, t):
     theta = (t_arr - t_k) / dt
     # broadcast the interpolation weights over the state axes
     extra = (np.newaxis,) * (traj.states.ndim - 1)
-    th = theta[(...,) + extra] if t_arr.ndim else theta
-    dtb = dt[(...,) + extra] if t_arr.ndim else dt
+    th, dtb = theta[(...,) + extra], dt[(...,) + extra]
 
     x_k, x_k1 = traj.states[idx], traj.states[idx + 1]
     f_k, f_k1 = traj.derivs[idx], traj.derivs[idx + 1]

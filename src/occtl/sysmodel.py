@@ -152,8 +152,7 @@ def validate(spec: SystemSpec) -> SystemSpec:
 
 def _eval_stack(exprs: tuple[Expr, ...], env: Mapping) -> np.ndarray:
     cols = [np.asarray(evaluate(e, env), dtype=float) for e in exprs]
-    return np.stack(np.broadcast_arrays(*cols), axis=-1) if len(cols) > 1 \
-        else np.asarray(cols[0])[..., np.newaxis]
+    return np.stack(np.broadcast_arrays(*cols), axis=-1)
 
 
 def eval_fh(spec: SystemSpec, x, t) -> tuple[np.ndarray, np.ndarray]:
@@ -315,16 +314,32 @@ def json_safe(value):
 
 
 def system_from_json(doc) -> SystemSpec:
-    """Build and validate a SystemSpec from a JSON document (text or dict)."""
+    """Build and validate a SystemSpec from a JSON document (text or dict).
+
+    A document that is not an object with a string name, integer n and m,
+    and lists of strings f and h raises SystemValidationError.
+    """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise SystemValidationError(
+            f"a system document is a JSON object, got {type(doc).__name__}")
     try:
-        spec = SystemSpec.from_strings(
-            str(doc["name"]), int(doc["n"]), int(doc["m"]),
-            list(doc["f"]), list(doc["h"]))
+        name, n, m, f, h = (doc[key] for key in ("name", "n", "m", "f", "h"))
     except KeyError as missing:
         raise SystemValidationError(f"system document lacks key {missing}") from None
-    return validate(spec)
+    if not isinstance(name, str):
+        raise SystemValidationError(f"name must be a string, got {name!r}")
+    for key, value in (("n", n), ("m", m)):
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise SystemValidationError(
+                f"{name!r}: {key} must be an integer, got {value!r}")
+    for key, value in (("f", f), ("h", h)):
+        if not (isinstance(value, list)
+                and all(isinstance(e, str) for e in value)):
+            raise SystemValidationError(
+                f"{name!r}: {key} must be a list of strings, got {value!r}")
+    return validate(SystemSpec.from_strings(name, n, m, f, h))
 
 
 def system_to_json(spec: SystemSpec) -> str:

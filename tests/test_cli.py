@@ -28,9 +28,23 @@ def test_unknown_system_is_usage_error(capsys):
 
 def test_malformed_system_file(tmp_path, capsys):
     bad = tmp_path / "sys.json"
-    bad.write_text('{"name": "b", "n": 2, "m": 1, "f": ["x3", "x1"], "h": ["x1"]}')
-    code = main(["simulate", "--system", str(bad), "--x0", "1,1"])
+    for doc in (
+            '{"name": "b", "n": 2, "m": 1, "f": ["x3", "x1"], "h": ["x1"]}',
+            '[1, 2]',
+            '{"name": "b", "n": 2, "m": 1, "f": 5, "h": ["x1"]}',
+            '{"name": "b", "n": 2, "m": 1, "f": ["x1", 3], "h": ["x1"]}',
+            '{"name": "b", "n": 2, "m": 1, "f": ["x1", "x2"], "h": "x1"}',
+            '{"name": "b", "n": null, "m": 1, "f": ["x1", "x2"], "h": ["x1"]}',
+            '{"name": "b", "n": 2.7, "m": 1, "f": ["x1", "x2"], "h": ["x1"]}',
+            '{"name": "b", "n": 2, "m": true, "f": ["x1", "x2"], "h": ["x1"]}',
+            '{"name": 7, "n": 2, "m": 1, "f": ["x1", "x2"], "h": ["x1"]}'):
+        bad.write_text(doc)
+        code = main(["simulate", "--system", str(bad), "--x0", "1,1"])
+        assert code == 2, doc
+    # a directory exists but cannot be read as a system file
+    code = main(["simulate", "--system", str(tmp_path), "--x0", "1,1"])
     assert code == 2
+    assert "cannot read system file" in capsys.readouterr().err
 
 
 def test_system_file_round_trip(tmp_path, capsys):
@@ -42,6 +56,18 @@ def test_system_file_round_trip(tmp_path, capsys):
     assert code == 0
     assert report["results"]["final_output"][0] == pytest.approx(
         np.exp(-1.0), abs=1e-7)
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (["--step", "0.5"], "--step"),
+    (["--method", "rk4-fixed", "--rtol", "1e-6", "--atol", "1e-6"],
+     "--atol, --rtol"),
+])
+def test_an_integrator_flag_the_method_does_not_read_is_rejected(
+        capsys, argv, flags):
+    code = main(["simulate", "--system", "lti-remark1", "--x0", "1,1", *argv])
+    assert code == 2
+    assert capsys.readouterr().err.strip().endswith(f"does not read {flags}")
 
 
 def test_unknown_flag_exits_2():

@@ -8,10 +8,10 @@ from occtl.contraction import (
     DivergenceSeries, SamplingPlan, check_oes_equilibrium,
     check_oes_variational, check_output_contraction,
     check_partial_contraction, divergence_csv, fd_variational_check, fit_rate,
-    simulate_pair, simulate_variational, verdict_json,
+    simulate_pair, verdict_json,
 )
-from occtl.odeint import IntegratorConfig
-from occtl.sysmodel import SystemSpec, builtin_system, validate
+from occtl.odeint import IntegratorConfig, integrate
+from occtl.sysmodel import SystemSpec, augment, builtin_system, validate
 
 from oracles import output_equilibrium_root
 
@@ -260,12 +260,20 @@ def test_full_state_output_partial_contraction_holds():
 # variational simulation and OES
 # ---------------------------------------------------------------------------
 
+def _variational(spec, x0, xi0, tf, cfg=None):
+    """The augmented system's trajectory from (x0, xi0) over [0, tf], and
+    its output nu on the trajectory's grid."""
+    aug = augment(spec)
+    traj = integrate(aug.field, np.concatenate([x0, xi0]), 0.0, tf, cfg)
+    return traj, aug.output(traj.states, traj.times)
+
+
 def test_variational_lti_fast_eigenvector():
-    run = simulate_variational(builtin_system("lti-remark1"),
-                               (0.3, -0.7), (1.0, -1.0), 0.0, 2.0)
-    assert run.ok
-    assert run.times[-1] == 2.0
-    norm_end = np.linalg.norm(run.xi[-1])
+    traj, _ = _variational(builtin_system("lti-remark1"),
+                           (0.3, -0.7), (1.0, -1.0), 2.0)
+    assert traj.ok
+    assert traj.times[-1] == 2.0
+    norm_end = np.linalg.norm(traj.states[-1, 2:])
     assert norm_end == pytest.approx(math.sqrt(2.0) * math.exp(-6.0), rel=1e-6)
     assert norm_end == pytest.approx(0.003506, abs=2e-6)
 
@@ -273,22 +281,18 @@ def test_variational_lti_fast_eigenvector():
 def test_variational_linearity_in_seed():
     cfg = IntegratorConfig(method="rk4-fixed", step=1e-3)
     spec = builtin_system("ex1-timevarying")
-    base = simulate_variational(spec, (0.5, -0.25), (0.6, 0.8), 0.0, 0.3, cfg)
-    scaled = simulate_variational(spec, (0.5, -0.25), (6.0, 8.0), 0.0, 0.3, cfg)
-    np.testing.assert_allclose(scaled.xi, 10.0 * base.xi, rtol=1e-9)
-    np.testing.assert_allclose(scaled.nu, 10.0 * base.nu, rtol=1e-9, atol=1e-12)
+    base, base_nu = _variational(spec, (0.5, -0.25), (0.6, 0.8), 0.3, cfg)
+    scaled, scaled_nu = _variational(spec, (0.5, -0.25), (6.0, 8.0), 0.3, cfg)
+    np.testing.assert_allclose(scaled.states[:, 2:], 10.0 * base.states[:, 2:],
+                               rtol=1e-9)
+    np.testing.assert_allclose(scaled_nu, 10.0 * base_nu, rtol=1e-9, atol=1e-12)
 
 
 def test_variational_output_is_seed_sum_for_additive_output():
-    run = simulate_variational(builtin_system("ex1-timevarying"),
-                               (-1.0, 0.5), (0.3, 0.4), 0.0, 0.4)
-    np.testing.assert_allclose(run.nu[:, 0], run.xi.sum(axis=1), atol=1e-12)
-
-
-def test_variational_zero_seed_rejected():
-    with pytest.raises(ValueError):
-        simulate_variational(builtin_system("lti-remark1"),
-                             (0.0, 0.0), (0.0, 0.0), 0.0, 1.0)
+    traj, nu = _variational(builtin_system("ex1-timevarying"),
+                            (-1.0, 0.5), (0.3, 0.4), 0.4)
+    np.testing.assert_allclose(nu[:, 0], traj.states[:, 2:].sum(axis=1),
+                               atol=1e-12)
 
 
 def test_oes_variational_lti_holds():
@@ -316,13 +320,12 @@ def test_nu_linearity_doubles_c_keeps_alpha():
     cfg = IntegratorConfig(method="rk4-fixed", step=2e-3)
     spec = builtin_system("ex2-timeinvariant")
     x0, xi0 = (1.0, -0.5), np.array([0.8, 0.6])
-    runs = [simulate_variational(spec, x0, s * xi0, 0.0, 4.0, cfg)
-            for s in (1.0, 2.0)]
+    runs = [_variational(spec, x0, s * xi0, 4.0, cfg) for s in (1.0, 2.0)]
     fits = []
-    for run in runs:
+    for traj, nu in runs:
         series = DivergenceSeries(
-            times=run.times, d=np.linalg.norm(run.nu, axis=-1),
-            dx0=1.0, dy0=float(np.linalg.norm(run.nu[0])), truncated=False)
+            times=traj.times, d=np.linalg.norm(nu, axis=-1),
+            dx0=1.0, dy0=float(np.linalg.norm(nu[0])), truncated=False)
         fits.append(fit_rate(series, scale=1.0))
     assert fits[1].alpha == pytest.approx(fits[0].alpha, abs=1e-9)
     assert fits[1].c == pytest.approx(2.0 * fits[0].c, rel=1e-9)
@@ -371,6 +374,15 @@ def test_oes_equilibrium_validates_y_star():
     with pytest.raises(ValueError):
         check_oes_equilibrium(builtin_system("ex2-timeinvariant"),
                               (0.1, 0.2), small_plan())
+
+
+def test_oes_equilibrium_validates_x_ref0():
+    # a short x_ref0 used to broadcast into every item's scale, and a nan
+    # one to fail every item
+    for x_ref0 in ((0.0,), (0.0, 0.0, 0.0), (math.nan, 0.0), (0.0, math.inf)):
+        with pytest.raises(ValueError, match="x_ref0"):
+            check_oes_equilibrium(builtin_system("ex2-timeinvariant"), 0.24,
+                                  small_plan(), x_ref0=x_ref0)
 
 
 # ---------------------------------------------------------------------------

@@ -121,7 +121,6 @@ def test_finite_time_escape_truncates_and_flags():
     field = vector_field(builtin_system("ex1-timevarying"))
     traj = integrate_rk45(field, np.array([-2.5, -5.0]), 0.0, 5.0)
     assert not traj.ok
-    assert traj.blowup_time is not None
     assert 0.3 < traj.t_end < 0.6
     assert np.all(np.isfinite(traj.states))
 

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import json
 import math
 from pathlib import Path
@@ -162,6 +163,16 @@ def test_only_the_reference_path_raises_and_only_main_catches():
         return isinstance(node, ast.ExceptHandler) and "ExprEvalError" in {
             getattr(n, "id", None) for n in ast.walk(node.type or ast.Pass())}
     assert _where(catches) == {("cli.py", "main")}
+
+
+def test_every_name_in_a_modules_all_resolves():
+    for path in sorted(Path(occtl.__file__).parent.glob("*.py")):
+        if path.stem == "__main__":  # importing it runs the CLI
+            continue
+        module = importlib.import_module(f"occtl.{path.stem}")
+        stale = [name for name in getattr(module, "__all__", ())
+                 if not hasattr(module, name)]
+        assert not stale, (path.name, stale)
 
 
 def test_eval_fh_batched_matches_loop():
