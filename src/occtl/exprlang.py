@@ -165,6 +165,10 @@ def tokenize(source: str) -> list[Token]:
     return tokens
 
 
+#: nesting of parentheses, calls, negations and powers parsed, 5 frames each
+_MAX_NESTING = 150
+
+
 class _Parser:
     """Recursive-descent parser over a token list."""
 
@@ -172,6 +176,7 @@ class _Parser:
         self.source = source
         self.tokens = tokenize(source)
         self.pos = 0
+        self.depth = 0   # active `unary` calls: every nesting passes one
 
     def peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -214,10 +219,18 @@ class _Parser:
 
     def unary(self) -> Expr:
         tok = self.peek()
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ExprSyntaxError(
+                f"expression nests too deeply (more than {_MAX_NESTING} "
+                "levels)", tok.position if tok else len(self.source))
         if tok and tok.kind == "operator" and tok.lexeme == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node: Expr = Neg(self.unary())
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self) -> Expr:
         base = self.atom()
@@ -673,16 +686,21 @@ def _enclose(e: Expr, box: Mapping[str, tuple[float, float]]
 # compilation to plain Python (hot-loop evaluation)
 # ---------------------------------------------------------------------------
 
+#: parentheses an emitted expression nests; Python's compiler refuses 200
+_NESTED = 50
+
+
 def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
                  lines: list[str]) -> list[str]:
-    """Source of each tree, with every subtree that occurs more than once in
-    `exprs` computed once into a local whose assignment is appended to
-    `lines`.  Subtrees are keyed by structure: a constant by the repr of its
-    value (as `consts` is, so 0.0 and -0.0 stay apart), a variable by its
-    name, an operation by its operator and the keys of its children.  Keys
-    are built bottom-up once per node object, as flat tuples ``(kind,
-    label, child ids...)``, so the cost is linear in the size of the trees.
-    Only repeated operations get a local; leaves are names already."""
+    """Source of each tree, with every subtree that occurs more than once
+    in `exprs`, or that nests `_NESTED` parentheses, computed once into a
+    local whose assignment is appended to `lines`.  Subtrees are keyed by
+    structure: a constant by the repr of its value (as `consts` is, so 0.0
+    and -0.0 stay apart), a variable by its name, an operation by its
+    operator and the keys of its children.  Keys are built bottom-up once
+    per node object, as flat tuples ``(kind, label, child ids...)``, so the
+    cost is linear in the size of the trees.  Leaves never get a local:
+    they are names already."""
     ids: dict[tuple, int] = {}     # structural key -> id
     of_node: dict[int, int] = {}   # id() of a node object -> its id
     keys: list[tuple] = []
@@ -719,15 +737,15 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
 
     local: dict[int, str] = {}
 
-    def emit(k: int) -> str:
+    def emit(k: int) -> tuple[str, int]:   # source, parentheses nested
         kind, label, *children = keys[k]
         if kind == "const":
-            return consts.setdefault(label, f"_c{len(consts)}")
+            return consts.setdefault(label, f"_c{len(consts)}"), 0
         if kind == "var":
-            return label
+            return label, 0
         if k in local:
-            return local[k]
-        args = [emit(child) for child in children]
+            return local[k], 0
+        args, depths = zip(*(emit(child) for child in children))
         if kind == "neg":
             text = f"(-{args[0]})"
         elif kind == "bin" and label == "^" and not constant[k]:
@@ -739,16 +757,16 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
             text = f"({args[0]} {'**' if label == '^' else label} {args[1]})"
         else:
             text = f"_np.{'log' if label == 'ln' else label}({args[0]})"
-        if uses[k] < 2:
-            return text
+        if uses[k] < 2 and max(depths) < _NESTED:
+            return text, 1 + max(depths)
         local[k] = f"_s{len(local)}"
         lines.append(f"        {local[k]} = {text}")
-        return local[k]
+        return local[k], 0
 
     roots = [intern(e) for e in exprs]
     for k in roots:
         uses[k] += 1
-    return [emit(k) for k in roots]
+    return [emit(k)[0] for k in roots]
 
 
 def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):

@@ -16,12 +16,12 @@ certificate's form on one draw of the domain; `check_sandwich`,
 the same pipeline.  A check compiles one kernel of V, nu and Vdot, as far
 as its conditions read them: nu is the symbolic Jh xi and Vdot one
 symbolic tree of V's partials (abs differentiates to sign), f and Jf xi,
-so subtrees they share are computed once.  The draw is filled in place and
-evaluated in blocks of `_BLOCK` rows that stay in cache: each block's
-(x, xi) state is copied into one buffer of the check, the kernel is called
-once on it, and each condition keeps only the block's least slack and its
-violated row of least slack, with that row's named terms; nothing else as
-long as the draw is kept.  The kernel has no domain guards, so a sample
+so subtrees they share are computed once.  The draw is made and judged in
+blocks of `_BLOCK` rows that stay in cache: each block's (x, xi) state is
+written into one buffer of the check, the kernel is called once on it, and
+each condition keeps only the block's least slack and its violated row of
+least slack, with that row's named terms; of the draw only its xi
+directions are kept whole.  The kernel has no domain guards, so a sample
 where f, h or V is undefined gets a nan slack, which counts as a violation
 of that sample instead of failing the run.  To keep that where V does not
 depend on some x_i, Vdot multiplies f_i by the zero partial, unless an
@@ -68,10 +68,10 @@ def _tolerance(v) -> np.ndarray:
     return 1e-9 + 1e-9 * np.abs(v)
 
 
-#: samples evaluated together, so that a block's state, kernel columns and
-#: slacks stay in cache; on the 1e5-sample ex1 certificate one command took
-#: 112, 96, 83 and 80 ms at 1024, 2048, 4096 and 16384 rows and 96 ms in
-#: one block, measured before V, nu and Vdot shared one kernel
+#: samples drawn and judged together, their state, kernel columns and slacks
+#: in cache; one 1e5-sample ex1 command took 54, 45, 39 and 36 ms at 1024,
+#: 2048, 4096 and 16384 rows (BENCH_18.json), but 16384 rows add 3.2 MB of
+#: peak RSS, most of what streaming the draw saves
 _BLOCK = 4096
 
 
@@ -209,55 +209,58 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float,
     out += lo
 
 
-def _sample_domain(n: int, domain: CheckDomain
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Random draws plus deterministic probes; returns (x, xi, t) arrays.
+def _draw_blocks(n: int, domain: CheckDomain, block: int):
+    """Yield the draw of `domain` in blocks of `block` rows as (state, xi,
+    t): state the column-major (rows, 2n) buffer of x and xi, xi row-major.
 
-    The arrays are allocated once, at the size of the draw and its probes,
-    and filled in place: x column by column (it is column-major, so each
-    column takes the uniform draws directly), xi as normal directions scaled
-    to unit length and then to the radius of each row, t last; the probes
-    (corners of the box's first six axes, at the midpoint of the others, x
-    axis seeds x horizon endpoints) fill the tail.  The only temporaries
-    are the squares and norms of the directions.
-    """
-    rng = np.random.default_rng(domain.seed)
-    s = domain.samples
-    corners = [np.array(c + tuple(0.5 * (lo + hi)
-                                  for lo, hi in domain.x_box[len(c):]))
+    The bytes are those of one `default_rng(seed)` filling x column by
+    column with uniforms, then unit normal directions times each row's
+    radius, then uniform t, with the probes (corners of the box's first six
+    axes, at the midpoint of the others, x axis seeds x horizon endpoints)
+    in the tail.  A uniform takes one raw draw, so x's column j and t come
+    block by block from the seed's stream advanced past what precedes them.
+    The normals vary in draws, so they are drawn at once, the one array as
+    long as the draw, and normalised and scaled block by block.  The
+    buffers are reused: a block is gone once the next is asked for."""
+    s, radii = domain.samples, domain.xi_radii
+    corners = [c + tuple(0.5 * (lo + hi) for lo, hi in domain.x_box[len(c):])
                for c in itertools.product(*domain.x_box[:6])]
     t_lo, t_hi = domain.t_range
     probe_ts = (t_lo,) if t_lo == t_hi else (t_lo, t_hi)
     seeds = np.repeat([sign * np.eye(n)[i] for i in range(n)
                        for sign in (+1.0, -1.0)], len(probe_ts), axis=0)
-    size = s + len(corners) * len(seeds)
-    x = np.empty((size, n), order="F")
+    probe_x = np.repeat(corners, len(seeds), axis=0)
+    probe_t = np.resize(probe_ts, len(probe_x))
+    size = s + len(probe_x)
+    streams = [np.random.PCG64(domain.seed) for _ in range(n + 1)]
+    for j, bits in enumerate(streams):
+        bits.advance(j * s)   # x's column j, then the normals and t
+    *columns, rng = map(np.random.Generator, streams)
     xi = np.empty((size, n))
-    t = np.empty(size)
-
-    for (lo, hi), column in zip(domain.x_box, x.T):
-        _uniform(rng, lo, hi, column[:s])
-    dirs = xi[:s]
-    rng.standard_normal(out=dirs)
-    squares = dirs * dirs
-    norms = np.add.reduce(squares, axis=-1, keepdims=True)
-    del squares
-    np.sqrt(norms, out=norms)
-    small = norms < 1e-12
-    np.maximum(norms, 1e-300, out=norms)
-    dirs /= norms
-    np.copyto(dirs, 1.0 / math.sqrt(n), where=small)
-    del norms, small
-    for k, radius in enumerate(domain.xi_radii):
-        dirs[k::len(domain.xi_radii)] *= radius
-    _uniform(rng, t_lo, t_hi, t[:s])
-
-    for k, corner in enumerate(corners):
-        rows = slice(s + k * len(seeds), s + (k + 1) * len(seeds))
-        x[rows] = corner
-        xi[rows] = seeds
-    t[s:] = np.resize(probe_ts, size - s)
-    return x, xi, t
+    rng.standard_normal(out=xi[:s])
+    xi[s:] = np.tile(seeds, (len(corners), 1))
+    state = np.empty((min(block, size), 2 * n), order="F")
+    times = np.empty(len(state))
+    for start in range(0, size, block):
+        stop = min(start + block, size)
+        drawn = max(0, min(stop, s) - start)   # random rows of the block
+        out, t = state[:stop - start], times[:stop - start]
+        for (lo, hi), column, rows in zip(domain.x_box, columns, out.T):
+            _uniform(column, lo, hi, rows[:drawn])
+        dirs = xi[start:start + drawn]
+        norms = np.add.reduce(dirs * dirs, axis=-1, keepdims=True)
+        np.sqrt(norms, out=norms)
+        small = norms < 1e-12
+        np.maximum(norms, 1e-300, out=norms)
+        dirs /= norms
+        np.copyto(dirs, 1.0 / math.sqrt(n), where=small)
+        for k, radius in enumerate(radii):
+            dirs[(k - start) % len(radii)::len(radii)] *= radius
+        _uniform(rng, t_lo, t_hi, t[:drawn])
+        out[drawn:, :n] = probe_x[start + drawn - s:stop - s]
+        t[drawn:] = probe_t[start + drawn - s:stop - s]
+        out[:, n:] = xi[start:stop]
+        yield out, xi[start:stop], t
 
 
 def _v_env(n: int, x, xi, t) -> dict:
@@ -395,17 +398,17 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     the conditions in order, before it draws (at t = 0 if `at_time_zero`).
     One kernel gives V, nu and Vdot as far as the conditions read them,
     Vdot without its products of f with a zero partial of V where f is
-    proven finite on the draw's box (`_f_finite`).  The draw is evaluated
-    in blocks of `_BLOCK` rows: each block copies its (x, xi) state into
-    one column-major (rows, 2n) buffer allocated once per check, calls the
-    kernel once and judges every condition on its rows.  A slack not at
+    proven finite on the draw's box (`_f_finite`).  The draw comes in
+    blocks of `_BLOCK` rows (`_draw_blocks`), each written into one
+    column-major (rows, 2n) buffer of the check and judged as it comes,
+    with one kernel call and every condition on its rows.  A slack not at
     least -tolerance (nan included, as where V or f is undefined) is a
     violation; a block keeps its least slack and its violated row of least
     slack, nan ranked last, with the named terms of that row.  Across
     blocks the least slack is np.min of the blocks' (so nan wins, as in
     one pass), and a block's violated row replaces the one held only when
     its slack is strictly less, so ties go to the lowest index.  Nothing of
-    the length of the draw is kept but the draw itself, and the reports
+    the length of the draw is kept but its xi directions, and the reports
     equal those of one pass over it."""
     validate(spec)
     V.check_variables(spec.n)
@@ -416,9 +419,6 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
         for met, message in condition.requires:
             if not met:
                 raise ValueError(message)
-    x, xi, t = _sample_domain(spec.n, domain)
-    if at_time_zero:
-        t = np.broadcast_to(0.0, t.shape)
     nu, decay = (any(c.nu for c in conditions),
                  any(c.decay for c in conditions))
     kernel = _kernel(spec, V, nu, decay,
@@ -426,20 +426,18 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     m = spec.m if nu else 0
     mins = [[] for _ in conditions]
     worst = [(math.inf, None)] * len(conditions)   # (rank, counterexample)
-    state = np.empty((min(_BLOCK, x.shape[0]), 2 * spec.n), order="F")
+    checked = 0
     with np.errstate(all="ignore"):   # an overflowing sample judges as nan
-        for start in range(0, x.shape[0], _BLOCK):
-            at = slice(start, start + _BLOCK)
-            block = state[:len(x[at])]
-            block[:, :spec.n] = x[at]
-            block[:, spec.n:] = xi[at]
-            out = kernel(block, t[at])
+        for state, xi, t in _draw_blocks(spec.n, domain, _BLOCK):
+            if at_time_zero:
+                t = np.broadcast_to(0.0, t.shape)
+            checked += len(t)
+            out = kernel(state, t)
             v = out[:, 0]
             tolerance = _tolerance(v)
             for k, condition in enumerate(conditions):
                 slack, named = condition.terms(
-                    xi[at], t[at], v, out[:, 1:1 + m],
-                    out[:, -1] if decay else None)
+                    xi, t, v, out[:, 1:1 + m], out[:, -1] if decay else None)
                 mins[k].append(np.min(slack))
                 bad = np.flatnonzero(~(slack >= -tolerance))
                 if bad.size == 0:
@@ -448,23 +446,22 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
                 j = np.argmin(ranks)
                 if worst[k][1] is None or ranks[j] < worst[k][0]:
                     worst[k] = ranks[j], _counterexample(
-                        bad[j], start, x, xi, t, v, named)
+                        bad[j], state, xi, t, v, named)
     return [FalsificationReport(condition=condition.name,
                                 passed=counterexample is None,
-                                checked=x.shape[0],
+                                checked=checked,
                                 worst_margin=float(np.min(block_mins)),
                                 counterexample=counterexample)
             for condition, block_mins, (_, counterexample)
             in zip(conditions, mins, worst)]
 
 
-def _counterexample(i: int, start: int, x, xi, t, v, named) -> dict:
-    """Row `i` of the block that begins at row `start` of the draw: its
-    sample, V and named terms (a scalar term broadcasts)."""
-    row = start + i
-    counterexample = {"x": [float(c) for c in x[row]],
-                      "xi": [float(c) for c in xi[row]],
-                      "t": float(t[row]), "V": float(v[i])}
+def _counterexample(i: int, state, xi, t, v, named) -> dict:
+    """Row `i` of a block: its sample, V and named terms (a scalar term
+    broadcasts)."""
+    counterexample = {"x": [float(c) for c in state[i, :xi.shape[1]]],
+                      "xi": [float(c) for c in xi[i]],
+                      "t": float(t[i]), "V": float(v[i])}
     for k, term in named.items():
         counterexample[k] = float(np.broadcast_to(term, v.shape)[i])
     return counterexample

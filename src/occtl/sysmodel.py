@@ -316,18 +316,23 @@ def json_safe(value):
 def system_from_json(doc) -> SystemSpec:
     """Build and validate a SystemSpec from a JSON document (text or dict).
 
-    A document that is not an object with a string name, integer n and m,
-    and lists of strings f and h raises SystemValidationError.
+    A document other than an object of exactly a string name, integer n
+    and m, and lists of strings f and h raises SystemValidationError.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
     if not isinstance(doc, dict):
         raise SystemValidationError(
             f"a system document is a JSON object, got {type(doc).__name__}")
+    keys = ("name", "n", "m", "f", "h")
     try:
-        name, n, m, f, h = (doc[key] for key in ("name", "n", "m", "f", "h"))
+        name, n, m, f, h = (doc[key] for key in keys)
     except KeyError as missing:
         raise SystemValidationError(f"system document lacks key {missing}") from None
+    if unexpected := sorted(doc.keys() - set(keys), key=str):
+        raise SystemValidationError(
+            f"unexpected key(s) {unexpected} in system document; "
+            f"allowed are {', '.join(keys)}")
     if not isinstance(name, str):
         raise SystemValidationError(f"name must be a string, got {name!r}")
     for key, value in (("n", n), ("m", m)):

@@ -37,14 +37,31 @@ def test_malformed_system_file(tmp_path, capsys):
             '{"name": "b", "n": null, "m": 1, "f": ["x1", "x2"], "h": ["x1"]}',
             '{"name": "b", "n": 2.7, "m": 1, "f": ["x1", "x2"], "h": ["x1"]}',
             '{"name": "b", "n": 2, "m": true, "f": ["x1", "x2"], "h": ["x1"]}',
-            '{"name": 7, "n": 2, "m": 1, "f": ["x1", "x2"], "h": ["x1"]}'):
+            '{"name": 7, "n": 2, "m": 1, "f": ["x1", "x2"], "h": ["x1"]}',
+            '{"name": "d", "n": 1, "m": 1, "f": ["-x1"], "h": ["x1"], '
+            '"box": "0:1", "tf": 99}'):
         bad.write_text(doc)
         code = main(["simulate", "--system", str(bad), "--x0", "1,1"])
         assert code == 2, doc
+    assert "unexpected key(s) ['box', 'tf']" in capsys.readouterr().err
     # a directory exists but cannot be read as a system file
     code = main(["simulate", "--system", str(tmp_path), "--x0", "1,1"])
     assert code == 2
     assert "cannot read system file" in capsys.readouterr().err
+
+
+def test_a_long_sum_runs_and_deep_nesting_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+
+    def simulate(f):
+        path.write_text(json.dumps(
+            {"name": "d", "n": 1, "m": 1, "f": [f], "h": ["x1"]}))
+        return main(["simulate", "--system", str(path), "--x0", "1"])
+    assert simulate(" + ".join(["-0.001*x1"] * 250)) == 0
+    assert simulate("(" * 100 + "-x1" + ")" * 100) == 0
+    capsys.readouterr()
+    assert simulate("(" * 200 + "-x1" + ")" * 200) == 2
+    assert "nests too deeply" in capsys.readouterr().err
 
 
 def test_system_file_round_trip(tmp_path, capsys):

@@ -90,6 +90,15 @@ def test_empty_source_rejected():
         parse("   ")
 
 
+@pytest.mark.parametrize("opening, closing", [
+    ("(", ")"), ("sin(", ")"), ("-", ""), ("x1^", "")])
+def test_nesting_past_the_limit_is_a_syntax_error(opening, closing):
+    # 200 levels would recurse past Python's frame limit; 100 parse
+    with pytest.raises(ExprSyntaxError, match="nests too deeply"):
+        parse(opening * 200 + "x1" + closing * 200)
+    assert free_vars(parse(opening * 100 + "x1" + closing * 100)) == {"x1"}
+
+
 # ---------------------------------------------------------------------------
 # canonical printer
 # ---------------------------------------------------------------------------
@@ -528,6 +537,19 @@ def test_compiled_vectorized():
     xs = np.linspace(-2, 2, 11)
     np.testing.assert_array_equal(fn(xs[:, np.newaxis], 0.0)[:, 0],
                                   evaluate(ast, {"x1": xs}))
+
+
+@pytest.mark.parametrize("src", [
+    " + ".join(["-0.001*x1"] * 250),
+    "sin(" * 120 + "x1" + ")" * 120,
+    "-" * 120 + "x1^2"])
+def test_deep_trees_compile_to_the_bits_of_evaluate(src):
+    # a parenthesis pair per operation of a 250-term chain nests past the
+    # 200 Python's compiler takes; locals split it, the operations stay
+    ast = parse(src)
+    xs = np.random.default_rng(2).uniform(-5, 5, 101)
+    got = compile_expr([ast], ["x1"])(xs[:, np.newaxis], 0.0)[:, 0]
+    assert got.tobytes() == evaluate(ast, {"x1": xs}).tobytes()
 
 
 def test_compiled_list_fills_one_column_per_expression():

@@ -30,6 +30,15 @@ def domain(samples=20_000, seed=1, x_range=10.0):
                        seed=seed)
 
 
+def _drawn(n, dom, block=None):
+    """The falsifier's draw of `dom` as (x, xi, t): its blocks of `block`
+    rows (default `_BLOCK`) joined."""
+    blocks = [(state[:, :n].copy(), xi.copy(), t.copy())
+              for state, xi, t in lyapunov._draw_blocks(
+                  n, dom, block or lyapunov._BLOCK)]
+    return tuple(np.concatenate(parts) for parts in zip(*blocks))
+
+
 # ---------------------------------------------------------------------------
 # vdot
 # ---------------------------------------------------------------------------
@@ -105,8 +114,7 @@ def test_vdot_zero_partial_keeps_an_overflow():
 def test_vdot_matches_the_dual_number_oracle_on_a_draw(system, certificate):
     spec = builtin_system(system)
     V = CandidateV.from_string(certificate)
-    x, xi, t = lyapunov._sample_domain(spec.n, domain(samples=100_000,
-                                                      seed=7))
+    x, xi, t = _drawn(spec.n, domain(samples=100_000, seed=7))
     got = vdot(spec, V, x, xi, t)
     want = dual_vdot(spec, V, np.concatenate([x, xi], axis=-1), t)
     assert got.shape == (100_032,)
@@ -301,10 +309,8 @@ def test_domain_rejects_a_non_integer_seed_naming_it(seed):
 @pytest.mark.parametrize("seed", [np.int64(1), np.uint64(1), True])
 def test_domain_takes_numpy_and_bool_seeds(seed):
     box = ((-1.0, 1.0), (-1.0, 1.0))
-    drawn = lyapunov._sample_domain(2, CheckDomain(x_box=box, samples=10,
-                                                   seed=seed))
-    expected = lyapunov._sample_domain(2, CheckDomain(x_box=box, samples=10,
-                                                      seed=1))
+    drawn = _drawn(2, CheckDomain(x_box=box, samples=10, seed=seed))
+    expected = _drawn(2, CheckDomain(x_box=box, samples=10, seed=1))
     for got, want in zip(drawn, expected):
         np.testing.assert_array_equal(got, want)
 
@@ -457,7 +463,31 @@ def test_counterexample_prefers_a_numeric_slack():
 def _probe_rows(dom: CheckDomain) -> int:
     """Rows the deterministic probes add to a draw of `dom`."""
     one = dataclasses.replace(dom, samples=1)
-    return len(lyapunov._sample_domain(2, one)[0]) - 1
+    return len(_drawn(2, one)[0]) - 1
+
+
+def _injecting(monkeypatch, rows: dict) -> list:
+    """Wrap `_draw_blocks` so that each row of the draw named in `rows`
+    takes the x, xi and t given for it ({"x": .., "xi": .., "t": ..}, each
+    optional) in whichever block holds it; returns the domains drawn."""
+    real, draws = lyapunov._draw_blocks, []
+
+    def draw(n, dom, block):
+        draws.append(dom)
+        start = 0
+        for state, xi, t in real(n, dom, block):
+            for row, values in rows.items():
+                i = row - start
+                if 0 <= i < len(t):
+                    state[i, :n] = values.get("x", state[i, :n])
+                    xi[i] = values.get("xi", xi[i])
+                    state[i, n:] = xi[i]
+                    t[i] = values.get("t", t[i])
+            start += len(t)
+            yield state, xi, t
+
+    monkeypatch.setattr(lyapunov, "_draw_blocks", draw)
+    return draws
 
 
 @pytest.mark.parametrize("blocks", [(1, -1), (1, 0), (1, 1), (2, 1)])
@@ -475,18 +505,11 @@ def test_row_blocks_judge_as_one_pass(monkeypatch, blocks):
     # scaling xi by 1e3 scales the decay slack by 1e6: the worst sample
     # scaled stays the worst
     worst = check_decay(spec, V_SUM_SQ, bounds, dom).counterexample
-    real = lyapunov._sample_domain
-
-    def draw(n, d):
-        x, xi, t = (a.copy() for a in real(n, d))
-        first, nan_row, tie = rows // 2, rows - 2, rows - 1
-        x[[first, tie]], t[[first, tie]] = worst["x"], worst["t"]
-        xi[first] = np.multiply(1e3, worst["xi"])
-        xi[tie] = -xi[first]
-        xi[nan_row] = 1e200
-        return x, xi, t
-
-    monkeypatch.setattr(lyapunov, "_sample_domain", draw)
+    scaled = np.multiply(1e3, worst["xi"])
+    _injecting(monkeypatch, {
+        rows // 2: {"x": worst["x"], "xi": scaled, "t": worst["t"]},
+        rows - 2: {"xi": 1e200},
+        rows - 1: {"x": worst["x"], "xi": -scaled, "t": worst["t"]}})
     block = lyapunov._BLOCK
 
     def blocked_as_whole(spec, bounds):
@@ -527,18 +550,15 @@ def test_a_block_tie_goes_to_the_lower_index(monkeypatch):
     dom = domain(samples=1_000, seed=5)
     worst = check_decay(spec, V_SUM_SQ, bounds, dom).counterexample
     monkeypatch.setattr(lyapunov, "_BLOCK", 64)
-    real = lyapunov._sample_domain
+    real = lyapunov._draw_blocks
+    scaled = np.multiply(1e3, worst["xi"])
     for low, high in ((100, 900), (900, 100)):
-        def draw(n, d):
-            x, xi, t = (a.copy() for a in real(n, d))
-            x[[low, high]], t[[low, high]] = worst["x"], worst["t"]
-            xi[low] = np.multiply(1e3, worst["xi"])
-            xi[high] = -xi[low]
-            return x, xi, t
-
-        monkeypatch.setattr(lyapunov, "_sample_domain", draw)
+        monkeypatch.setattr(lyapunov, "_draw_blocks", real)
+        _injecting(monkeypatch, {
+            low: {"x": worst["x"], "xi": scaled, "t": worst["t"]},
+            high: {"x": worst["x"], "xi": -scaled, "t": worst["t"]}})
         report = check_decay(spec, V_SUM_SQ, bounds, dom)
-        x, xi, t = draw(spec.n, dom)
+        x, xi, t = _drawn(spec.n, dom)
         v = evaluate(V_SUM_SQ.expr, {"xi1": xi[:, 0], "xi2": xi[:, 1]})
         with np.errstate(all="ignore"):
             slack = -bounds.alpha4 * v - dual_vdot(
@@ -563,7 +583,7 @@ def test_decay_is_nan_where_f_is_undefined_and_v_ignores_x():
     assert math.isnan(report.counterexample["slack"])
     assert math.isnan(report.counterexample["vdot"])
     assert report_json(report)["counterexample"]["slack"] is None
-    x, xi, t = lyapunov._sample_domain(1, dom)
+    x, xi, t = _drawn(1, dom)
     assert np.all(np.isnan(vdot(spec, V, x, xi, t)))
     assert np.all(np.isnan(dual_vdot(spec, V,
                                      np.concatenate([x, xi], axis=-1), t)))
@@ -616,7 +636,7 @@ def test_folded_decay_kernel_keeps_every_bit(system, certificate):
     V = CandidateV.from_string(certificate)
     dom = domain(samples=100_000, seed=7)
     assert lyapunov._f_finite(spec, dom, at_time_zero=False)
-    x, xi, t = lyapunov._sample_domain(spec.n, dom)
+    x, xi, t = _drawn(spec.n, dom)
     state = np.concatenate([x, xi], axis=-1)
     with np.errstate(all="ignore"):
         full = lyapunov._kernel(spec, V, nu=False, decay=True)(state, t)
@@ -643,7 +663,7 @@ def test_block_layout_changes_no_bit():
     # each block's state is a column-major buffer; the kernel gives the
     # bits it gives on the row-major stack of x and xi
     spec = builtin_system("ex1-timevarying")
-    x, xi, t = lyapunov._sample_domain(spec.n, domain(samples=4096, seed=7))
+    x, xi, t = _drawn(spec.n, domain(samples=4096, seed=7))
     rows = np.concatenate([x, xi], axis=-1)
     kernel = lyapunov._kernel(spec, V_SUM_SQ, nu=True, decay=True)
     with np.errstate(all="ignore"):
@@ -657,23 +677,21 @@ def test_block_layout_changes_no_bit():
     (2, dict(xi_radii=(2.5,))),
     (3, dict(samples=1_001, xi_radii=(0.5, 2.0))),
     (2, dict(seed=2 ** 63 + 11)),
+    (8, {}),   # numpy sums the squares of a row of 8 or more pairwise
+    (8, dict(samples=999, xi_radii=(0.5, 1.0, 2.0, 4.0))),
 ])
 def test_draw_fills_the_bytes_of_the_stacked_draw(n, kw):
+    # blocks of one and three rows, of the default size, larger than the
+    # draw, and ending at row s, where the random rows end and the probe
+    # rows begin
     dom = CheckDomain(**{**dict(x_box=tuple((-1.0 - i, 2.0 + 0.5 * i)
                                             for i in range(n)),
                                 samples=1_000, seed=7), **kw})
-    got = lyapunov._sample_domain(n, dom)
     want = stacked_sample_domain(n, dom)
-    for a, b in zip(got, want):
-        assert a.shape == b.shape and a.tobytes() == b.tobytes()
-
-
-def test_draw_needs_little_more_memory_than_it_returns():
-    dom = domain(samples=100_000, seed=7)
-    lyapunov._sample_domain(2, domain(samples=10))
-    drawn = []
-    peak = _traced_peak(lambda: drawn.extend(lyapunov._sample_domain(2, dom)))
-    assert peak <= 1.75 * sum(a.nbytes for a in drawn)
+    for block in (1, 3, lyapunov._BLOCK, len(want[2]) + 1, dom.samples):
+        got = _drawn(n, dom, block)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def _traced_peak(run) -> int:
@@ -685,36 +703,31 @@ def _traced_peak(run) -> int:
         tracemalloc.stop()
 
 
-def test_certificate_check_needs_no_more_memory_than_its_draw():
-    # only V and one slack per condition outlive a block, and the
-    # counterexample's named terms come from its own block, so the peak of
-    # a failing 1e5-sample check is that of drawing its samples
+def test_a_check_holds_the_draws_directions_and_one_block():
+    # x and t are drawn into buffers of one block and each block is judged
+    # as it comes, so of a failing check only the xi directions, 8n bytes
+    # a sample, grow with the draw
     spec = builtin_system("ex1-timevarying")
     bounds = Bounds(1.0, 2.0, 0.0, 12.0)
-    dom = domain(samples=100_000, seed=7)
     check_certificate(spec, V_SUM_SQ, bounds, domain(samples=10))
-    draw = _traced_peak(lambda: lyapunov._sample_domain(spec.n, dom))
-    reports = []
-    check = _traced_peak(lambda: reports.extend(
-        check_certificate(spec, V_SUM_SQ, bounds, dom)))
-    assert not reports[1].passed
-    assert check <= 1.05 * draw
+    peaks = []
+    for samples in (100_000, 400_000):
+        reports = []
+        peaks.append(_traced_peak(lambda: reports.extend(check_certificate(
+            spec, V_SUM_SQ, bounds, domain(samples=samples, seed=7)))))
+        assert not reports[1].passed
+    assert peaks[1] - peaks[0] <= 1.25 * 300_000 * 8 * spec.n
 
 
 @pytest.mark.parametrize("alpha4", [["--alpha4", "2"], []])
 def test_one_lyapunov_command_draws_once_and_compiles_v_once(
         monkeypatch, compile_calls, capsys, alpha4):
-    draws, v_compiles = [], []
-    real_draw, real_compile = lyapunov._sample_domain, lyapunov.compile_expr
-
-    def draw(n, dom):
-        draws.append(dom)
-        return real_draw(n, dom)
+    draws, v_compiles = _injecting(monkeypatch, {}), []
+    real_compile = lyapunov.compile_expr
 
     def compile_v(exprs, names):
         v_compiles.append(exprs)
         return real_compile(exprs, names)
-    monkeypatch.setattr(lyapunov, "_sample_domain", draw)
     monkeypatch.setattr(lyapunov, "compile_expr", compile_v)
     system = "ex1-timevarying" if alpha4 else "ex2-timeinvariant"
     code = main(["lyapunov", "--system", system, "--V", "(xi1 + xi2)^2",
