@@ -30,7 +30,7 @@ from .sysmodel import (
     AugmentedSystem, BUILTIN_NAMES, JacobianBundle, SystemSpec,
     SystemValidationError, augment, builtin_system, eval_fh,
     finite_diff_jacobian, jacobians, json_safe, output_map, system_from_json,
-    system_to_json, validate, vector_field,
+    system_to_json, vector_field,
 )
 from .odeint import (
     IntegratorConfig, Trajectory, integrate, integrate_batch, integrate_rk4,

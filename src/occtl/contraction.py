@@ -40,7 +40,7 @@ from .odeint import (
     IntegratorConfig, Trajectory, integrate, integrate_batch, sample_at,
 )
 from .sysmodel import (
-    SystemSpec, augment, eval_fh, jacobians, json_safe, output_map, validate,
+    SystemSpec, augment, eval_fh, jacobians, json_safe, output_map,
     vector_field,
 )
 
@@ -231,7 +231,6 @@ def simulate_pair(spec: SystemSpec, x0, x0p, t0: float, tf: float,
     onto a uniform reporting grid over the span both survive.  Identical
     initial states are rejected.
     """
-    validate(spec)
     x0 = np.asarray(x0, dtype=float)
     x0p = np.asarray(x0p, dtype=float)
     if np.array_equal(x0, x0p):
@@ -348,12 +347,10 @@ def _check(kind: str, spec: SystemSpec, plan: SamplingPlan,
 
     ``draw(rng)`` turns item i's ``seed XOR i`` stream into its initial
     conditions (a tuple), for every item; ``start(item)`` is the item's
-    initial state under ``field()``, which is asked for once the spec has
-    validated.  All items then integrate as the members of one lockstep
-    batch, and ``judge(i, traj, *item)`` returns each item's PairResult, in
-    index order.
+    initial state under `field`.  All items then integrate as the members
+    of one lockstep batch, and ``judge(i, traj, *item)`` returns each
+    item's PairResult, in index order.
     """
-    validate(spec)
     if len(plan.box) != spec.n:
         raise ValueError(f"plan box has {len(plan.box)} intervals, system has "
                          f"n={spec.n}")
@@ -362,8 +359,7 @@ def _check(kind: str, spec: SystemSpec, plan: SamplingPlan,
     # an item that overflows judges as inf or nan in its own series
     with np.errstate(all="ignore"):
         items = [draw(_pair_rng(plan.seed, i)) for i in range(plan.pairs)]
-        trajs = integrate_batch(field(), np.stack([start(item)
-                                                   for item in items]),
+        trajs = integrate_batch(field, np.stack([start(item) for item in items]),
                                 plan.t0, plan.tf, cfg)
         results = [judge(i, traj, *item)
                    for i, (traj, item) in enumerate(zip(trajs, items))]
@@ -417,7 +413,7 @@ def check_output_contraction(spec: SystemSpec, plan: SamplingPlan,
         return _judged(i, x0, x0p, series, series.dx0, alpha_min)
 
     return _check("output-contraction", spec, plan, cfg, alpha_min, draw,
-                  lambda: vector_field(spec), np.stack, judge)
+                  vector_field(spec), np.stack, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +489,7 @@ def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
                           "outputs remained equal along the pair")
 
     return _check("partial-contraction", spec, plan, cfg, alpha_min, draw,
-                  lambda: vector_field(spec), np.stack, judge)
+                  vector_field(spec), np.stack, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -535,7 +531,7 @@ def check_oes_variational(spec: SystemSpec, plan: SamplingPlan,
                        alpha_min, floor)
 
     return _check("oes-variational", spec, plan, cfg, alpha_min, draw,
-                  lambda: aug.field, np.concatenate, judge)
+                  aug.field, np.concatenate, judge)
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +574,7 @@ def check_oes_equilibrium(spec: SystemSpec, y_star, plan: SamplingPlan,
 
     return _check("oes-equilibrium", spec, plan, cfg, alpha_min,
                   lambda rng: (_sample_box(rng, plan.box),),
-                  lambda: vector_field(spec), lambda item: item[0], judge)
+                  vector_field(spec), lambda item: item[0], judge)
 
 
 # ---------------------------------------------------------------------------
@@ -599,7 +595,6 @@ def fd_variational_check(spec: SystemSpec, x0, xi0, delta: float,
     """
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
-    validate(spec)
     x0 = np.asarray(x0, dtype=float)
     xi0 = np.asarray(xi0, dtype=float)
     if not np.linalg.norm(xi0) > 0:

@@ -51,7 +51,7 @@ from .exprlang import (
 from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 from .sysmodel import (
     SystemSpec, _tangent_names, _tangents, eval_fh, finite_diff_jacobian,
-    json_safe, validate,
+    json_safe,
 )
 from .sysmodel import jacobians  # noqa: F401  looked up by bench/tracing.py
 
@@ -339,7 +339,6 @@ def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     points (shape (n,)) or batches (..., n); the result is a float or an
     array of the batch shape.
     """
-    validate(spec)
     V.check_variables(spec.n)
     x = np.asarray(x, dtype=float)
     state = np.concatenate(
@@ -394,8 +393,9 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     """Judge every condition of `conditions` on one draw of `domain`,
     reports in that order.
 
-    Validates, and raises the message of the first unmet requirement of
-    the conditions in order, before it draws (at t = 0 if `at_time_zero`).
+    Checks V's variables and the box against the spec, and raises the
+    message of the first unmet requirement of the conditions in order,
+    before it draws (at t = 0 if `at_time_zero`).
     One kernel gives V, nu and Vdot as far as the conditions read them,
     Vdot without its products of f with a zero partial of V where f is
     proven finite on the draw's box (`_f_finite`).  The draw comes in
@@ -410,7 +410,6 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     its slack is strictly less, so ties go to the lowest index.  Nothing of
     the length of the draw is kept but its xi directions, and the reports
     equal those of one pass over it."""
-    validate(spec)
     V.check_variables(spec.n)
     if len(domain.x_box) != spec.n:
         raise ValueError(f"domain box has {len(domain.x_box)} intervals, "

@@ -102,10 +102,10 @@ def integrate_batch(field, x0s, t0: float, tf: float,
     lockstep: one Trajectory per member, bit for bit the one `integrate`
     returns for that member alone.
 
-    Every field call evaluates the members still running at once, each at
-    its own time, shaped ``(k,) + (1,) * (member ndim - 1)`` to broadcast
-    against the member axes; a one-member batch passes its bare state and
-    time instead.
+    Every field call evaluates the k members still running at once, as
+    states shaped ``(k,) + member_shape`` at times shaped ``(k,) + (1,) *
+    (member ndim - 1)`` to broadcast against the member axes; RK4's members
+    share one time, with 1 in place of k.
     """
     cfg = cfg or IntegratorConfig()
     x0s = np.asarray(x0s, dtype=float)
@@ -133,18 +133,10 @@ def integrate_rk45(field, x0, t0: float, tf: float,
     return integrate(field, x0, t0, tf, IntegratorConfig(rtol=rtol, atol=atol))
 
 
-def _stacked(field, x0s: np.ndarray, per_member: bool):
-    """``call(x, t)``: `field` on the states x of the k running members, at
-    per-member times t shaped (k,) or at one shared time.  Per-member times
-    are shaped to broadcast against the member axes; a one-member batch
-    passes its bare state and time, as a single start always has."""
-    if len(x0s) == 1:
-        if per_member:
-            return lambda x, t: np.asarray(field(x[0], t[0]),
-                                           dtype=float)[np.newaxis]
-        return lambda x, t: np.asarray(field(x[0], t), dtype=float)[np.newaxis]
-    if not per_member:
-        return lambda x, t: np.asarray(field(x, t), dtype=float)
+def _stacked(field, x0s: np.ndarray):
+    """``call(x, t)``: `field` on the states x of the k running members at
+    their times t, shaped (k,), or at one shared time, shaped (1,) or a
+    numpy scalar; t is reshaped to broadcast against the member axes."""
     col = (-1,) + (1,) * (x0s.ndim - 2)
     return lambda x, t: np.asarray(field(x, t.reshape(col)), dtype=float)
 
@@ -170,14 +162,15 @@ def _rk4(field, x0s: np.ndarray, t0: float, tf: float,
         raise ValueError(f"rk4 step {step} is too small for the horizon "
                          f"{tf - t0}: {(tf - t0) / step:.3g} steps") from None
     grid[-1] = tf
-    call, members = _stacked(field, x0s, False), len(x0s)
+    call, members = _stacked(field, x0s), len(x0s)
     idx = np.arange(members)
-    x, k1 = x0s, call(x0s, t0)
+    x, k1 = x0s, call(x0s, np.float64(t0))
     rows = ids, times, states, derivs = (
         [idx], [grid[:1].repeat(members)], [x], [k1])
     failure = [None] * members
     with np.errstate(all="ignore"):
-        for i, (t, t_next) in enumerate(zip(grid.tolist(), grid[1:].tolist())):
+        # numpy scalars, which `call` reshapes; they round as floats do
+        for i, (t, t_next) in enumerate(zip(grid, grid[1:])):
             h = t_next - t
             k2 = call(x + 0.5 * h * k1, t + 0.5 * h)
             k3 = call(x + 0.5 * h * k2, t + 0.5 * h)
@@ -258,7 +251,7 @@ def _rk45(field, x0s: np.ndarray, t0: float, tf: float,
     own array: a view of the buffer would keep all seven slopes alive.
     """
     t0, tf = float(t0), float(tf)
-    call, members = _stacked(field, x0s, True), len(x0s)
+    call, members = _stacked(field, x0s), len(x0s)
     tiny, floor = 16.0 * np.finfo(float).eps, 1e-13 * (tf - t0)
     idx, t = np.arange(members), np.full(members, t0)
     h = np.full(members, (tf - t0) / 100.0)

@@ -1,7 +1,9 @@
 """System models: dynamics with outputs, Jacobians, and variational augmentation.
 
 A system is a pair of expression lists, the state derivative f and the output
-map h, over the variables x1..xn and t.  The variational (linearised-along-a-
+map h, over the variables x1..xn and t.  A `SystemSpec` checks its
+dimensions, names and smoothness when it is built, so every spec that
+exists is valid and no consumer checks it again.  The variational (linearised-along-a-
 trajectory) system is never entered by hand: `augment` derives it from f and h
 by symbolic differentiation and compiles it, so the xi-dynamics are always the
 exact Jacobian of the supplied right-hand side.  Every field an integrator
@@ -28,14 +30,14 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .exprlang import (
-    Bin, Call, Const, Expr, Var, compile_expr, differentiate, evaluate,
+    Bin, Call, Const, Expr, Neg, Var, compile_expr, differentiate, evaluate,
     free_vars, parse, to_source,
 )
 from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 
 __all__ = [
     "SystemSpec", "AugmentedSystem", "JacobianBundle", "SystemValidationError",
-    "validate", "eval_fh", "jacobians", "augment", "finite_diff_jacobian",
+    "eval_fh", "jacobians", "augment", "finite_diff_jacobian",
     "vector_field", "output_map", "system_from_json", "system_to_json",
     "builtin_system", "json_safe", "BUILTIN_NAMES",
 ]
@@ -50,7 +52,10 @@ class SystemSpec:
     """Dynamics ``xdot = f(x, t)`` with output ``y = h(x, t)``.
 
     f has n components and h has m components; every expression may only
-    mention x1..xn and t.  Instances are immutable and shareable.
+    mention x1..xn and t, and none may call abs (the right-hand sides must
+    be continuously differentiable).  A spec is valid once built: one that
+    breaks these rules raises SystemValidationError instead.  Instances are
+    immutable and shareable.
     """
 
     name: str
@@ -58,6 +63,29 @@ class SystemSpec:
     m: int
     f: tuple[Expr, ...]
     h: tuple[Expr, ...]
+
+    def __post_init__(self):
+        if self.n < 1 or self.m < 1:
+            raise SystemValidationError(f"{self.name!r}: need n >= 1 and "
+                                        f"m >= 1, got n={self.n}, m={self.m}")
+        if len(self.f) != self.n:
+            raise SystemValidationError(f"{self.name!r}: f has {len(self.f)} "
+                                        f"components, expected n={self.n}")
+        if len(self.h) != self.m:
+            raise SystemValidationError(f"{self.name!r}: h has {len(self.h)} "
+                                        f"components, expected m={self.m}")
+        allowed = set(self.state_names) | {"t"}
+        for label, exprs in (("f", self.f), ("h", self.h)):
+            for i, e in enumerate(exprs):
+                unknown = free_vars(e) - allowed
+                if unknown:
+                    raise SystemValidationError(
+                        f"{self.name!r}: {label}[{i}] uses unknown variable(s) "
+                        f"{sorted(unknown)} (state is x1..x{self.n})")
+                if _uses_abs(e):
+                    raise SystemValidationError(
+                        f"{self.name!r}: {label}[{i}] uses abs, which is not "
+                        "differentiable; smooth right-hand sides are required")
 
     @classmethod
     def from_strings(cls, name: str, n: int, m: int,
@@ -93,7 +121,7 @@ class SystemSpec:
 
     @cached_property
     def _augmented(self) -> "AugmentedSystem":
-        return AugmentedSystem(base=validate(self))
+        return AugmentedSystem(base=self)
 
     @cached_property
     def time_invariant(self) -> bool:
@@ -106,44 +134,11 @@ class SystemSpec:
 
 
 def _uses_abs(e: Expr) -> bool:
-    if isinstance(e, Call) and e.fn == "abs":
-        return True
-    children = getattr(e, "__dataclass_fields__", {})
-    return any(isinstance(v, Expr) and _uses_abs(v)
-               for v in (getattr(e, name) for name in children))
-
-
-def validate(spec: SystemSpec) -> SystemSpec:
-    """Check the dimensional and naming invariants; return the spec unchanged.
-
-    Raises SystemValidationError on dimension mismatches, variables outside
-    x1..xn and t, or use of abs in f or h (the right-hand sides must be
-    continuously differentiable).
-    """
-    if spec.n < 1 or spec.m < 1:
-        raise SystemValidationError(
-            f"{spec.name!r}: need n >= 1 and m >= 1, got n={spec.n}, m={spec.m}")
-    if len(spec.f) != spec.n:
-        raise SystemValidationError(
-            f"{spec.name!r}: f has {len(spec.f)} components, expected n={spec.n}")
-    if len(spec.h) != spec.m:
-        raise SystemValidationError(
-            f"{spec.name!r}: h has {len(spec.h)} components, expected m={spec.m}")
-    allowed = set(spec.state_names) | {"t"}
-    for label, exprs in (("f", spec.f), ("h", spec.h)):
-        for i, e in enumerate(exprs):
-            unknown = free_vars(e) - allowed
-            if unknown:
-                raise SystemValidationError(
-                    f"{spec.name!r}: {label}[{i}] uses unknown variable(s) "
-                    f"{sorted(unknown)} (state is x1..x{spec.n})")
-            if _uses_abs(e):
-                raise SystemValidationError(
-                    f"{spec.name!r}: {label}[{i}] uses abs, which is not "
-                    "differentiable; smooth right-hand sides are required")
-    # touch the cached flag so a validated spec records its time dependence
-    spec.time_invariant
-    return spec
+    if isinstance(e, Call):
+        return e.fn == "abs" or _uses_abs(e.arg)
+    if isinstance(e, Neg):
+        return _uses_abs(e.operand)
+    return isinstance(e, Bin) and (_uses_abs(e.left) or _uses_abs(e.right))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +287,7 @@ class AugmentedSystem:
 
 def augment(spec: SystemSpec) -> AugmentedSystem:
     """Attach the variational dynamics, compiled from symbolic derivatives,
-    to a validated system; made once and cached on the spec."""
+    to a system; made once and cached on the spec."""
     return spec._augmented
 
 
@@ -314,7 +309,7 @@ def json_safe(value):
 
 
 def system_from_json(doc) -> SystemSpec:
-    """Build and validate a SystemSpec from a JSON document (text or dict).
+    """Build a SystemSpec from a JSON document (text or dict).
 
     A document other than an object of exactly a string name, integer n
     and m, and lists of strings f and h raises SystemValidationError.
@@ -344,7 +339,7 @@ def system_from_json(doc) -> SystemSpec:
                 and all(isinstance(e, str) for e in value)):
             raise SystemValidationError(
                 f"{name!r}: {key} must be a list of strings, got {value!r}")
-    return validate(SystemSpec.from_strings(name, n, m, f, h))
+    return SystemSpec.from_strings(name, n, m, f, h)
 
 
 def system_to_json(spec: SystemSpec) -> str:
@@ -381,12 +376,11 @@ BUILTIN_NAMES = tuple(sorted(_BUILTIN_SOURCES))
 
 
 def builtin_system(name: str) -> SystemSpec:
-    """Return one of the named built-in systems, validated."""
+    """Return one of the named built-in systems."""
     try:
         src = _BUILTIN_SOURCES[name]
     except KeyError:
         raise KeyError(
             f"unknown built-in system {name!r}; known: {', '.join(BUILTIN_NAMES)}"
         ) from None
-    return validate(SystemSpec.from_strings(name, src["n"], src["m"],
-                                            src["f"], src["h"]))
+    return SystemSpec.from_strings(name, src["n"], src["m"], src["f"], src["h"])

@@ -22,7 +22,7 @@ from occtl.lyapunov import (
 from occtl.odeint import IntegratorConfig, integrate, integrate_rk4, map_output
 from occtl.sysmodel import (
     BUILTIN_NAMES, builtin_system, finite_diff_jacobian, jacobians,
-    vector_field, validate,
+    vector_field,
 )
 from occtl.contraction import DivergenceSeries, verdict_json
 

@@ -22,7 +22,7 @@ from occtl.contraction import (
 )
 from occtl.odeint import IntegratorConfig, integrate, integrate_batch
 from occtl.sysmodel import (
-    SystemSpec, augment, builtin_system, validate, vector_field,
+    SystemSpec, augment, builtin_system, vector_field,
 )
 
 from oracles import serial_rk4, serial_rk45, step_factor
@@ -33,9 +33,9 @@ METHODS = ("rk45-adaptive", "rk4-fixed")
 
 def _random_system(seed: int) -> SystemSpec:
     rng = np.random.default_rng(seed)
-    return validate(SystemSpec(
+    return SystemSpec(
         "random", 2, 1, tuple(_random_tree(rng, depth=3) for _ in range(2)),
-        (_random_tree(rng, depth=3),)))
+        (_random_tree(rng, depth=3),))
 
 
 class _OverBudget(Exception):
@@ -143,9 +143,9 @@ def test_a_member_out_of_attempts_leaves_its_siblings_alone(monkeypatch):
     # the first start chatters on x1 + x2 = 0 and would take millions of
     # steps to tf; the second reaches tf in under a hundred
     monkeypatch.setattr(odeint, "_MAX_ATTEMPTS", 300)
-    field = vector_field(validate(SystemSpec.from_strings(
+    field = vector_field(SystemSpec.from_strings(
         "stiff", 2, 1, ["t/((x1 + x2)*(x2/x2))",
-                        "x2 + -1.657 + x2/2.579 + exp(t)*x2"], ["x1"])))
+                        "x2 + -1.657 + x2/2.579 + exp(t)*x2"], ["x1"]))
     x0s = np.array([[1.536892206527125, -0.4708326952208832], [2.0, 1.0]])
     cfg = IntegratorConfig()
     batch = integrate_batch(field, x0s, 0.0, 2.0, cfg)
@@ -163,17 +163,23 @@ def test_batch_rejects_a_missing_member_axis():
         integrate_batch(lambda x, t: -x, np.zeros((0, 2)), 0.0, 1.0)
 
 
-def test_one_member_sees_its_bare_state_and_time():
-    # single-start callers keep handing fields a state and a scalar time
+@pytest.mark.parametrize("method", METHODS)
+@pytest.mark.parametrize("members", [None, 3], ids=["single", "batch"])
+@pytest.mark.parametrize("member", [(2,), (2, 2)], ids=["state", "pair"])
+def test_every_field_call_sees_the_member_axis(method, members, member):
+    # a single start is a batch of one: its field gets (1,) + member states
     seen = []
 
     def field(x, t):
-        seen.append((np.shape(x), np.ndim(t)))
+        seen.append((x.shape, np.broadcast_shapes(x.shape[:-1], np.shape(t))))
         return -x
-    for method in METHODS:
-        integrate(field, np.array([1.0, 2.0]), 0.0, 0.1,
-                  IntegratorConfig(method=method, step=0.05))
-    assert set(seen) == {((2,), 0)}
+    cfg = IntegratorConfig(method=method, step=0.05)
+    if members is None:
+        integrate(field, np.ones(member), 0.0, 0.1, cfg)
+    else:
+        integrate_batch(field, np.ones((members,) + member), 0.0, 0.1, cfg)
+    k = members or 1
+    assert set(seen) == {((k,) + member, (k,) + member[:-1])}
 
 
 @pytest.mark.parametrize("member, t_shape", [((2,), (3,)), ((2, 2), (3, 1))])
@@ -203,8 +209,8 @@ def test_equilibrium_escaping_and_ordinary_members_match_the_serial_loop(
     # (0, 0) is an equilibrium: every error is exactly 0.  From x1 = 1e120
     # x1^3 overflows at once, so the errors are nan until the step floor;
     # from x1 = 30 the state escapes in finite time through step underflow
-    spec = validate(SystemSpec.from_strings("cubic", 2, 1, ["x1^3", "-x2"],
-                                            ["x1 + x2"]))
+    spec = SystemSpec.from_strings("cubic", 2, 1, ["x1^3", "-x2"],
+                                   ["x1 + x2"])
     field = vector_field(spec)
     x0s = np.array([[0.0, 0.0], [1e120, 1.0], [30.0, 1.0], [-0.5, 2.0],
                     [0.1, -1.0]])

@@ -608,7 +608,7 @@ def kernels_built(monkeypatch) -> list:
      ((-1e200, 1e200),) * 2),
     (["x1^3"], ((-1e103, 1e103),)),
     # calls the enclosure does not bound, even where f is finite (abs is
-    # refused in f by `validate`, and by the enclosure in test_exprlang)
+    # refused in f by `SystemSpec`, and by the enclosure in test_exprlang)
     (["ln(x1)"], ((1.0, 2.0),)),
     (["-sqrt(x1)"], ((1.0, 2.0),)),
     (["tan(x1)"], ((-1.0, 1.0),)),

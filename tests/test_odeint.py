@@ -10,7 +10,7 @@ from occtl.odeint import (
     map_output, sample_at, trajectory_csv,
 )
 from occtl.sysmodel import (
-    SystemSpec, augment, builtin_system, validate, vector_field,
+    SystemSpec, augment, builtin_system, vector_field,
 )
 
 from oracles import counting_field, lti_analytic
@@ -259,8 +259,8 @@ def test_dense_output_is_fourth_order():
 # ---------------------------------------------------------------------------
 
 def _lti_sum_output():
-    return validate(SystemSpec.from_strings(
-        "lti-sum", 2, 1, ["-2*x1 + x2", "x1 - 2*x2"], ["x1 + x2"]))
+    return SystemSpec.from_strings(
+        "lti-sum", 2, 1, ["-2*x1 + x2", "x1 - 2*x2"], ["x1 + x2"])
 
 
 def test_map_output_sum_of_states():
@@ -273,8 +273,8 @@ def test_map_output_sum_of_states():
 
 
 def test_map_output_identity_returns_states():
-    spec = validate(SystemSpec.from_strings(
-        "ident", 2, 2, ["-x1", "-x2"], ["x1", "x2"]))
+    spec = SystemSpec.from_strings(
+        "ident", 2, 2, ["-x1", "-x2"], ["x1", "x2"])
     traj = integrate_rk4(vector_field(spec), np.array([1.0, -1.0]), 0.0, 1.0, 0.01)
     np.testing.assert_array_equal(map_output(spec, traj), traj.states)
 

@@ -12,7 +12,7 @@ from occtl.exprlang import ExprEvalError, dual_env, evaluate_dual
 from occtl.sysmodel import (
     BUILTIN_NAMES, SystemSpec, SystemValidationError, augment, builtin_system,
     eval_fh, finite_diff_jacobian, jacobians, json_safe, output_map,
-    system_from_json, system_to_json, validate,
+    system_from_json, system_to_json,
 )
 
 
@@ -37,21 +37,18 @@ def test_badout_output_is_time_varying():
 
 
 def test_unknown_state_variable_rejected():
-    spec = SystemSpec.from_strings("bad", 2, 1, ["x3", "x1"], ["x1"])
     with pytest.raises(SystemValidationError, match="unknown variable"):
-        validate(spec)
+        SystemSpec.from_strings("bad", 2, 1, ["x3", "x1"], ["x1"])
 
 
 def test_dimension_mismatch_rejected():
-    spec = SystemSpec.from_strings("bad", 2, 1, ["x1"], ["x1"])
     with pytest.raises(SystemValidationError, match="expected n=2"):
-        validate(spec)
+        SystemSpec.from_strings("bad", 2, 1, ["x1"], ["x1"])
 
 
 def test_abs_in_dynamics_rejected():
-    spec = SystemSpec.from_strings("bad", 1, 1, ["-abs(x1)"], ["x1"])
     with pytest.raises(SystemValidationError, match="abs"):
-        validate(spec)
+        SystemSpec.from_strings("bad", 1, 1, ["-abs(x1)"], ["x1"])
 
 
 def test_unknown_builtin_name():
@@ -78,8 +75,8 @@ def test_ex2_field_value_at_3_3():
 
 
 def test_identity_output_map_returns_state():
-    spec = validate(SystemSpec.from_strings(
-        "ident", 2, 2, ["-x1", "-x2"], ["x1", "x2"]))
+    spec = SystemSpec.from_strings(
+        "ident", 2, 2, ["-x1", "-x2"], ["x1", "x2"])
     x = np.array([0.3, -1.7])
     _, y = eval_fh(spec, x, 0.0)
     np.testing.assert_array_equal(y, x)
@@ -99,8 +96,8 @@ def test_output_map_matches_the_reference_bit_for_bit(name):
 
 
 def test_output_map_is_nan_where_the_reference_raises():
-    spec = validate(SystemSpec.from_strings(
-        "sqrt-out", 2, 1, ["-x1", "-x2"], ["sqrt(x1 - 0.25)"]))
+    spec = SystemSpec.from_strings(
+        "sqrt-out", 2, 1, ["-x1", "-x2"], ["sqrt(x1 - 0.25)"])
     y = output_map(spec)(np.array([[1.25, 0.0], [0.1, 0.0]]), 0.0)
     assert y[0, 0] == 1.0 and np.isnan(y[1, 0])
     with pytest.raises(ExprEvalError, match="sqrt of a negative value"):
