@@ -226,6 +226,8 @@ def cmd_jacobian(args) -> int:
     rep = _Reporter(args)
     spec = load_system(args.system)
     x = _vec(args.x, spec.n, "--x")
+    if not np.isfinite(args.t):
+        raise UsageError(f"--t must be finite, got {args.t}")
     bundle = jacobians(spec, x, args.t)
     values = {"f": vector_field(spec)(x, args.t),
               "y": output_map(spec)(x, args.t), "Jf": bundle.Jf,
@@ -378,16 +380,29 @@ def cmd_reproduce(args) -> int:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, system=True, horizon=(("--t0", 0.0), ("--tf", 10.0))):
-    """The shared flags; `horizon` lists the time flags the command reads."""
-    if system:
-        sub.add_argument("--system", required=True,
-                         help="built-in name or path to a system JSON file")
-    sub.add_argument("--seed", type=int, default=0)
-    for flag, default in horizon:
-        sub.add_argument(flag, type=float, default=default)
-    sub.add_argument("--out", default=None, help="directory for emitted files")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
+#: the flags that subcommands share, each with its argparse options
+_SHARED = (("--system", dict(required=True, help="built-in name or path to "
+                                                 "a system JSON file")),
+           ("--seed", dict(type=int, default=0)),
+           ("--t0", dict(type=float, default=0.0)),
+           ("--tf", dict(type=float, default=10.0)),
+           ("--out", dict(default=None, help="directory for emitted files")),
+           ("--format", dict(choices=("csv", "json"), default="csv")))
+
+#: the shared flags a subcommand does not read, and so does not accept
+_UNREAD = {"simulate": {"--seed"}, "reproduce": {"--system", "--t0"},
+           "jacobian": {"--seed", "--t0", "--tf", "--format"},
+           "lyapunov": {"--t0", "--tf", "--format"}}
+
+
+def _command(subs, name: str, func, blurb: str) -> argparse.ArgumentParser:
+    """Subcommand `name`, run by `func`, with the shared flags it reads."""
+    sub = subs.add_parser(name, help=blurb)
+    for flag, options in _SHARED:
+        if flag not in _UNREAD.get(name, ()):
+            sub.add_argument(flag, **options)
+    sub.set_defaults(func=func)
+    return sub
 
 
 def _add_plan(sub):
@@ -412,21 +427,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    s = subs.add_parser("simulate", help="integrate a system and dump t,x,y")
-    _add_common(s)
+    s = _command(subs, "simulate", cmd_simulate,
+                 "integrate a system and dump t,x,y")
     s.add_argument("--x0", required=True)
     s.add_argument("--method", choices=("rk4-fixed", "rk45-adaptive"),
                    default=argparse.SUPPRESS)
     s.add_argument("--step", type=float, default=argparse.SUPPRESS)
     s.add_argument("--rtol", type=float, default=argparse.SUPPRESS)
     s.add_argument("--atol", type=float, default=argparse.SUPPRESS)
-    s.set_defaults(func=cmd_simulate)
 
-    s = subs.add_parser("jacobian", help="print f, y, Jf, Jh, dh/dt at a point")
-    _add_common(s, horizon=())
+    s = _command(subs, "jacobian", cmd_jacobian,
+                 "print f, y, Jf, Jh, dh/dt at a point")
     s.add_argument("--x", required=True)
     s.add_argument("--t", type=float, default=0.0)
-    s.set_defaults(func=cmd_jacobian)
 
     for name, func, blurb in (
             ("contraction", cmd_contraction,
@@ -435,21 +448,16 @@ def build_parser() -> argparse.ArgumentParser:
              "check partial contraction (equal-initial-output pairs)"),
             ("oes", cmd_oes,
              "check exponential decay of the variational output")):
-        s = subs.add_parser(name, help=blurb)
-        _add_common(s)
-        _add_plan(s)
-        s.set_defaults(func=func)
+        _add_plan(_command(subs, name, func, blurb))
 
-    s = subs.add_parser("oes-eq",
-                        help="check output convergence to an equilibrium")
-    _add_common(s)
+    s = _command(subs, "oes-eq", cmd_oes_eq,
+                 "check output convergence to an equilibrium")
     _add_plan(s)
     s.add_argument("--y-star", required=True)
     s.add_argument("--x-ref0", default=None)
-    s.set_defaults(func=cmd_oes_eq)
 
-    s = subs.add_parser("lyapunov", help="falsification-check a certificate")
-    _add_common(s, horizon=())
+    s = _command(subs, "lyapunov", cmd_lyapunov,
+                 "falsification-check a certificate")
     s.add_argument("--V", required=True, help="certificate over x*, xi*, t")
     s.add_argument("--alpha1", type=float, required=True)
     s.add_argument("--alpha2", type=float, required=True)
@@ -461,16 +469,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--x-box", default=None)
     s.add_argument("--t-range", default="0:6.283185307179586")
     s.add_argument("--xi-radii", default="0.1,1,10")
-    s.set_defaults(func=cmd_lyapunov)
 
-    s = subs.add_parser("reproduce",
-                        help="rebuild the bundled demonstration datasets")
+    s = _command(subs, "reproduce", cmd_reproduce,
+                 "rebuild the bundled demonstration datasets")
     s.add_argument("name", choices=("fig1", "fig2", "remark1"))
-    _add_common(s, system=False, horizon=(("--tf", 10.0),))
     s.add_argument("--pairs", type=int, default=25)
     s.add_argument("--rtol", type=float, default=argparse.SUPPRESS)
     s.add_argument("--atol", type=float, default=argparse.SUPPRESS)
-    s.set_defaults(func=cmd_reproduce)
     return parser
 
 

@@ -168,6 +168,10 @@ def tokenize(source: str) -> list[Token]:
 #: nesting of parentheses, calls, negations and powers parsed, 5 frames each
 _MAX_NESTING = 150
 
+#: levels of a parsed tree; the tree walkers recurse once per level (hashing
+#: twice), and a derivative can be three times as deep as its tree
+_MAX_DEPTH = 256
+
 
 class _Parser:
     """Recursive-descent parser over a token list."""
@@ -268,11 +272,20 @@ def parse(source: str) -> Expr:
     """Parse source text into an expression tree.
 
     Raises ExprSyntaxError (with character position) on malformed input,
-    unknown functions, unbalanced parentheses, or trailing tokens.
+    unknown functions, unbalanced parentheses, trailing tokens, nesting
+    deeper than `_MAX_NESTING` or a tree deeper than `_MAX_DEPTH` levels.
     """
     if not source or not source.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(source).parse()
+    tree = _Parser(source).parse()
+    depth, level = 0, [tree]   # counted level by level, without recursion
+    while level:
+        level = [c for e in level for c in vars(e).values() if isinstance(c, Expr)]
+        depth += 1
+    if depth > _MAX_DEPTH:
+        raise ExprSyntaxError(f"expression tree is {depth} levels deep, "
+                              f"more than {_MAX_DEPTH}", 0)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -745,7 +758,8 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
             return label, 0
         if k in local:
             return local[k], 0
-        args, depths = zip(*(emit(child) for child in children))
+        # map calls emit from one frame per level, a generator from two
+        args, depths = zip(*map(emit, children))
         if kind == "neg":
             text = f"(-{args[0]})"
         elif kind == "bin" and label == "^" and not constant[k]:

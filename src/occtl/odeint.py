@@ -135,8 +135,8 @@ def integrate_rk45(field, x0, t0: float, tf: float,
 
 def _stacked(field, x0s: np.ndarray):
     """``call(x, t)``: `field` on the states x of the k running members at
-    their times t, shaped (k,), or at one shared time, shaped (1,) or a
-    numpy scalar; t is reshaped to broadcast against the member axes."""
+    their times t, shaped (k,), or at one shared time, a numpy scalar; t is
+    reshaped to broadcast against the member axes."""
     col = (-1,) + (1,) * (x0s.ndim - 2)
     return lambda x, t: np.asarray(field(x, t.reshape(col)), dtype=float)
 

@@ -2,13 +2,13 @@
 
 A system is a pair of expression lists, the state derivative f and the output
 map h, over the variables x1..xn and t.  A `SystemSpec` checks its
-dimensions, names and smoothness when it is built, so every spec that
-exists is valid and no consumer checks it again.  The variational (linearised-along-a-
-trajectory) system is never entered by hand: `augment` derives it from f and h
-by symbolic differentiation and compiles it, so the xi-dynamics are always the
-exact Jacobian of the supplied right-hand side.  Every field an integrator
-runs, f alone or with its variational dynamics, every output map, h or
-nu, and `jacobians` are each one kernel made by `compile_expr`.  The
+dimensions, names and smoothness when it is built, so every spec that exists
+is valid and no consumer checks it again.  The variational (linearised-along-
+a-trajectory) system is never entered by hand: `augment` derives it from f
+and h by symbolic differentiation and compiles it, so the xi-dynamics are
+always the exact Jacobian of the supplied right-hand side.  Every field an
+integrator runs, f alone or with its variational dynamics, every output map,
+h or nu, and `jacobians` are each one kernel made by `compile_expr`.  The
 tree-walking `eval_fh` is kept as the reference the kernels and the
 difference-quotient oracles are checked against.
 
@@ -77,8 +77,7 @@ class SystemSpec:
         allowed = set(self.state_names) | {"t"}
         for label, exprs in (("f", self.f), ("h", self.h)):
             for i, e in enumerate(exprs):
-                unknown = free_vars(e) - allowed
-                if unknown:
+                if unknown := free_vars(e) - allowed:
                     raise SystemValidationError(
                         f"{self.name!r}: {label}[{i}] uses unknown variable(s) "
                         f"{sorted(unknown)} (state is x1..x{self.n})")

@@ -64,6 +64,30 @@ def test_a_long_sum_runs_and_deep_nesting_is_a_usage_error(tmp_path, capsys):
     assert "nests too deeply" in capsys.readouterr().err
 
 
+def test_a_tree_past_the_depth_limit_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "sys.json"
+
+    def system(f):
+        path.write_text(json.dumps(
+            {"name": "d", "n": 1, "m": 1, "f": [f], "h": ["x1"]}))
+        return ["--system", str(path)]
+
+    def lyapunov(f, V):
+        return main(["lyapunov", *system(f), "--V", V, "--alpha1", "0.1",
+                     "--alpha2", "10", "--alpha4", "1", "--samples", "50",
+                     "--x-box", "0:1"])
+    long_sum = " + ".join(["-0.001*x1"] * 1000)
+    assert main(["simulate", *system(long_sum), "--x0", "1"]) == 2
+    assert lyapunov("-x1", " + ".join(["xi1^2"] * 1000)) == 2
+    assert capsys.readouterr().err.count("levels deep, more than 256") == 2
+    # a quotient chain 256 levels deep has derivatives about three times as
+    # deep, which every tree walker still handles
+    quotients = "-x1" + "/(1 + 0.001*x1^2)" * 252
+    assert main(["jacobian", *system(quotients), "--x", "1"]) == 0
+    assert lyapunov(quotients, quotients.replace("-x1", "xi1^2")) in (0, 1)
+    assert capsys.readouterr().err == ""
+
+
 def test_system_file_round_trip(tmp_path, capsys):
     doc = {"name": "decay", "n": 1, "m": 1, "f": ["-x1"], "h": ["x1"]}
     path = tmp_path / "decay.json"
@@ -100,6 +124,19 @@ def test_unknown_flag_exits_2():
     ["reproduce", "remark1", "--t0", "1"],
 ])
 def test_time_flags_a_command_ignores_are_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--system", "lti-remark1", "--x0", "1,1", "--seed", "1"],
+    ["jacobian", "--system", "lti-remark1", "--x", "0,0", "--seed", "1"],
+    ["jacobian", "--system", "lti-remark1", "--x", "0,0", "--format", "json"],
+    ["lyapunov", "--system", "ex1-timevarying", "--V", "(xi1+xi2)^2",
+     "--alpha1", "1", "--alpha2", "2", "--format", "json"],
+])
+def test_seed_and_format_flags_a_command_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
@@ -160,6 +197,8 @@ def test_infinite_horizon_is_usage_error(argv):
     [*LYAPUNOV, "--alpha1", "inf", "--alpha2", "inf"],
     [*LYAPUNOV, "--p", "nan"],
     ["contraction", *LTI, "--pairs", "2", "--tf", "2", "--alpha-min", "nan"],
+    ["jacobian", *LTI, "--x", "1,0", "--t", "nan"],
+    ["jacobian", "--system", "ex1-timevarying", "--x", "1,0", "--t", "inf"],
 ])
 def test_non_finite_input_is_usage_error(capsys, argv):
     assert main(argv) == 2
@@ -193,7 +232,7 @@ def test_simulate_writes_csv_and_reports(tmp_path, capsys):
     code, report = run_cli(capsys, "simulate", "--system", "ex2-timeinvariant",
                            "--x0", "3,3", "--tf", "5", "--out", str(tmp_path))
     assert code == 0
-    assert report["seed"] == 0
+    assert report["seed"] is None
     csv_path = tmp_path / "simulate_ex2-timeinvariant.csv"
     assert csv_path.exists()
     header = csv_path.read_text().splitlines()[0]

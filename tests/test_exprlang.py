@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from occtl.exprlang import (
-    Bin, Call, Const, ExprEvalError, ExprSyntaxError, Neg, Var,
+    Bin, Call, Const, ExprEvalError, ExprSyntaxError, Neg, Var, _MAX_DEPTH,
     dual_env, evaluate, evaluate_dual, free_vars, parse, to_source, tokenize,
 )
 
@@ -97,6 +97,14 @@ def test_nesting_past_the_limit_is_a_syntax_error(opening, closing):
     with pytest.raises(ExprSyntaxError, match="nests too deeply"):
         parse(opening * 200 + "x1" + closing * 200)
     assert free_vars(parse(opening * 100 + "x1" + closing * 100)) == {"x1"}
+
+
+def test_a_tree_past_the_depth_limit_is_a_syntax_error():
+    # a sum of k terms is a tree k levels deep
+    assert free_vars(parse(" + ".join(["x1"] * _MAX_DEPTH))) == {"x1"}
+    with pytest.raises(ExprSyntaxError,
+                       match=f"{_MAX_DEPTH + 1} levels deep, more than"):
+        parse(" + ".join(["x1"] * (_MAX_DEPTH + 1)))
 
 
 # ---------------------------------------------------------------------------
