@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -585,6 +586,49 @@ def test_reports_and_series_are_byte_stable(tmp_path, capsys):
     assert first == second
     assert "output-contraction_pair_000.csv" in first
     assert "output-contraction_pair_004.csv" in first
+
+
+#: commands whose series files are pinned below
+SERIES_COMMANDS = (
+    ["simulate", "--system", "ex1-timevarying", "--x0=-2.5,-5", "--tf", "5"],
+    ["simulate", "--system", "ex1-timevarying", "--x0=-2.5,-5", "--tf", "5",
+     "--format", "json"],
+    ["reproduce", "fig1"],
+    ["reproduce", "fig2"],
+    ["reproduce", "remark1", "--pairs", "5"],
+    ["contraction", *LTI, "--pairs", "3", "--tf", "4", "--dump-series"],
+    ["partial", *LTI, "--pairs", "3", "--tf", "4", "--dump-series",
+     "--format", "json"],
+)
+
+#: sha256[:16] of every series file SERIES_COMMANDS write
+SERIES_DIGESTS = {
+    "simulate_ex1-timevarying.csv": "89313b762058725b",
+    "simulate_ex1-timevarying.json": "f7e7bf5fd1759451",
+    "fig1_divergence.csv": "be3027dc988a3464",
+    "fig1_trajectory_a.csv": "5ec1dfa30915e5ca",
+    "fig1_trajectory_b.csv": "6e0272bfaa3bda59",
+    "fig2_trajectory.csv": "a94a24e53b6a7946",
+    "remark1_divergence.csv": "48df3861e6e9d0da",
+    "remark1_partial_witness.csv": "4fc87c75263938cc",
+    "output-contraction_pair_000.csv": "985107f64ca1631b",
+    "output-contraction_pair_001.csv": "d237a9b084b76962",
+    "output-contraction_pair_002.csv": "90a9c2be59f5cab9",
+    "partial-contraction_pair_000.json": "ae841b3217d14c2e",
+    "partial-contraction_pair_001.json": "fb6b26bd0466fac1",
+    "partial-contraction_pair_002.json": "3dae5a73e0499d36",
+}
+
+
+def test_series_files_are_pinned(tmp_path, capsys):
+    digests = {}
+    for i, argv in enumerate(SERIES_COMMANDS):
+        out = tmp_path / str(i)
+        main([*argv, "--out", str(out)])
+        digests.update((p.name, hashlib.sha256(p.read_bytes()).hexdigest()[:16])
+                       for p in out.iterdir() if p.name != "report.json")
+    capsys.readouterr()
+    assert digests == SERIES_DIGESTS
 
 
 def test_console_entry_point_runs():
