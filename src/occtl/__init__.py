@@ -30,17 +30,17 @@ from .sysmodel import (
     AugmentedSystem, BUILTIN_NAMES, JacobianBundle, SystemSpec,
     SystemValidationError, augment, builtin_system, eval_fh,
     finite_diff_jacobian, jacobians, json_safe, output_map, system_from_json,
-    system_to_json, vector_field,
+    vector_field,
 )
 from .odeint import (
     IntegratorConfig, Trajectory, integrate, integrate_batch, integrate_rk4,
-    integrate_rk45, map_output, sample_at, trajectory_csv,
+    integrate_rk45, map_output, sample_at,
 )
 from .contraction import (
     DivergenceSeries, FdCheck, PairResult, RateFit, SamplingPlan, Verdict,
     check_oes_equilibrium, check_oes_variational, check_output_contraction,
-    check_partial_contraction, divergence_csv, fd_variational_check, fit_rate,
-    simulate_pair, verdict_json,
+    check_partial_contraction, fd_variational_check, fit_rate, simulate_pair,
+    verdict_json,
 )
 from .lyapunov import (
     Bounds, CandidateV, CheckDomain, FalsificationReport, check_certificate,

@@ -6,16 +6,16 @@ and prints it, so runs are reproducible; series files are written with 17
 significant digits and are byte-stable for a fixed seed and version.
 
 Exit codes: 0 all checks passed / property holds; 1 a check was falsified
-(witness in the report); 2 usage or validation error, a malformed or
-unreadable system file among them; 3 numerical failure: a simulated
-trajectory was truncated (blow-up, step underflow, or f left its domain) or
-its output is not finite (h left its domain), or a `jacobian` query is not
-finite (f or h undefined or not differentiable at the point), with the
-report printed all the same.  Inside the checkers a trajectory
-that leaves f's domain is a truncated item, an output outside h's domain
-fails its own item, and a certificate sample where f, h or V is undefined
-is a violation; none of them is a failure of the run.  Reports print every
-number that is not finite as null.
+(witness in the report); 2 usage or validation error, among them a malformed
+or unreadable system file and an --out that cannot be made a directory; 3
+numerical failure: a simulated trajectory was truncated (blow-up, step
+underflow, or f left its domain) or its output is not finite (h left its
+domain), or a `jacobian` query is not finite (f or h undefined or not
+differentiable at the point), with the report printed all the same.  Inside
+the checkers a trajectory that leaves f's domain is a truncated item, an
+output outside h's domain fails its own item, and a certificate sample where
+f, h or V is undefined is a violation; none of them is a failure of the run.
+Reports print every number that is not finite as null.
 
 The environment variable OCCTL_THREADS caps the worker count; the numeric
 engine evaluates samples as vectorised batches on one thread, so the cap is
@@ -37,8 +37,8 @@ import numpy as np
 from . import __version__
 from .contraction import (
     SamplingPlan, check_oes_equilibrium, check_oes_variational,
-    check_output_contraction, check_partial_contraction, divergence_csv,
-    fit_rate, simulate_pair, verdict_json,
+    check_output_contraction, check_partial_contraction, fit_rate,
+    simulate_pair, verdict_json,
 )
 from .exprlang import ExprEvalError
 from .lyapunov import (
@@ -47,7 +47,7 @@ from .lyapunov import (
 )
 # no longer called here, but bench/tracing.py looks both names up
 from .lyapunov import check_decay, check_sandwich  # noqa: F401
-from .odeint import IntegratorConfig, integrate, map_output, trajectory_csv
+from .odeint import IntegratorConfig, integrate_batch, map_output
 from .sysmodel import (
     BUILTIN_NAMES, builtin_system, jacobians, json_safe, output_map,
     system_from_json, vector_field,
@@ -130,12 +130,19 @@ def _box(text: str, n: int) -> tuple[tuple[float, float], ...]:
 
 
 class _Reporter:
-    """Collects the run report and the emitted file manifest."""
+    """Collects the run report and the emitted file manifest; the one
+    writer of series files."""
 
     def __init__(self, args):
         self.t_start = time.perf_counter()
         self.out = Path(args.out) if getattr(args, "out", None) else None
         self.fmt = getattr(args, "format", "csv")
+        if self.out is not None:
+            try:
+                self.out.mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                raise UsageError(f"cannot write to --out {self.out}: "
+                                 f"{err.strerror or err}") from None
         self.doc = {
             "command": " ".join(args.command_echo),
             "version": __version__,
@@ -148,22 +155,30 @@ class _Reporter:
     def add(self, key, value):
         self.doc["results"][key] = value
 
-    def write_series(self, name: str, csv_text: str, json_obj) -> None:
+    def write_series(self, name: str, **columns) -> None:
+        """Write the equal-length `columns` as `name`.json or `name`.csv
+        under --out, if given; CSV spreads a (k, n) column x over x1..xn and
+        keeps 17 significant digits, so re-reading gives the same doubles."""
         if self.out is None:
             return
-        self.out.mkdir(parents=True, exist_ok=True)
         if self.fmt == "json":
             path = self.out / f"{name}.json"
-            path.write_text(json.dumps(json_safe(json_obj), indent=2))
+            text = json.dumps(json_safe(columns), indent=2)
         else:
             path = self.out / f"{name}.csv"
-            path.write_text(csv_text)
+            header, series = [], []
+            for key, values in columns.items():
+                header += [key] if values.ndim == 1 else [
+                    f"{key}{i + 1}" for i in range(values.shape[1])]
+                series += list(np.atleast_2d(values.T))
+            rows = (",".join(f"{v:.17g}" for v in row) for row in zip(*series))
+            text = "\n".join([",".join(header), *rows]) + "\n"
+        path.write_text(text)
         self.doc["files"].append(path.name)
 
     def finish(self, code: int) -> int:
         self.doc = json_safe(self.doc)
         if self.out is not None:
-            self.out.mkdir(parents=True, exist_ok=True)
             report_path = self.out / "report.json"
             report_path.write_text(
                 json.dumps(self.doc, indent=2, sort_keys=True))
@@ -172,15 +187,6 @@ class _Reporter:
         self.doc["wall_time_s"] = round(time.perf_counter() - self.t_start, 3)
         print(json.dumps(self.doc, indent=2, sort_keys=True))
         return code
-
-
-def _traj_json(traj, outputs):
-    return {"t": traj.times, "x": traj.states, "y": outputs}
-
-
-def _write_divergence(rep: _Reporter, name: str, series) -> None:
-    rep.write_series(name, divergence_csv(series),
-                     {"t": series.times, "d": series.d})
 
 
 def _integrator_config(args) -> IntegratorConfig:
@@ -196,6 +202,18 @@ def _integrator_config(args) -> IntegratorConfig:
     return cfg
 
 
+def _trajectories(rep: _Reporter, spec, starts: dict, t0: float, tf: float,
+                  cfg: IntegratorConfig) -> list:
+    """Integrate `starts`, {series name: x0}, as one batch and write each
+    trajectory as its t, x, y series: (trajectory, outputs) per start."""
+    trajs = integrate_batch(vector_field(spec), np.array(list(starts.values())),
+                            t0, tf, cfg)
+    runs = [(traj, map_output(spec, traj)) for traj in trajs]
+    for name, (traj, y) in zip(starts, runs):
+        rep.write_series(name, t=traj.times, x=traj.states, y=y)
+    return runs
+
+
 def _plan(args, spec) -> SamplingPlan:
     return SamplingPlan(box=_box(args.box, spec.n), pairs=args.pairs,
                         seed=args.seed, t0=args.t0, tf=args.tf)
@@ -209,15 +227,12 @@ def cmd_simulate(args) -> int:
     rep = _Reporter(args)
     spec = load_system(args.system)
     x0 = _vec(args.x0, spec.n, "--x0")
-    traj = integrate(vector_field(spec), x0, args.t0, args.tf,
-                     _integrator_config(args))
-    y = map_output(spec, traj)
+    [(traj, y)] = _trajectories(rep, spec, {f"simulate_{spec.name}": x0},
+                                args.t0, args.tf, _integrator_config(args))
     rep.add("t_end", traj.t_end)
     rep.add("failure", traj.failure)
     rep.add("final_state", traj.states[-1])
     rep.add("final_output", y[-1])
-    rep.write_series(f"simulate_{spec.name}",
-                     trajectory_csv(traj, outputs=y), _traj_json(traj, y))
     ok = traj.ok and bool(np.all(np.isfinite(y)))
     return rep.finish(0 if ok else NUMERIC_FAILURE)
 
@@ -251,8 +266,8 @@ def _run_verdict_command(args, checker, **results) -> int:
         rep.add(key, value)
     if args.dump_series:
         for result in verdict.results:
-            _write_divergence(rep, f"{verdict.kind}_pair_{result.index:03d}",
-                              result.series)
+            rep.write_series(f"{verdict.kind}_pair_{result.index:03d}",
+                             t=result.series.times, d=result.series.d)
     return rep.finish(0 if verdict.holds else FALSIFIED)
 
 
@@ -307,16 +322,12 @@ def cmd_lyapunov(args) -> int:
 def _reproduce_fig1(args, rep: _Reporter) -> int:
     spec = builtin_system("ex1-timevarying")
     cfg = _integrator_config(args)
-    for label, x0 in zip("ab", FIG1_STARTS):
-        traj = integrate(vector_field(spec), np.array(x0), 0.0, args.tf, cfg)
-        y = map_output(spec, traj)
-        rep.write_series(f"fig1_trajectory_{label}",
-                         trajectory_csv(traj, outputs=y),
-                         _traj_json(traj, y))
+    _trajectories(rep, spec, {f"fig1_trajectory_{label}": x0 for label, x0
+                              in zip("ab", FIG1_STARTS)}, 0.0, args.tf, cfg)
     series = simulate_pair(spec, *map(np.array, FIG1_STARTS), 0.0, args.tf, cfg)
     fit = fit_rate(series, scale=series.dx0)
     ratio = float(series.state_dist[-1] / series.d[-1])
-    _write_divergence(rep, "fig1_divergence", series)
+    rep.write_series("fig1_divergence", t=series.times, d=series.d)
     rep.add("output_divergence_alpha", fit.alpha)
     rep.add("state_escape_truncated_at", series.t_end)
     rep.add("state_distance_over_output_divergence", ratio)
@@ -327,11 +338,8 @@ def _reproduce_fig1(args, rep: _Reporter) -> int:
 
 def _reproduce_fig2(args, rep: _Reporter) -> int:
     spec = builtin_system("ex2-timeinvariant")
-    cfg = _integrator_config(args)
-    traj = integrate(vector_field(spec), np.array(FIG2_START), 0.0, args.tf, cfg)
-    y = map_output(spec, traj)
-    rep.write_series("fig2_trajectory", trajectory_csv(traj, outputs=y),
-                     _traj_json(traj, y))
+    [(traj, y)] = _trajectories(rep, spec, {"fig2_trajectory": FIG2_START},
+                                0.0, args.tf, _integrator_config(args))
     norms = np.linalg.norm(traj.states, axis=-1)
     exceeded = norms > 1e3
     final_y = float(y[-1, 0])
@@ -356,8 +364,8 @@ def _reproduce_remark1(args, rep: _Reporter) -> int:
     partial = check_partial_contraction(spec, plan, cfg)
     for name, starts in (("remark1_divergence", ((0.0, 0.0), (0.0, 1.0))),
                          ("remark1_partial_witness", ((1.0, 0.0), (1.0, 1.0)))):
-        _write_divergence(rep, name,
-                          simulate_pair(spec, *starts, 0.0, args.tf, cfg))
+        series = simulate_pair(spec, *starts, 0.0, args.tf, cfg)
+        rep.write_series(name, t=series.times, d=series.d)
     rep.add("output_contraction", verdict_json(contraction))
     rep.add("partial_contraction", verdict_json(partial))
     rep.add("note", "output contraction holds for y = x1 while partial "
@@ -389,8 +397,10 @@ _SHARED = (("--system", dict(required=True, help="built-in name or path to "
            ("--out", dict(default=None, help="directory for emitted files")),
            ("--format", dict(choices=("csv", "json"), default="csv")))
 
-#: the shared flags a subcommand does not read, and so does not accept
-_UNREAD = {"simulate": {"--seed"}, "reproduce": {"--system", "--t0"},
+#: the shared flags a subcommand does not read, and so does not accept;
+#: `reproduce` NAME counts as subcommand NAME
+_UNREAD = {"simulate": {"--seed"}, "remark1": {"--system", "--t0"},
+           **dict.fromkeys(("fig1", "fig2"), {"--system", "--t0", "--seed"}),
            "jacobian": {"--seed", "--t0", "--tf", "--format"},
            "lyapunov": {"--t0", "--tf", "--format"}}
 
@@ -470,12 +480,16 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--t-range", default="0:6.283185307179586")
     s.add_argument("--xi-radii", default="0.1,1,10")
 
-    s = _command(subs, "reproduce", cmd_reproduce,
-                 "rebuild the bundled demonstration datasets")
-    s.add_argument("name", choices=("fig1", "fig2", "remark1"))
-    s.add_argument("--pairs", type=int, default=25)
-    s.add_argument("--rtol", type=float, default=argparse.SUPPRESS)
-    s.add_argument("--atol", type=float, default=argparse.SUPPRESS)
+    names = subs.add_parser(
+        "reproduce", help="rebuild the bundled demonstration datasets"
+    ).add_subparsers(dest="name", required=True)
+    for name, blurb in (("fig1", "outputs contract, the state separates"),
+                        ("fig2", "the output settles, the state is unstable"),
+                        ("remark1", "output but not partial contraction")):
+        s = _command(names, name, cmd_reproduce, blurb)
+        s.add_argument("--rtol", type=float, default=argparse.SUPPRESS)
+        s.add_argument("--atol", type=float, default=argparse.SUPPRESS)
+    s.add_argument("--pairs", type=int, default=25)  # remark1 alone samples
     return parser
 
 

@@ -49,7 +49,7 @@ __all__ = [
     "FdCheck", "simulate_pair", "fit_rate", "check_output_contraction",
     "check_partial_contraction", "check_oes_variational",
     "check_oes_equilibrium", "fd_variational_check", "verdict_json",
-    "divergence_csv", "DEFAULT_ALPHA_MIN",
+    "DEFAULT_ALPHA_MIN",
 ]
 
 #: smallest fitted decay rate a passing pair may have
@@ -378,13 +378,6 @@ def verdict_json(verdict: Verdict) -> dict:
         "alpha_min": verdict.alpha_min,
         "witness": verdict.witness,
     })
-
-
-def divergence_csv(series: DivergenceSeries) -> str:
-    """Divergence series as ``t,d`` CSV text (17 significant digits)."""
-    lines = ["t,d"]
-    lines += [f"{t:.17g},{v:.17g}" for t, v in zip(series.times, series.d)]
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,6 @@ from .sysmodel import output_map
 __all__ = [
     "Trajectory", "IntegratorConfig", "integrate", "integrate_batch",
     "integrate_rk4", "integrate_rk45", "sample_at", "map_output",
-    "trajectory_csv",
 ]
 
 
@@ -405,25 +404,3 @@ def map_output(spec, traj: Trajectory) -> np.ndarray:
     extra = (np.newaxis,) * (traj.states.ndim - 2)
     t = traj.times[(...,) + extra]
     return output_map(spec)(traj.states, t)
-
-
-def trajectory_csv(traj: Trajectory, outputs: np.ndarray | None = None) -> str:
-    """Render a single trajectory as CSV text.
-
-    Header is ``t,x1,...,xn[,y1,...,ym]``; one row per grid point, numbers
-    with 17 significant digits so re-reading reproduces the doubles exactly.
-    """
-    if traj.states.ndim != 2:
-        raise ValueError("CSV export needs a single (unbatched) trajectory")
-    n = traj.states.shape[1]
-    columns = [traj.times] + [traj.states[:, i] for i in range(n)]
-    header = ["t"] + [f"x{i + 1}" for i in range(n)]
-    if outputs is not None:
-        outputs = np.asarray(outputs)
-        for j in range(outputs.shape[1]):
-            columns.append(outputs[:, j])
-            header.append(f"y{j + 1}")
-    lines = [",".join(header)]
-    for row in zip(*columns):
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    return "\n".join(lines) + "\n"

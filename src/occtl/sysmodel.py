@@ -31,14 +31,14 @@ import numpy as np
 
 from .exprlang import (
     Bin, Call, Const, Expr, Neg, Var, compile_expr, differentiate, evaluate,
-    free_vars, parse, to_source,
+    free_vars, parse,
 )
 from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 
 __all__ = [
     "SystemSpec", "AugmentedSystem", "JacobianBundle", "SystemValidationError",
     "eval_fh", "jacobians", "augment", "finite_diff_jacobian",
-    "vector_field", "output_map", "system_from_json", "system_to_json",
+    "vector_field", "output_map", "system_from_json",
     "builtin_system", "json_safe", "BUILTIN_NAMES",
 ]
 
@@ -126,10 +126,6 @@ class SystemSpec:
     def time_invariant(self) -> bool:
         """True when no expression of f or h mentions t."""
         return all("t" not in free_vars(e) for e in self.f + self.h)
-
-    def sources(self) -> dict[str, list[str]]:
-        return {"f": [to_source(e) for e in self.f],
-                "h": [to_source(e) for e in self.h]}
 
 
 def _uses_abs(e: Expr) -> bool:
@@ -339,12 +335,6 @@ def system_from_json(doc) -> SystemSpec:
             raise SystemValidationError(
                 f"{name!r}: {key} must be a list of strings, got {value!r}")
     return SystemSpec.from_strings(name, n, m, f, h)
-
-
-def system_to_json(spec: SystemSpec) -> str:
-    src = spec.sources()
-    return json.dumps({"name": spec.name, "n": spec.n, "m": spec.m,
-                       "f": src["f"], "h": src["h"]}, indent=2)
 
 
 _BUILTIN_SOURCES = {

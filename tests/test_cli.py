@@ -6,8 +6,12 @@ import sys
 import numpy as np
 import pytest
 
+from occtl import cli
 from occtl.cli import main
-from occtl.sysmodel import system_to_json
+from occtl.contraction import SamplingPlan, check_output_contraction
+from occtl.exprlang import to_source
+from occtl.odeint import integrate_rk4, map_output
+from occtl.sysmodel import builtin_system, vector_field
 
 from oracles import output_equilibrium_root
 
@@ -136,6 +140,11 @@ def test_time_flags_a_command_ignores_are_rejected(argv):
     ["jacobian", "--system", "lti-remark1", "--x", "0,0", "--format", "json"],
     ["lyapunov", "--system", "ex1-timevarying", "--V", "(xi1+xi2)^2",
      "--alpha1", "1", "--alpha2", "2", "--format", "json"],
+    # only remark1 samples pairs
+    ["reproduce", "fig1", "--seed", "5"],
+    ["reproduce", "fig1", "--pairs", "3"],
+    ["reproduce", "fig2", "--seed", "5"],
+    ["reproduce", "fig2", "--pairs", "3"],
 ])
 def test_seed_and_format_flags_a_command_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -405,7 +414,10 @@ def test_leaving_the_domain_is_a_per_sample_result(tmp_path, sqrt_decay,
     # f = (-sqrt(x1), -x2): trajectories leave its domain and the default
     # certificate box has x1 < 0; out of process, so stderr is the real one
     path = tmp_path / "sqrt.json"
-    path.write_text(system_to_json(sqrt_decay))
+    path.write_text(json.dumps({
+        "name": sqrt_decay.name, "n": sqrt_decay.n, "m": sqrt_decay.m,
+        "f": [to_source(e) for e in sqrt_decay.f],
+        "h": [to_source(e) for e in sqrt_decay.h]}))
     proc = subprocess.run(
         [sys.executable, "-m", "occtl", *argv, "--system", str(path)],
         capture_output=True, text=True, timeout=60)
@@ -531,6 +543,7 @@ def test_jacobian_where_h_is_not_differentiable_is_a_numerical_failure(
 def test_reproduce_fig2(tmp_path, capsys):
     code, report = run_cli(capsys, "reproduce", "fig2", "--out", str(tmp_path))
     assert code == 0
+    assert report["seed"] is None
     res = report["results"]
     assert res["output_error"] <= 0.005
     assert res["state_norm_exceeds_1e3_at"] < 10.0
@@ -541,6 +554,7 @@ def test_reproduce_fig1(tmp_path, capsys):
     code, report = run_cli(capsys, "reproduce", "fig1", "--tf", "5",
                            "--out", str(tmp_path))
     assert code == 0
+    assert report["seed"] is None
     res = report["results"]
     assert res["output_divergence_alpha"] >= 0.9
     assert res["state_distance_over_output_divergence"] > 10.0
@@ -551,7 +565,9 @@ def test_reproduce_remark1_surfaces_the_falsification(tmp_path, capsys):
     code, report = run_cli(capsys, "reproduce", "remark1",
                            "--out", str(tmp_path))
     assert code == 1
+    assert report["seed"] == 0
     res = report["results"]
+    assert res["output_contraction"]["pairs"] == 25
     assert res["output_contraction"]["holds"] is True
     assert res["partial_contraction"]["holds"] is False
     assert res["partial_contraction"]["witness"]["dy0"] <= 1e-12
@@ -629,6 +645,62 @@ def test_series_files_are_pinned(tmp_path, capsys):
                        for p in out.iterdir() if p.name != "report.json")
     capsys.readouterr()
     assert digests == SERIES_DIGESTS
+
+
+def _columns(path):
+    """Header and float columns of a CSV series file."""
+    header, *rows = path.read_text().splitlines()
+    return header, np.array([[float(v) for v in row.split(",")]
+                             for row in rows]).T
+
+
+def test_csv_round_trips_doubles_and_is_byte_stable(tmp_path, capsys):
+    spec = builtin_system("lti-remark1")
+    traj = integrate_rk4(vector_field(spec), [1.0, 1.0], 0.0, 0.5, 0.1)
+    texts = []
+    for run in ("a", "b"):
+        assert main(["simulate", *LTI, "--x0", "1,1", "--tf", "0.5",
+                     "--method", "rk4-fixed", "--step", "0.1",
+                     "--out", str(tmp_path / run)]) == 0
+        texts.append((tmp_path / run / "simulate_lti-remark1.csv").read_text())
+    capsys.readouterr()
+    assert texts[0] == texts[1]
+    header, (t, x1, x2, y1) = _columns(tmp_path / "a/simulate_lti-remark1.csv")
+    assert header == "t,x1,x2,y1"
+    np.testing.assert_array_equal(t, traj.times)
+    np.testing.assert_array_equal(np.stack([x1, x2], axis=-1), traj.states)
+    np.testing.assert_array_equal(y1, map_output(spec, traj)[:, 0])
+
+
+def test_divergence_csv_format(tmp_path, capsys):
+    assert main(["contraction", *LTI, "--pairs", "2", "--tf", "4",
+                 "--seed", "3", "--dump-series", "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    verdict = check_output_contraction(builtin_system("lti-remark1"),
+                                       SamplingPlan(box=((-5.0, 5.0),) * 2,
+                                                    pairs=2, seed=3, tf=4.0))
+    for result in verdict.results:
+        header, (t, d) = _columns(
+            tmp_path / f"output-contraction_pair_{result.index:03d}.csv")
+        assert header == "t,d"
+        np.testing.assert_array_equal(t, result.series.times)
+        np.testing.assert_array_equal(d, result.series.d)
+
+
+@pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
+def test_an_out_that_is_not_a_directory_is_a_usage_error(
+        tmp_path, capsys, monkeypatch, under):
+    # an existing file, or a path under one, fails before any integration
+    monkeypatch.setattr(cli, "integrate_batch", None)
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    assert main(["simulate", *LTI, "--x0", "1,1",
+                 "--out", str(taken / under)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: cannot write to --out {taken / under}: ")
+    assert err.count("\n") == 1
+    assert taken.read_text() == ""
 
 
 def test_console_entry_point_runs():

@@ -7,8 +7,8 @@ import pytest
 from occtl.contraction import (
     DivergenceSeries, SamplingPlan, check_oes_equilibrium,
     check_oes_variational, check_output_contraction,
-    check_partial_contraction, divergence_csv, fd_variational_check, fit_rate,
-    simulate_pair, verdict_json,
+    check_partial_contraction, fd_variational_check, fit_rate, simulate_pair,
+    verdict_json,
 )
 from occtl.odeint import IntegratorConfig, integrate
 from occtl.sysmodel import SystemSpec, augment, builtin_system
@@ -162,14 +162,6 @@ def test_fit_rate_noise_floor_excludes_solver_noise():
                               truncated=False)
     fit = fit_rate(series, scale=1.0, floor=1e-9)
     assert fit.alpha == pytest.approx(3.0, abs=1e-3)
-
-
-def test_divergence_csv_format():
-    text = divergence_csv(synthetic_series())
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,d"
-    assert len(lines) == 402
-    assert float(lines[1].split(",")[1]) == 2.0
 
 
 # ---------------------------------------------------------------------------

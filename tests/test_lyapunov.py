@@ -15,7 +15,7 @@ from occtl.lyapunov import (
     check_sandwich, check_time_invariant, implied_rate, report_json,
     reverify_counterexample, vdot, vdot_fd,
 )
-from occtl.exprlang import evaluate
+from occtl.exprlang import evaluate, to_source
 from occtl.odeint import IntegratorConfig, integrate
 from occtl.sysmodel import SystemSpec, augment, builtin_system
 from oracles import dual_vdot, stacked_sample_domain
@@ -604,7 +604,7 @@ def kernels_built(monkeypatch) -> list:
 
 @pytest.mark.parametrize("f, x_box", [
     # the enclosure overflows: Python's `**` raises on (1e200)^3
-    (builtin_system("ex1-timevarying").sources()["f"],
+    ([to_source(e) for e in builtin_system("ex1-timevarying").f],
      ((-1e200, 1e200),) * 2),
     (["x1^3"], ((-1e103, 1e103),)),
     # calls the enclosure does not bound, even where f is finite (abs is

@@ -7,7 +7,7 @@ import pytest
 
 from occtl.odeint import (
     IntegratorConfig, integrate, integrate_batch, integrate_rk4, integrate_rk45,
-    map_output, sample_at, trajectory_csv,
+    map_output, sample_at,
 )
 from occtl.sysmodel import (
     SystemSpec, augment, builtin_system, vector_field,
@@ -360,28 +360,3 @@ def test_rk45_matches_scipy_dop853_on_its_own_grid():
     assert errors("ex2-timeinvariant", [3.0, 3.0], 5.0)[1] <= 4.1e-3
     assert errors("ex2-timeinvariant", [3.0, 3.0], 10.0)[2] <= 1.1e-4
 
-
-# ---------------------------------------------------------------------------
-# CSV export
-# ---------------------------------------------------------------------------
-
-def test_csv_round_trips_doubles_and_is_byte_stable():
-    spec = _lti_sum_output()
-    traj = integrate_rk4(vector_field(spec), np.array([1.0, 1.0]), 0.0, 0.5, 0.1)
-    y = map_output(spec, traj)
-    text = trajectory_csv(traj, outputs=y)
-    assert text == trajectory_csv(traj, outputs=y)
-    lines = text.strip().split("\n")
-    assert lines[0] == "t,x1,x2,y1"
-    assert len(lines) == 1 + len(traj.times)
-    last = [float(v) for v in lines[-1].split(",")]
-    assert last[0] == traj.times[-1]
-    assert last[1] == traj.states[-1, 0]
-    assert last[3] == y[-1, 0]
-
-
-def test_csv_rejects_batched_trajectories():
-    field = vector_field(builtin_system("lti-remark1"))
-    traj = integrate_rk4(field, np.zeros((3, 2)), 0.0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        trajectory_csv(traj)

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 
 import occtl
-from occtl.exprlang import ExprEvalError, dual_env, evaluate_dual
+from occtl import cli
+from occtl.exprlang import ExprEvalError, dual_env, evaluate_dual, to_source
 from occtl.sysmodel import (
     BUILTIN_NAMES, SystemSpec, SystemValidationError, augment, builtin_system,
     eval_fh, finite_diff_jacobian, jacobians, json_safe, output_map,
-    system_from_json, system_to_json,
+    system_from_json,
 )
 
 
@@ -160,6 +161,22 @@ def test_only_the_reference_path_raises_and_only_main_catches():
         return isinstance(node, ast.ExceptHandler) and "ExprEvalError" in {
             getattr(n, "id", None) for n in ast.walk(node.type or ast.Pass())}
     assert _where(catches) == {("cli.py", "main")}
+
+
+def test_the_reporter_is_the_one_writer_of_files_and_series_text():
+    # series files look one way: `_Reporter.write_series` renders them, and
+    # only the CLI writes any file
+    writers = {"write_text", "write_bytes", "open"}
+    assert {path for path, _ in _where(
+        lambda node: any(_calls(name)(node) for name in writers))} == {"cli.py"}
+
+    def formats_17g(node):
+        return isinstance(node, ast.Constant) and ".17g" in str(node.value)
+    assert _where(formats_17g) == {("cli.py", "_Reporter")}
+    [reporter] = [top for top in ast.parse(Path(cli.__file__).read_text()).body
+                  if getattr(top, "name", None) == "_Reporter"]
+    assert {method.name for method in reporter.body
+            if any(map(formats_17g, ast.walk(method)))} == {"write_series"}
 
 
 def test_every_name_in_a_modules_all_resolves():
@@ -323,8 +340,10 @@ def test_time_invariant_flag_consistency():
 
 def test_json_round_trip_preserves_the_system():
     spec = builtin_system("ex1-timevarying")
-    again = system_from_json(system_to_json(spec))
-    assert again == spec
+    doc = {"name": spec.name, "n": spec.n, "m": spec.m,
+           "f": [to_source(e) for e in spec.f],
+           "h": [to_source(e) for e in spec.h]}
+    assert system_from_json(json.dumps(doc)) == spec
 
 
 def test_json_validation_failure():
