@@ -7,7 +7,7 @@
 import numpy as np
 
 from occtl import (
-    builtin_system, integrate_rk4, integrate_rk45, map_output, sample_at,
+    IntegratorConfig, builtin_system, integrate, map_output, sample_at,
     vector_field,
 )
 
@@ -17,8 +17,9 @@ lti = builtin_system("lti-remark1")      # xdot = [[-2,1],[1,-2]] x, y = x1
 field = vector_field(lti)
 x0 = np.array([1.0, 1.0])                # the slow eigenvector: x(t) = e^-t x0
 
-rk4 = integrate_rk4(field, x0, 0.0, 5.0, step=1e-3)
-rk45 = integrate_rk45(field, x0, 0.0, 5.0, rtol=1e-8, atol=1e-8)
+rk4 = integrate(field, x0, 0.0, 5.0,
+                IntegratorConfig(method="rk4-fixed", step=1e-3))
+rk45 = integrate(field, x0, 0.0, 5.0)
 exact = np.exp(-rk4.times)[:, None] * x0
 print("rk4  max error vs closed form:", np.max(np.abs(rk4.states - exact)))
 print("rk45 points:", len(rk45.times), " rk4 points:", len(rk4.times))
@@ -37,7 +38,7 @@ print("y(5) =", y[-1, 0], " (expect", np.exp(-5.0), ")")
 # this system's output contracts, but its state leaves every bounded set in
 # finite time from generic starts; the integrator truncates and flags
 wild = builtin_system("ex1-timevarying")
-traj = integrate_rk45(vector_field(wild), np.array([-2.5, -5.0]), 0.0, 5.0)
+traj = integrate(vector_field(wild), np.array([-2.5, -5.0]), 0.0, 5.0)
 print("requested horizon: 5.0   reached:", round(traj.t_end, 4))
 print("failure flag:", traj.failure)
 print("last state still finite:", np.all(np.isfinite(traj.states[-1])),

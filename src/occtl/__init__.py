@@ -33,14 +33,13 @@ from .sysmodel import (
     vector_field,
 )
 from .odeint import (
-    IntegratorConfig, Trajectory, integrate, integrate_batch, integrate_rk4,
-    integrate_rk45, map_output, sample_at,
+    IntegratorConfig, Trajectory, integrate, integrate_batch, map_output,
+    sample_at,
 )
 from .contraction import (
-    DivergenceSeries, FdCheck, PairResult, RateFit, SamplingPlan, Verdict,
+    DivergenceSeries, PairResult, RateFit, SamplingPlan, Verdict,
     check_oes_equilibrium, check_oes_variational, check_output_contraction,
-    check_partial_contraction, fd_variational_check, fit_rate, simulate_pair,
-    verdict_json,
+    check_partial_contraction, fit_rate, simulate_pair, verdict_json,
 )
 from .lyapunov import (
     Bounds, CandidateV, CheckDomain, FalsificationReport, check_certificate,

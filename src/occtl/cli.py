@@ -4,6 +4,8 @@ Subcommands: simulate, jacobian, contraction, partial, oes, oes-eq,
 lyapunov, reproduce.  Every randomized subcommand takes --seed (default 0)
 and prints it, so runs are reproducible; series files are written with 17
 significant digits and are byte-stable for a fixed seed and version.
+`reproduce` reads --rtol and --atol and always integrates with
+rk45-adaptive, so it rejects --method and --step (exit 2).
 
 Exit codes: 0 all checks passed / property holds; 1 a check was falsified
 (witness in the report); 2 usage or validation error, among them a malformed

@@ -221,7 +221,8 @@ def _draw_blocks(n: int, domain: CheckDomain, block: int):
     block by block from the seed's stream advanced past what precedes them.
     The normals vary in draws, so they are drawn at once, the one array as
     long as the draw, and normalised and scaled block by block.  The
-    buffers are reused: a block is gone once the next is asked for."""
+    buffers are reused: a block is gone once the next is asked for.  A draw
+    whose normals do not fit in memory raises ValueError."""
     s, radii = domain.samples, domain.xi_radii
     corners = [c + tuple(0.5 * (lo + hi) for lo, hi in domain.x_box[len(c):])
                for c in itertools.product(*domain.x_box[:6])]
@@ -236,7 +237,11 @@ def _draw_blocks(n: int, domain: CheckDomain, block: int):
     for j, bits in enumerate(streams):
         bits.advance(j * s)   # x's column j, then the normals and t
     *columns, rng = map(np.random.Generator, streams)
-    xi = np.empty((size, n))
+    try:
+        xi = np.empty((size, n))
+    except MemoryError:
+        raise ValueError(f"{s} samples are too many to draw: their "
+                         "directions do not fit in memory") from None
     rng.standard_normal(out=xi[:s])
     xi[s:] = np.tile(seeds, (len(corners), 1))
     state = np.empty((min(block, size), 2 * n), order="F")

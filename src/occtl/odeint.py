@@ -24,9 +24,9 @@ Each member keeps its own time, step, step floor, accept/reject decision and
 failure, and leaves the batch when it reaches tf or fails, so one escaping
 member costs its siblings nothing; every field call evaluates the running
 members together, each at its own time.  Each member's trajectory is bit for
-bit the one it gets alone, and the single-start functions are one-member
-batches.  Fixed-step RK4 members share one grid instead.  Both integrators
-keep only the points that their running members reach.
+bit the one it gets alone, and `integrate`, the single-start function, is a
+one-member batch.  Fixed-step RK4 members share one grid instead.  Both
+integrators keep only the points that their running members reach.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .sysmodel import output_map
 
 __all__ = [
     "Trajectory", "IntegratorConfig", "integrate", "integrate_batch",
-    "integrate_rk4", "integrate_rk45", "sample_at", "map_output",
+    "sample_at", "map_output",
 ]
 
 
@@ -116,20 +116,6 @@ def integrate_batch(field, x0s, t0: float, tf: float,
     if cfg.method == "rk4-fixed":
         return _rk4(field, x0s, t0, tf, cfg.step)
     return _rk45(field, x0s, t0, tf, cfg.rtol, cfg.atol)
-
-
-def integrate_rk4(field, x0, t0: float, tf: float, step: float) -> Trajectory:
-    """Classical 4th-order Runge-Kutta from one start, on a uniform grid of
-    `step` whose last step is shortened to land on tf exactly."""
-    return integrate(field, x0, t0, tf,
-                     IntegratorConfig(method="rk4-fixed", step=step))
-
-
-def integrate_rk45(field, x0, t0: float, tf: float,
-                   rtol: float = 1e-8, atol: float = 1e-8) -> Trajectory:
-    """Adaptive Dormand-Prince 5(4) from one start, with step control at
-    the given tolerances."""
-    return integrate(field, x0, t0, tf, IntegratorConfig(rtol=rtol, atol=atol))
 
 
 def _stacked(field, x0s: np.ndarray):

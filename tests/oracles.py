@@ -5,17 +5,23 @@ closed-form eigendecompositions, bisection, plain difference quotients, the
 paper examples' scalar output dynamics on their own RK4, the single-start
 RK4 and Dormand-Prince loops that the lockstep batch of `occtl.odeint` must
 reproduce bit for bit, and the dual-number Vdot and the stacking draw that
-the certificate falsifier of `occtl.lyapunov` replaced.
+the certificate falsifier of `occtl.lyapunov` replaced.  The one exception
+is the difference-quotient check of the variational solution, which
+integrates with `occtl.odeint` and reads outputs through the tree-walking
+`eval_fh`: it tests the derived variational system against flow difference
+quotients, not the integrator.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
+from occtl.contraction import DEFAULT_GRID_POINTS
 from occtl.exprlang import dual_env, evaluate_dual
-from occtl.odeint import Trajectory
-from occtl.sysmodel import augment
+from occtl.odeint import IntegratorConfig, Trajectory, integrate, sample_at
+from occtl.sysmodel import SystemSpec, augment, eval_fh, vector_field
 
 
 def lti_analytic(x0, t):
@@ -317,3 +323,68 @@ def stacked_sample_domain(n, domain):
     return (np.concatenate([x, np.array(probe_x)]),
             np.concatenate([xi, np.array(probe_xi)]),
             np.concatenate([t, np.array(probe_t)]))
+
+
+# ---------------------------------------------------------------------------
+# difference-quotient consistency of the variational solution
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class FdCheck:
+    """Difference-quotient vs variational-solution agreement.
+
+    Maximum over the comparison grid of the relative deviation between
+    (phi(x0 + delta xi0, t) - phi(x0, t)) / delta and xi(t), and the same
+    for the output quotient against nu(t).
+    """
+
+    state_dev: float
+    output_dev: float
+    t_end: float
+    truncated: bool
+
+
+def fd_variational_check(spec: SystemSpec, x0, xi0, delta: float,
+                         t0: float, tf: float,
+                         cfg: IntegratorConfig | None = None) -> FdCheck:
+    """Compare flow difference quotients against the variational solution.
+
+    Integrates the base start and the start displaced by delta xi0 on shared
+    steps (so their correlated integration errors cancel in the quotient),
+    plus the augmented system, and reports the maximum relative deviation of
+    the state quotient from xi(t) and of the output quotient from nu(t).
+    The comparison grid is the uniform [t0, tf] grid restricted to the span
+    all three solutions survive.
+    """
+    if delta <= 0:
+        raise ValueError(f"delta must be positive, got {delta}")
+    x0 = np.asarray(x0, dtype=float)
+    xi0 = np.asarray(xi0, dtype=float)
+    if not np.linalg.norm(xi0) > 0:
+        raise ValueError("the variational seed xi0 must be nonzero")
+
+    aug = augment(spec)
+    pair = integrate(vector_field(spec), np.stack([x0, x0 + delta * xi0]),
+                     t0, tf, cfg)
+    vari = integrate(aug.field, np.concatenate([x0, xi0]), t0, tf, cfg)
+    t_end = min(pair.t_end, vari.t_end)
+    truncated = t_end < tf
+    grid = np.linspace(t0, tf, DEFAULT_GRID_POINTS)
+    grid = grid[grid <= t_end]
+
+    pair_states = sample_at(pair, grid)                 # (g, 2, n)
+    vari_states = sample_at(vari, grid)                 # (g, 2n)
+    xi = vari_states[:, spec.n:]
+    q_state = (pair_states[:, 1] - pair_states[:, 0]) / delta
+    state_dev = np.linalg.norm(q_state - xi, axis=-1) \
+        / (1e-12 + np.linalg.norm(xi, axis=-1))
+
+    _, y = eval_fh(spec, pair_states, grid[:, None])    # (g, 2, m)
+    nu = aug.output(vari_states, grid)
+    q_out = (y[:, 1] - y[:, 0]) / delta
+    out_dev = np.linalg.norm(q_out - nu, axis=-1) \
+        / (1e-12 + np.linalg.norm(nu, axis=-1))
+
+    return FdCheck(state_dev=float(np.max(state_dev)),
+                   output_dev=float(np.max(out_dev)),
+                   t_end=float(t_end), truncated=bool(truncated))

@@ -13,20 +13,22 @@ import pytest
 
 from occtl.contraction import (
     SamplingPlan, check_oes_variational, check_output_contraction,
-    check_partial_contraction, fd_variational_check, fit_rate, simulate_pair,
+    check_partial_contraction, fit_rate, simulate_pair,
 )
 from occtl.lyapunov import (
     Bounds, CandidateV, CheckDomain, check_decay, check_sandwich,
     check_time_invariant, implied_rate, reverify_counterexample,
 )
-from occtl.odeint import IntegratorConfig, integrate, integrate_rk4, map_output
+from occtl.odeint import IntegratorConfig, integrate, map_output
 from occtl.sysmodel import (
     BUILTIN_NAMES, builtin_system, finite_diff_jacobian, jacobians,
     vector_field,
 )
 from occtl.contraction import DivergenceSeries, verdict_json
 
-from oracles import lti_analytic, output_equilibrium_root
+from oracles import (
+    fd_variational_check, lti_analytic, output_equilibrium_root,
+)
 
 V_SUM_SQ = CandidateV.from_string("(xi1 + xi2)^2")
 BOX2 = ((-5.0, 5.0), (-5.0, 5.0))
@@ -45,7 +47,8 @@ def test_criterion_1_integrator_against_analytic_oracle():
     x0 = rng.uniform(-5.0, 5.0, size=(100, 2))
     field = vector_field(builtin_system("lti-remark1"))
     start = time.perf_counter()
-    traj = integrate_rk4(field, x0, 0.0, 5.0, 1e-3)
+    traj = integrate(field, x0, 0.0, 5.0,
+                     IntegratorConfig(method="rk4-fixed", step=1e-3))
     elapsed = time.perf_counter() - start
     expected = lti_analytic(x0, traj.times[:, None])
     max_err = float(np.max(np.abs(traj.states - expected)))

@@ -36,6 +36,20 @@ SMOKE_DIGESTS = {"contraction-ex1": "b10cd82125d048e4",
                  "lyapunov-ex1": "0e89423203c196fe"}
 
 
+#: span counts of the same runs: a checker bound before the tracer installs
+#: (say, by a parser built once) would run untraced and zero these silently
+SMOKE_SPANS = {
+    "contraction-ex1": {"cli.calls": 1, "contraction.calls": 1,
+                        "contraction.items": 3},
+    "oes-ex2": {"cli.calls": 1, "contraction.calls": 1,
+                "contraction.items": 3},
+    "lyapunov-ex1": {"cli.calls": 2},
+}
+
+#: the workloads that integrate trajectories
+INTEGRATING = ("contraction-ex1", "oes-ex2")
+
+
 def test_traced_workloads_keep_their_digests(monkeypatch):
     # every traced operation goes through the spans the tracer installs, so
     # a change in how the checkers reach the integrator shows here
@@ -49,3 +63,8 @@ def test_traced_workloads_keep_their_digests(monkeypatch):
         assert outcome.ok, (name, outcome.error)
         assert tracer.errors == [], name
         assert outcome.digest == digest, name
+        metrics = tracer.metrics()
+        spans = {key: metrics[key] for key in SMOKE_SPANS[name]}
+        assert spans == SMOKE_SPANS[name], name
+        if name in INTEGRATING:
+            assert metrics["sysmodel.field_calls"] > 0, name

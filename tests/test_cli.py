@@ -10,7 +10,7 @@ from occtl import cli
 from occtl.cli import main
 from occtl.contraction import SamplingPlan, check_output_contraction
 from occtl.exprlang import to_source
-from occtl.odeint import integrate_rk4, map_output
+from occtl.odeint import IntegratorConfig, integrate, map_output
 from occtl.sysmodel import builtin_system, vector_field
 
 from oracles import output_equilibrium_root
@@ -145,6 +145,9 @@ def test_time_flags_a_command_ignores_are_rejected(argv):
     ["reproduce", "fig1", "--pairs", "3"],
     ["reproduce", "fig2", "--seed", "5"],
     ["reproduce", "fig2", "--pairs", "3"],
+    # reproduce always integrates with rk45-adaptive
+    ["reproduce", "fig1", "--method", "rk4-fixed"],
+    ["reproduce", "remark1", "--step", "0.01"],
 ])
 def test_seed_and_format_flags_a_command_ignores_are_rejected(argv):
     with pytest.raises(SystemExit) as exc:
@@ -220,6 +223,17 @@ def test_negative_lyapunov_seed_is_a_usage_error_naming_the_seed(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err == "error: seed must be non-negative, got -1\n"
+
+
+def test_a_certificate_draw_too_large_to_allocate_is_a_usage_error(capsys):
+    # exit 1 would read as "falsified"; numpy refuses this size at once
+    assert main(["lyapunov", "--system", "ex1-timevarying", "--V",
+                 "(xi1+xi2)^2", "--alpha1", "1", "--alpha2", "2",
+                 "--alpha4", "2", "--samples", str(10 ** 15)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: {10 ** 15} samples are too many to draw: their " \
+                  "directions do not fit in memory\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -656,7 +670,8 @@ def _columns(path):
 
 def test_csv_round_trips_doubles_and_is_byte_stable(tmp_path, capsys):
     spec = builtin_system("lti-remark1")
-    traj = integrate_rk4(vector_field(spec), [1.0, 1.0], 0.0, 0.5, 0.1)
+    traj = integrate(vector_field(spec), [1.0, 1.0], 0.0, 0.5,
+                     IntegratorConfig(method="rk4-fixed", step=0.1))
     texts = []
     for run in ("a", "b"):
         assert main(["simulate", *LTI, "--x0", "1,1", "--tf", "0.5",

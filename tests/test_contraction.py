@@ -7,13 +7,12 @@ import pytest
 from occtl.contraction import (
     DivergenceSeries, SamplingPlan, check_oes_equilibrium,
     check_oes_variational, check_output_contraction,
-    check_partial_contraction, fd_variational_check, fit_rate, simulate_pair,
-    verdict_json,
+    check_partial_contraction, fit_rate, simulate_pair, verdict_json,
 )
 from occtl.odeint import IntegratorConfig, integrate
 from occtl.sysmodel import SystemSpec, augment, builtin_system
 
-from oracles import output_equilibrium_root
+from oracles import fd_variational_check, output_equilibrium_root
 
 BOX2 = ((-5.0, 5.0), (-5.0, 5.0))
 

@@ -299,6 +299,13 @@ def test_domain_rejects_a_negative_seed_and_keeps_seeds_past_64_bits():
                              Bounds(0.5, 2.0, 1.0), big)[0].checked > 0
 
 
+def test_a_draw_too_large_to_allocate_is_a_value_error_naming_the_count():
+    # numpy refuses 10**15 rows of directions at once, so nothing is allocated
+    with pytest.raises(ValueError, match=f"{10 ** 15} samples are too many"):
+        check_certificate(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                          Bounds(1.0, 2.0, 0.0, 2.0), domain(samples=10 ** 15))
+
+
 @pytest.mark.parametrize("seed", [1.5, np.float64(2.7)])
 def test_domain_rejects_a_non_integer_seed_naming_it(seed):
     with pytest.raises(ValueError,

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from occtl.odeint import (
-    IntegratorConfig, integrate, integrate_batch, integrate_rk4, integrate_rk45,
-    map_output, sample_at,
+    IntegratorConfig, integrate, integrate_batch, map_output, sample_at,
 )
 from occtl.sysmodel import (
     SystemSpec, augment, builtin_system, vector_field,
@@ -21,54 +20,60 @@ def decay(x, t):
 
 
 def test_rk4_scalar_linear_ode():
-    traj = integrate_rk4(decay, np.array([1.0]), 0.0, 1.0, 1e-3)
+    traj = integrate(decay, np.array([1.0]), 0.0, 1.0,
+                     IntegratorConfig(method="rk4-fixed", step=1e-3))
     assert traj.ok and traj.times[-1] == 1.0
     assert abs(traj.states[-1, 0] - math.exp(-1.0)) <= 1e-9
 
 
 def test_rk4_lti_endpoint():
     field = vector_field(builtin_system("lti-remark1"))
-    traj = integrate_rk4(field, np.array([1.0, 1.0]), 0.0, 1.0, 1e-3)
+    traj = integrate(field, np.array([1.0, 1.0]), 0.0, 1.0,
+                     IntegratorConfig(method="rk4-fixed", step=1e-3))
     np.testing.assert_allclose(
         traj.states[-1], [math.exp(-1.0), math.exp(-1.0)], atol=1e-8)
 
 
 def test_rk4_is_fourth_order():
     def err(step):
-        traj = integrate_rk4(decay, np.array([1.0]), 0.0, 1.0, step)
+        traj = integrate(decay, np.array([1.0]), 0.0, 1.0,
+                         IntegratorConfig(method="rk4-fixed", step=step))
         return abs(traj.states[-1, 0] - math.exp(-1.0))
     ratio = err(4e-3) / err(2e-3)
     assert 13.0 <= ratio <= 19.0
 
 
 def test_rk4_last_step_shortened_to_land_on_tf():
-    traj = integrate_rk4(decay, np.array([1.0]), 0.0, 0.95, 0.1)
+    traj = integrate(decay, np.array([1.0]), 0.0, 0.95,
+                     IntegratorConfig(method="rk4-fixed", step=0.1))
     assert traj.times[-1] == 0.95
     assert np.all(np.diff(traj.times) > 0)
 
 
 def test_rk45_scalar_accuracy_and_fewer_evals():
     counted45, calls45 = counting_field(decay)
-    traj45 = integrate_rk45(counted45, np.array([1.0]), 0.0, 1.0,
-                            rtol=1e-8, atol=1e-8)
+    traj45 = integrate(counted45, np.array([1.0]), 0.0, 1.0)
     assert abs(traj45.states[-1, 0] - math.exp(-1.0)) <= 1e-7
 
     counted4, calls4 = counting_field(decay)
-    integrate_rk4(counted4, np.array([1.0]), 0.0, 1.0, 1e-4)
+    integrate(counted4, np.array([1.0]), 0.0, 1.0,
+              IntegratorConfig(method="rk4-fixed", step=1e-4))
     assert calls45["n"] < calls4["n"]
 
 
 def test_rk45_handles_unstable_state_over_short_horizon():
     spec = builtin_system("ex2-timeinvariant")
-    traj = integrate_rk45(vector_field(spec), np.array([3.0, 3.0]), 0.0, 5.0)
+    traj = integrate(vector_field(spec), np.array([3.0, 3.0]), 0.0, 5.0)
     assert traj.ok
     assert traj.times[-1] == 5.0
 
 
 @pytest.mark.parametrize("call", [
-    lambda: integrate_rk4(decay, np.array([1.0]), 1.0, 1.0, 1e-2),
-    lambda: integrate_rk4(decay, np.array([1.0]), 2.0, 1.0, 1e-2),
-    lambda: integrate_rk45(decay, np.array([1.0]), 2.0, 1.0),
+    lambda: integrate(decay, np.array([1.0]), 1.0, 1.0,
+                      IntegratorConfig(method="rk4-fixed", step=1e-2)),
+    lambda: integrate(decay, np.array([1.0]), 2.0, 1.0,
+                      IntegratorConfig(method="rk4-fixed", step=1e-2)),
+    lambda: integrate(decay, np.array([1.0]), 2.0, 1.0),
 ])
 def test_reversed_horizon_rejected(call):
     with pytest.raises(ValueError):
@@ -77,9 +82,11 @@ def test_reversed_horizon_rejected(call):
 
 def test_rk4_requires_positive_step():
     with pytest.raises(ValueError):
-        integrate_rk4(decay, np.array([1.0]), 0.0, 1.0, 0.0)
+        integrate(decay, np.array([1.0]), 0.0, 1.0,
+                  IntegratorConfig(method="rk4-fixed", step=0.0))
     with pytest.raises(ValueError):
-        integrate_rk4(decay, np.array([1.0]), 0.0, 1.0, math.nan)
+        integrate(decay, np.array([1.0]), 0.0, 1.0,
+                  IntegratorConfig(method="rk4-fixed", step=math.nan))
 
 
 @pytest.mark.parametrize("t0, tf", [(0.0, math.nan), (math.nan, 1.0),
@@ -87,7 +94,8 @@ def test_rk4_requires_positive_step():
                                     (-1e308, 1e308)])
 def test_rk4_requires_a_finite_horizon(t0, tf):
     with pytest.raises(ValueError, match="finite t0 < tf"):
-        integrate_rk4(decay, np.array([1.0]), t0, tf, 0.1)
+        integrate(decay, np.array([1.0]), t0, tf,
+                  IntegratorConfig(method="rk4-fixed", step=0.1))
 
 
 @pytest.mark.parametrize("t0, tf", [(0.0, math.nan), (math.nan, 1.0)])
@@ -95,7 +103,7 @@ def test_rk45_rejects_a_nan_horizon(t0, tf):
     # infinite horizons are tested out of process in test_cli, because a
     # regression there never leaves the step loop
     with pytest.raises(ValueError, match="finite t0 < tf"):
-        integrate_rk45(decay, np.array([1.0]), t0, tf)
+        integrate(decay, np.array([1.0]), t0, tf)
 
 
 def test_integrator_config_validation():
@@ -119,7 +127,7 @@ def test_integrator_config_validation():
 def test_finite_time_escape_truncates_and_flags():
     # this system's anti-symmetric state component escapes in finite time
     field = vector_field(builtin_system("ex1-timevarying"))
-    traj = integrate_rk45(field, np.array([-2.5, -5.0]), 0.0, 5.0)
+    traj = integrate(field, np.array([-2.5, -5.0]), 0.0, 5.0)
     assert not traj.ok
     assert 0.3 < traj.t_end < 0.6
     assert np.all(np.isfinite(traj.states))
@@ -127,7 +135,8 @@ def test_finite_time_escape_truncates_and_flags():
 
 def test_rk4_also_truncates_on_non_finite():
     field = vector_field(builtin_system("ex1-timevarying"))
-    traj = integrate_rk4(field, np.array([-2.5, -5.0]), 0.0, 5.0, 1e-4)
+    traj = integrate(field, np.array([-2.5, -5.0]), 0.0, 5.0,
+                     IntegratorConfig(method="rk4-fixed", step=1e-4))
     assert traj.failure == "non_finite"
     assert traj.t_end < 5.0
     assert np.all(np.isfinite(traj.states))
@@ -191,7 +200,7 @@ def test_leaving_the_domain_truncates_as_non_finite(sqrt_decay, method):
 
 def test_sample_at_grid_points_is_bit_exact():
     field = vector_field(builtin_system("lti-remark1"))
-    traj = integrate_rk45(field, np.array([1.0, -0.5]), 0.0, 2.0)
+    traj = integrate(field, np.array([1.0, -0.5]), 0.0, 2.0)
     for idx in (0, len(traj.times) // 2, len(traj.times) - 1):
         got = sample_at(traj, float(traj.times[idx]))
         np.testing.assert_array_equal(got, traj.states[idx])
@@ -201,7 +210,7 @@ def test_sample_at_one_point_trajectory_returns_the_start():
     # the field is infinite at the start, so the very first step fails
     field = vector_field(SystemSpec.from_strings(
         "instant", 2, 1, ["exp(exp(x1))", "-x2"], ["x2"]))
-    traj = integrate_rk45(field, np.array([10.0, 1.0]), 0.0, 1.0)
+    traj = integrate(field, np.array([10.0, 1.0]), 0.0, 1.0)
     assert traj.failure == "non_finite"
     np.testing.assert_array_equal(traj.times, [0.0])
     with warnings.catch_warnings():
@@ -212,13 +221,14 @@ def test_sample_at_one_point_trajectory_returns_the_start():
 
 
 def test_sample_at_reproduces_linear_solutions_exactly():
-    traj = integrate_rk4(lambda x, t: np.ones_like(x), np.array([0.0]),
-                         0.0, 1.0, 1.0)
+    traj = integrate(lambda x, t: np.ones_like(x), np.array([0.0]), 0.0, 1.0,
+                     IntegratorConfig(method="rk4-fixed", step=1.0))
     assert sample_at(traj, 0.5)[0] == 0.5
 
 
 def test_sample_at_outside_horizon():
-    traj = integrate_rk4(decay, np.array([1.0]), 0.0, 1.0, 0.1)
+    traj = integrate(decay, np.array([1.0]), 0.0, 1.0,
+                     IntegratorConfig(method="rk4-fixed", step=0.1))
     with pytest.raises(ValueError):
         sample_at(traj, 2.0)
     with pytest.raises(ValueError):
@@ -227,14 +237,14 @@ def test_sample_at_outside_horizon():
 
 @pytest.mark.parametrize("t", [math.nan, [0.5, math.nan]])
 def test_sample_at_nan_time_is_outside_the_horizon(t):
-    traj = integrate_rk45(decay, np.array([1.0]), 0.0, 1.0)
+    traj = integrate(decay, np.array([1.0]), 0.0, 1.0)
     with pytest.raises(ValueError, match="outside the trajectory horizon"):
         sample_at(traj, t)
 
 
 def test_sample_at_vectorized_matches_scalar():
     field = vector_field(builtin_system("lti-remark1"))
-    traj = integrate_rk45(field, np.array([2.0, -1.0]), 0.0, 3.0)
+    traj = integrate(field, np.array([2.0, -1.0]), 0.0, 3.0)
     ts = np.linspace(0.0, 3.0, 17)
     batch = sample_at(traj, ts)
     for i, t in enumerate(ts):
@@ -246,7 +256,8 @@ def test_dense_output_is_fourth_order():
     x0 = np.array([1.0, -2.0])
 
     def midpoint_err(step):
-        traj = integrate_rk4(field, x0, 0.0, 1.0, step)
+        traj = integrate(field, x0, 0.0, 1.0,
+                         IntegratorConfig(method="rk4-fixed", step=step))
         mids = 0.5 * (traj.times[:-1] + traj.times[1:])
         return np.max(np.abs(sample_at(traj, mids) - lti_analytic(x0, mids)))
 
@@ -265,7 +276,8 @@ def _lti_sum_output():
 
 def test_map_output_sum_of_states():
     spec = _lti_sum_output()
-    traj = integrate_rk4(vector_field(spec), np.array([1.0, 1.0]), 0.0, 1.0, 1e-3)
+    traj = integrate(vector_field(spec), np.array([1.0, 1.0]), 0.0, 1.0,
+                     IntegratorConfig(method="rk4-fixed", step=1e-3))
     y = map_output(spec, traj)
     # y(t) = 2 e^{-t} along the symmetric eigenvector
     assert abs(y[-1, 0] - 2.0 * math.exp(-1.0)) <= 1e-7
@@ -275,13 +287,15 @@ def test_map_output_sum_of_states():
 def test_map_output_identity_returns_states():
     spec = SystemSpec.from_strings(
         "ident", 2, 2, ["-x1", "-x2"], ["x1", "x2"])
-    traj = integrate_rk4(vector_field(spec), np.array([1.0, -1.0]), 0.0, 1.0, 0.01)
+    traj = integrate(vector_field(spec), np.array([1.0, -1.0]), 0.0, 1.0,
+                     IntegratorConfig(method="rk4-fixed", step=0.01))
     np.testing.assert_array_equal(map_output(spec, traj), traj.states)
 
 
 def test_map_output_time_weighted():
     spec = builtin_system("lti-remark1-badout")
-    traj = integrate_rk4(vector_field(spec), np.array([1.0, 1.0]), 0.0, 1.0, 1e-3)
+    traj = integrate(vector_field(spec), np.array([1.0, 1.0]), 0.0, 1.0,
+                     IntegratorConfig(method="rk4-fixed", step=1e-3))
     y = map_output(spec, traj)
     # e^{2t} x1 with x1(t) = e^{-t} gives y(1) = e
     assert abs(y[-1, 0] - math.e) <= 1e-7
@@ -289,7 +303,8 @@ def test_map_output_time_weighted():
 
 def test_map_output_dimension_mismatch():
     spec = _lti_sum_output()
-    traj = integrate_rk4(decay, np.array([1.0]), 0.0, 1.0, 0.1)
+    traj = integrate(decay, np.array([1.0]), 0.0, 1.0,
+                     IntegratorConfig(method="rk4-fixed", step=0.1))
     with pytest.raises(ValueError):
         map_output(spec, traj)
 
@@ -302,7 +317,8 @@ def test_lti_analytic_oracle_batched():
     rng = np.random.default_rng(77)
     x0 = rng.uniform(-5.0, 5.0, size=(25, 2))
     field = vector_field(builtin_system("lti-remark1"))
-    traj = integrate_rk4(field, x0, 0.0, 5.0, 1e-3)
+    traj = integrate(field, x0, 0.0, 5.0,
+                     IntegratorConfig(method="rk4-fixed", step=1e-3))
     expected = lti_analytic(x0, traj.times[:, None])
     assert np.max(np.abs(traj.states - expected)) <= 1e-6
 
@@ -310,17 +326,20 @@ def test_lti_analytic_oracle_batched():
 def test_batched_rk4_matches_individual_runs():
     field = vector_field(builtin_system("lti-remark1"))
     x0 = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, -3.0]])
-    batch = integrate_rk4(field, x0, 0.0, 1.0, 0.01)
+    batch = integrate(field, x0, 0.0, 1.0,
+                      IntegratorConfig(method="rk4-fixed", step=0.01))
     for i in range(3):
-        single = integrate_rk4(field, x0[i], 0.0, 1.0, 0.01)
+        single = integrate(field, x0[i], 0.0, 1.0,
+                           IntegratorConfig(method="rk4-fixed", step=0.01))
         np.testing.assert_array_equal(batch.states[:, i, :], single.states)
 
 
 def test_adaptive_vs_fixed_lti_full_horizon():
     field = vector_field(builtin_system("lti-remark1"))
     x0 = np.array([3.0, -4.0])
-    t45 = integrate_rk45(field, x0, 0.0, 10.0, rtol=1e-8, atol=1e-8)
-    t4 = integrate_rk4(field, x0, 0.0, 10.0, 1e-4)
+    t45 = integrate(field, x0, 0.0, 10.0)
+    t4 = integrate(field, x0, 0.0, 10.0,
+                   IntegratorConfig(method="rk4-fixed", step=1e-4))
     diff = np.abs(sample_at(t45, t4.times[::50]) - t4.states[::50])
     assert np.max(diff) <= 1e-5
 
@@ -330,8 +349,9 @@ def test_adaptive_vs_fixed_time_varying_pre_escape():
     # two integrators are compared on a window well inside the existence span
     field = vector_field(builtin_system("ex1-timevarying"))
     x0 = np.array([-2.5, -5.0])
-    t45 = integrate_rk45(field, x0, 0.0, 0.35, rtol=1e-8, atol=1e-8)
-    t4 = integrate_rk4(field, x0, 0.0, 0.35, 1e-4)
+    t45 = integrate(field, x0, 0.0, 0.35)
+    t4 = integrate(field, x0, 0.0, 0.35,
+                   IntegratorConfig(method="rk4-fixed", step=1e-4))
     assert t45.ok and t4.ok
     diff = np.abs(sample_at(t45, t4.times[::10]) - t4.states[::10])
     assert np.max(diff) <= 1e-5
@@ -346,7 +366,7 @@ def test_rk45_matches_scipy_dop853_on_its_own_grid():
     def errors(name, x0, tf):
         spec = builtin_system(name)
         field = vector_field(spec)
-        traj = integrate_rk45(field, np.array(x0), 0.0, tf)
+        traj = integrate(field, np.array(x0), 0.0, tf)
         ref = integrate_ivp(lambda t, x: field(x, t), (0.0, tf), x0,
                             method="DOP853", rtol=1e-12, atol=1e-12,
                             t_eval=traj.times).y.T

@@ -2,6 +2,7 @@ import ast
 import importlib
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
@@ -121,7 +122,7 @@ def test_json_safe_nulls_every_non_finite_number_and_keeps_booleans():
 
 #: the functions that may evaluate the trees: the reference path that the
 #: compiled kernels and the difference-quotient oracles are checked against
-REFERENCE_PATH = {"finite_diff_jacobian", "vdot_fd", "fd_variational_check"}
+REFERENCE_PATH = {"finite_diff_jacobian", "vdot_fd"}
 
 
 def _where(matches) -> set:
@@ -187,6 +188,35 @@ def test_every_name_in_a_modules_all_resolves():
         stale = [name for name in getattr(module, "__all__", ())
                  if not hasattr(module, name)]
         assert not stale, (path.name, stale)
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # a name only the tests use belongs in the tests: each name in a
+    # module's __all__ is read in `src/occtl` outside its own definition
+    # (export lists and imports are no reads), or named in bench/ or demos/
+    package = Path(occtl.__file__).parent
+    reads = set()   # (name read, top-level name of the definition reading it)
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            reads.update((getattr(node, "id", None) or node.attr,
+                          getattr(top, "name", None))
+                         for node in ast.walk(top)
+                         if isinstance(node, ast.Attribute) or (
+                             isinstance(node, ast.Name)
+                             and isinstance(node.ctx, ast.Load)))
+    elsewhere = "\n".join(p.read_text() for folder in ("bench", "demos")
+                          for p in sorted((package.parents[1] / folder)
+                                          .glob("*.py")))
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.stem == "__main__":
+            continue
+        module = importlib.import_module(f"occtl.{path.stem}")
+        unused += [(path.name, name) for name in getattr(module, "__all__", ())
+                   if not re.search(rf"\b{name}\b", elsewhere)
+                   and not any(read == name and top != name
+                               for read, top in reads)]
+    assert unused == []
 
 
 def test_eval_fh_batched_matches_loop():
