@@ -388,7 +388,7 @@ def _eval(e: Expr, env: Mapping[str, Number]) -> Number:
             raise ExprEvalError("negative base with non-integer exponent", e)
         if np.any((np.asarray(a) == 0) & (np.asarray(b) < 0)):
             raise ExprEvalError("zero raised to a negative power", e)
-        return a ** b
+        return _power(a, b, e.right)
     if isinstance(e, Call):
         v = _eval(e.arg, env)
         if e.fn == "ln" and np.any(np.asarray(v) <= 0):
@@ -397,6 +397,23 @@ def _eval(e: Expr, env: Mapping[str, Number]) -> Number:
             raise ExprEvalError("sqrt of a negative value", e)
         return _CALLS[e.fn](v)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _factors(exponent: Expr) -> int:
+    """k for a constant exponent k of 2, 3 or 4, whose power is the
+    left-to-right product u*u, (u*u)*u or ((u*u)*u)*u; else 0, for pow."""
+    return isinstance(exponent, Const) and exponent.value in (2.0, 3.0, 4.0) \
+        and int(exponent.value)
+
+
+def _power(a: Number, b: Number, exponent: Expr) -> Number:
+    """a^b, b the value of `exponent`, as the kernels compute it."""
+    if not (k := _factors(exponent)):
+        return a ** b
+    out = a
+    for _ in range(k - 1):
+        out = out * a
+    return out
 
 
 _CALLS = {
@@ -482,18 +499,19 @@ def _eval_dual(e: Expr, env: Mapping[str, Dual]) -> Dual:
         if e.op == "/":
             return Dual(a.value / b.value,
                         (a.grad * b.value - a.value * b.grad) / (b.value * b.value))
-        return _dual_pow(a, b)
+        return _dual_pow(a, b, e.right)
     if isinstance(e, Call):
         return _dual_call(e, _eval_dual(e.arg, env))
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _dual_pow(a: Dual, b: Dual) -> Dual:
-    value = a.value ** b.value
+def _dual_pow(a: Dual, b: Dual, exponent: Expr) -> Dual:
+    value = _power(a.value, b.value, exponent)
     if not np.any(b.grad):
         # constant exponent: plain power rule, valid for negative bases too
         p = b.value
-        return Dual(value, p * a.value ** (np.asarray(p) - 1) * a.grad)
+        e = Const(p - 1.0) if isinstance(exponent, Const) else exponent
+        return Dual(value, p * _power(a.value, np.asarray(p) - 1, e) * a.grad)
     # log form; ln(a), nan where the base is not positive, enters only the
     # partials along which the exponent varies, as in `differentiate`
     along_base = b.value * a.grad / a.value
@@ -720,6 +738,18 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
     uses: list[int] = []           # references to each id from the trees
     constant: list[bool] = []      # whether the subtree mentions no variable
 
+    def add(key: tuple) -> int:
+        k = ids.get(key)
+        if k is None:
+            k = ids[key] = len(keys)
+            keys.append(key)
+            uses.append(0)
+            for child in key[2:]:
+                uses[child] += 1
+            constant.append(key[0] != "var"
+                            and all(constant[c] for c in key[2:]))
+        return k
+
     def intern(e: Expr) -> int:
         known = of_node.get(id(e))
         if known is not None:
@@ -730,22 +760,19 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
             key = ("var", e.name)
         elif isinstance(e, Neg):
             key = ("neg", "-", intern(e.operand))
+        elif isinstance(e, Bin) and e.op == "^" and (n := _factors(e.right)):
+            # `_power`'s product, whose base occurs n times, so gets a local
+            base = k = intern(e.left)
+            for _ in range(n - 2):
+                k = add(("bin", "*", k, base))
+            key = ("bin", "*", k, base)
         elif isinstance(e, Bin):
             key = ("bin", e.op, intern(e.left), intern(e.right))
         elif isinstance(e, Call):
             key = ("call", e.fn, intern(e.arg))
         else:
             raise TypeError(f"not an expression node: {e!r}")
-        k = ids.get(key)
-        if k is None:
-            k = ids[key] = len(keys)
-            keys.append(key)
-            uses.append(0)
-            for child in key[2:]:
-                uses[child] += 1
-            constant.append(key[0] != "var"
-                            and all(constant[c] for c in key[2:]))
-        of_node[id(e)] = k
+        of_node[id(e)] = k = add(key)
         return k
 
     local: dict[int, str] = {}
@@ -766,8 +793,8 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
             # "^" as a ufunc: `**` on one state rounds unlike its row in a batch
             text = f"_np.power({args[0]}, {args[1]})"
         elif kind == "bin":
-            # a power of constants is one scalar in every call: `**` gives it
-            # `evaluate`'s libm pow, where the ufunc's loop rounds some apart
+            # other constant powers are one scalar in every call: `**` gives
+            # them `evaluate`'s libm pow, where the ufunc's loop rounds apart
             text = f"({args[0]} {'**' if label == '^' else label} {args[1]})"
         else:
             text = f"_np.{'log' if label == 'ln' else label}({args[0]})"
@@ -791,11 +818,12 @@ def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
     + (len(exprs),)``.  The arithmetic is `evaluate`'s, but the kernel has no
     domain guards: constants are numpy float64 values and t is taken as an
     array, so it computes under IEEE semantics and returns nan or inf where
-    `evaluate` raises (the integrators truncate such a sample alone).  Powers
-    and calls are numpy ufuncs even on a single state, and + - * / round
-    alike in numpy's scalar math and its array loops, so one state gives
-    the same bits as its row in a batch; only a power of constants, one
-    scalar in every call, takes `**` and so `evaluate`'s rounding.  A
+    `evaluate` raises (the integrators truncate such a sample alone).  u^2,
+    u^3 and u^4 are `evaluate`'s products; other powers and calls are numpy
+    ufuncs even on a single state, and + - * / round alike in numpy's
+    scalar math and its array loops, so one state gives the same bits as
+    its row in a batch; only another power of constants, one scalar in
+    every call, takes `**` and so `evaluate`'s rounding.  A
     subtree that occurs more than once in `exprs`, as f's subtrees do in
     its Jacobian, is computed once per call and reused; it is the same
     ufunc on the same inputs each time, so sharing it changes no bit.  A

@@ -631,13 +631,14 @@ SERIES_COMMANDS = (
      "--format", "json"],
 )
 
-#: sha256[:16] of every series file SERIES_COMMANDS write
+#: sha256[:16] of every series file SERIES_COMMANDS write; the five ex1
+#: files were re-recorded when ex1's x^3 became (x*x)*x
 SERIES_DIGESTS = {
-    "simulate_ex1-timevarying.csv": "89313b762058725b",
-    "simulate_ex1-timevarying.json": "f7e7bf5fd1759451",
-    "fig1_divergence.csv": "be3027dc988a3464",
-    "fig1_trajectory_a.csv": "5ec1dfa30915e5ca",
-    "fig1_trajectory_b.csv": "6e0272bfaa3bda59",
+    "simulate_ex1-timevarying.csv": "e272f68eb0e1ee73",
+    "simulate_ex1-timevarying.json": "2d3a6c59d3826dba",
+    "fig1_divergence.csv": "b28b071a270cf210",
+    "fig1_trajectory_a.csv": "cfb425b89ba132ff",
+    "fig1_trajectory_b.csv": "e033458cfe7db04e",
     "fig2_trajectory.csv": "a94a24e53b6a7946",
     "remark1_divergence.csv": "48df3861e6e9d0da",
     "remark1_partial_witness.csv": "4fc87c75263938cc",

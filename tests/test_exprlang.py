@@ -405,6 +405,11 @@ def test_compiled_matches_interpreted():
         "ln(exp(x1) + 1)",
         "2^3^2",
         "-x1^2",
+        # a power of constants is the same product as a power of a variable
+        "0.7^4",
+        "1.1^3",
+        "(0-1.1)^3",
+        "x1 + 1.1^3",
     ]
     for src in sources:
         ast = parse(src)
@@ -537,6 +542,66 @@ def test_kernel_computes_each_shared_subexpression_once(monkeypatch):
     monkeypatch.setitem(kernel.__globals__, "_np", counting)
     np.testing.assert_array_equal(kernel(state, 0.5), want)
     assert counting.calls == {"sin": 2, "cos": 2}
+
+
+#: bases where a product and pow part ways, if anywhere: signed zeros and
+#: infinities, nan, the least subnormal and cubes past the largest double
+POWER_EDGES = (0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, 1e103, -1e103)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_small_powers_are_one_product_in_every_evaluator(k):
+    # u^k for k = 2, 3, 4 is ((u*u)*u)*u cut at k factors, in the kernel,
+    # in `evaluate` and in the dual numbers, on one row and in a batch
+    rng = np.random.default_rng(k)
+    bases = np.concatenate([POWER_EDGES, -rng.uniform(0, 10, 1992)])
+    ast = parse(f"x^{k}")
+    fn = compile_expr([ast], ["x"])
+    batch = fn(bases[:, np.newaxis], 0.0)[:, 0]
+    with np.errstate(all="ignore"):
+        want = bases * bases
+        for _ in range(k - 2):
+            want = want * bases
+    assert batch.tobytes() == want.tobytes()
+    assert evaluate(ast, {"x": bases}).tobytes() == want.tobytes()
+    assert evaluate_dual(ast, dual_env({"x": bases}, ["x"])) \
+        .value.tobytes() == want.tobytes()
+    for j, base in enumerate(bases[:len(POWER_EDGES) + 8]):
+        row = fn(np.array([[base]]), 0.0)[0, 0]
+        for got in (row, evaluate(ast, {"x": float(base)}),
+                    evaluate_dual(ast, dual_env({"x": base}, ["x"])).value):
+            assert _bits(got) == _bits(want[j]), (base, got)
+    if k == 2:   # numpy's pow squares exactly, so this rule moved no bit
+        assert np.power(bases, 2.0).tobytes() == want.tobytes()
+
+
+def test_other_powers_stay_numpy_power(monkeypatch):
+    # only a constant 2, 3 or 4 makes a product; the exponent's value alone
+    # (x^y at y = 3) does not
+    x = np.array([[-1.5, 3.0], [0.5, 3.0]])
+    for src in ("x^5", "x^2.5", "x^-2", "x^y"):
+        fn = compile_expr([parse(src)], ["x", "y"])
+        counting = _CountingNumpy("power")
+        monkeypatch.setitem(fn.__globals__, "_np", counting)
+        fn(x, 0.0)
+        assert counting.calls == {"power": 1}, src
+
+
+def test_ex1_kernels_make_no_power_call_and_share_a_powers_base(monkeypatch):
+    from occtl.sysmodel import augment, builtin_system, vector_field
+    spec = builtin_system("ex1-timevarying")
+    state = np.random.default_rng(3).uniform(-3, 3, size=(50, 4))
+    for kernel, x in ((vector_field(spec), state[:, :2]),
+                      (augment(spec)._field, state)):
+        counting = _CountingNumpy("power")
+        monkeypatch.setitem(kernel.__globals__, "_np", counting)
+        kernel(x, 0.5)
+        assert counting.calls == {}
+    fn = compile_expr([parse("sin(x1 + x2)^3")], ["x1", "x2"])
+    counting = _CountingNumpy("sin", "power")
+    monkeypatch.setitem(fn.__globals__, "_np", counting)
+    fn(state[:, :2], 0.0)
+    assert counting.calls == {"sin": 1}
 
 
 def test_compiled_vectorized():

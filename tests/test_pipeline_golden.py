@@ -164,24 +164,28 @@ GOLDEN = {
     'oes/lti-remark1-badout/9223372036854775819': (
         '{"alpha_min": 0.05, "holds": false, "kind": "oes-variational", "max_c": 0.7431480286687121, "min_alpha": -1.4117563274668985, "pairs": 3, "truncated": 0, "witness": {"alpha": -1.1204416221140059, "c_tight": 0.3406139314268677, "dx0": 0.9999999999999999, "dy0": 0.12137860542142614, "max_d": 23.77350878742512, "pair_index": 0, "partner": [0.12137860542142614, -0.9926062835515145], "reason": "fitted alpha -1.12 below alpha_min 0.05", "t_end": 4.0, "truncated": false, "x0": [-3.3008360850090526, 3.0767495521177732]}}',
         'b93d5a90544ee4f3cac929fe16fc6aa674209b108bef1987892917e80567f40f'),
+    # the six ex1 cases below were re-recorded when a constant power 3
+    # became the product (x*x)*x: f moves by late bits, so do the series,
+    # and oes's max_c, a c_tight that also ranges over the roundoff-level
+    # last grid point of an escaping pair, moved from 822.7 and 595.7
     'contraction/ex1-timevarying/5': (
         '{"alpha_min": 0.05, "holds": true, "kind": "output-contraction", "max_c": 1.35957241426739, "min_alpha": 4.546396750393962, "pairs": 3, "truncated": 3, "witness": null}',
-        '0b2ed11d945b2dd2f9ff6cc7d61f3c771caf8299f2d7ebc8a6d8bb451e9be841'),
+        'e0b404a55305db365e01dbcd6dc2e91e5502c661d7e3ef7e2874eb7dfd99f8ad'),
     'contraction/ex1-timevarying/9223372036854775819': (
-        '{"alpha_min": 0.05, "holds": true, "kind": "output-contraction", "max_c": 1.4132247197256746, "min_alpha": 2.8925449817284585, "pairs": 3, "truncated": 3, "witness": null}',
-        '959f52c3f0e49bfe61794fe025932929c622e96758c0b73156e46bb80ce14859'),
+        '{"alpha_min": 0.05, "holds": true, "kind": "output-contraction", "max_c": 1.4132247197256746, "min_alpha": 2.8925449817644893, "pairs": 3, "truncated": 3, "witness": null}',
+        'fbb93ddd7a8eb848b5fa755e2f9a9491817faa4ac47cb8b137e4332cab519a97'),
     'partial/ex1-timevarying/5': (
         '{"alpha_min": 0.05, "holds": true, "kind": "partial-contraction", "max_c": null, "min_alpha": null, "pairs": 3, "truncated": 3, "witness": null}',
-        '1462ccc0a1fd0c791a3ff31fb3187d9a6cfdaee8c71798e49c4d538a9b00d8be'),
+        '6a7f6dfeb447469ad894fb7e5d3208f84c963b5c0780c68fe31e2784f2f9ef6c'),
     'partial/ex1-timevarying/9223372036854775819': (
         '{"alpha_min": 0.05, "holds": true, "kind": "partial-contraction", "max_c": null, "min_alpha": null, "pairs": 3, "truncated": 3, "witness": null}',
-        '4515453eb215cc6153b93177d2c41137b9cc1f0950dcea35a44533c470e78da2'),
+        'dc0226b6925e668ee5e271c0bd52f8fe9dd8f44edc1bdea2daf2eee529e30ee9'),
     'oes/ex1-timevarying/5': (
-        '{"alpha_min": 0.05, "holds": true, "kind": "oes-variational", "max_c": 822.7346973591137, "min_alpha": 5.343329266987886, "pairs": 3, "truncated": 3, "witness": null}',
-        '5bfc380202a9df3d67ea49cf6b01c283c53b5547ae42c5d0c082c8dad67f198c'),
+        '{"alpha_min": 0.05, "holds": true, "kind": "oes-variational", "max_c": 6.985507885912914, "min_alpha": 5.337194520395767, "pairs": 3, "truncated": 3, "witness": null}',
+        '796ac6ba07cab304b9fcd9471548d7f7c35df4d8298dcb7128c885a6170877e6'),
     'oes/ex1-timevarying/9223372036854775819': (
-        '{"alpha_min": 0.05, "holds": true, "kind": "oes-variational", "max_c": 595.6672468590576, "min_alpha": 3.032346034206096, "pairs": 3, "truncated": 3, "witness": null}',
-        '122af71370aea88a91f06a5dc5f1aae9bb371dbd4e66de417d94ccec12975af0'),
+        '{"alpha_min": 0.05, "holds": true, "kind": "oes-variational", "max_c": 1.4122750775060815, "min_alpha": 3.032346034206119, "pairs": 3, "truncated": 3, "witness": null}',
+        '0f3c55fac066264a53d396f2e2f3cdd94acf2890414f1480f9c49bc77c5a9dee'),
     'contraction/ex2-timeinvariant/5': (
         '{"alpha_min": 0.05, "holds": true, "kind": "output-contraction", "max_c": 1.8189682835938614, "min_alpha": 4.216325879694759, "pairs": 3, "truncated": 0, "witness": null}',
         '7646b89e441caa7fe8f99860066bd563ba5498f269006bba3d25a9ff699ebaa3'),
@@ -280,8 +284,11 @@ FIELD_GOLDEN = {
     'lti-remark1-badout/vector_field': '6ded74c0fe21e72daa563fb16a5731dbef57fa10746b81094078d6d5268a6a79',
     'lti-remark1-badout/aug.field': 'd129fa9f2d7ae0d3133e55fbcaf30216dadfdddce7f7953647948a9f87656739',
     'lti-remark1-badout/aug.output': '8612e1b5bc6e277c443d21f1d21226c9550a0c35be6c1b925748676a0f79a4ef',
-    'ex1-timevarying/vector_field': 'b4a0e757bafa22a65d84862f5d83dc76780609e0be05554889ba70cc2180692f',
-    'ex1-timevarying/aug.field': 'd0be4f00a02a24cdb88f1fb6eb5942b1b81cf2a1141ca01537cd62da1e864ab5',
+    # re-recorded when x^3 became (x*x)*x: 11 of 670 values moved, by at
+    # most 5.4e-15 relative
+    'ex1-timevarying/vector_field': 'c429d1a2cfc386721c908e87fc0665de661c7aceaca7620b38a74cbba35b8d62',
+    # re-recorded likewise: 14 of 33,596 values moved, by at most 3.7e-16
+    'ex1-timevarying/aug.field': '0982751da67c44fdac5f3599a8949c8a8e4112be483bb3634ed08a746b292045',
     'ex1-timevarying/aug.output': 'ea2cdf4d8a570a573d3fca7837db5bd501f259bd62ea7ff52af0ab91495fe67d',
     'ex2-timeinvariant/vector_field': '2ee2aadbf8a3f65ea45a13f45bb103da4a0fc585aaf28ee61b2642b9449d7bb1',
     'ex2-timeinvariant/aug.field': '7fcb808481cbdbadc5f32ab2c655a00e7132b4b3670fd944a1f1587d5b047edf',
@@ -428,10 +435,12 @@ VDOT_GOLDEN = {
     'ex1-timevarying/2': '528773c35b22de2a284cd37e3b308945076e31c01c4353194ed6043191c06662',
     # 18 nan rows change sign; 14 nan rows become +-inf
     'ex1-timevarying/3': 'dc1e4e240c8f06c43755e2b9a5407adf3d55f65fa1b54adeeaa85819459e4f67',
-    # 22 nan rows change sign; 19 nan rows become +-inf
-    'ex1-timevarying/4': '85723a64426f8e0be0c4c56433664806b1655e3ea38c4fb9854b2eae460426b8',
-    # 18 nan rows change sign
-    'ex1-timevarying/5': '6bde143c1d2a12a6409487c88ba7f721485cd372de932ce21bd8c327d38afaae',
+    # 22 nan rows change sign; 19 nan rows become +-inf.  Re-recorded when
+    # x^3 became (x*x)*x: 1 row moved, by 1.8e-16 relative
+    'ex1-timevarying/4': '6f6f9834b1722327e5135892019f44273a9c6b027a6f1dae208a9af8f0d325c5',
+    # 18 nan rows change sign.  Re-recorded when x^3 became (x*x)*x: 1 row
+    # moved, by 1.5e-16 relative
+    'ex1-timevarying/5': '32bf77c467cc43ddba71a5c8cc1e7458bf538b22afd7afb9819faba5e65de474',
     # 16 nan rows change sign; 20 nan rows become +-inf
     'ex2-timeinvariant/0': '16d0456ac5e0d3717f7296824115b596f01cc19b02477844d89c26a172e355f9',
     # 19 nan rows change sign; 12 nan rows become +-inf

@@ -299,6 +299,30 @@ def test_jacobians_equal_the_dual_numbers_bit_for_bit(name):
         assert np.array_equal(b.dh_dt, grads[:, -1])
 
 
+def test_jacobians_of_powers_equal_the_dual_numbers_bit_for_bit():
+    # x^5's partial holds x^4, which compiles to a product; the dual numbers
+    # must take a^(p-1) as the same product, and x^2.5's as the same pow
+    spec = SystemSpec.from_strings(
+        "powers", 2, 2, ["x1^5 - x2^4", "sin(x1)^3 + (x1 + x2)^3"],
+        ["x1^2.5 + x2", "x2^4*t"])
+    points = np.random.default_rng(23).uniform(-3, 3, size=(2000, 3))
+    names = ["x1", "x2", "t"]
+    env = dual_env(dict(zip(names, points.T)), names)
+    b = jacobians(spec, points[:, :2], points[:, 2])
+    Jf = np.stack([evaluate_dual(e, env).grad[:-1] for e in spec.f])
+    grads = np.stack([evaluate_dual(e, env).grad for e in spec.h])
+    assert b.Jf.tobytes() == Jf.transpose(2, 0, 1).copy().tobytes()
+    # where x1 < 0 the dual numbers carry x1^1.5's nan into h1's x2 and t
+    # partials as nan*0, a product `differentiate` never forms; elsewhere,
+    # and in every x1 partial, bit for bit
+    got = np.concatenate([b.Jh, b.dh_dt[..., None]], axis=-1)
+    same = got.view(np.uint64) == grads.transpose(2, 0, 1).view(np.uint64)
+    negative = points[:, 0] < 0
+    assert negative.sum() > 900 and np.all(same[~negative])
+    assert np.all(same[:, 1]) and np.all(same[..., 0])
+    assert np.isnan(got[negative, 0, 0]).all()
+
+
 def test_jacobians_batched_match_loop():
     spec = builtin_system("ex1-timevarying")
     rng = np.random.default_rng(8)
