@@ -407,9 +407,11 @@ def _factors(exponent: Expr) -> int:
 
 
 def _power(a: Number, b: Number, exponent: Expr) -> Number:
-    """a^b, b the value of `exponent`, as the kernels compute it."""
+    """a^b, b the value of `exponent`, as the kernels compute it.  A scalar
+    base is taken as a numpy scalar: its pow is libm's, as Python's float
+    `**` is, but it overflows to inf instead of raising OverflowError."""
     if not (k := _factors(exponent)):
-        return a ** b
+        return (a if isinstance(a, np.ndarray) else np.float64(a)) ** b
     out = a
     for _ in range(k - 1):
         out = out * a

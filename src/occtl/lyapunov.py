@@ -13,10 +13,10 @@ the exponential weight, and its decay constant is named alpha3 (leave alpha4
 unset for that form).  `check_certificate` judges every condition of the
 certificate's form on one draw of the domain; `check_sandwich`,
 `check_decay` and `check_time_invariant` judge one condition each through
-the same pipeline.  A check compiles one kernel of V, nu and Vdot, as far
-as its conditions read them: nu is the symbolic Jh xi and Vdot one
-symbolic tree of V's partials (abs differentiates to sign), f and Jf xi,
-so subtrees they share are computed once.  The draw is made and judged in
+the same pipeline.  Every check reads the one kernel of the candidate's V,
+nu and Vdot, whatever its conditions: nu is the symbolic Jh xi and Vdot one
+symbolic tree of V's partials (abs differentiates to sign), f and Jf xi, so
+subtrees they share are computed once.  The draw is made and judged in
 blocks of `_BLOCK` rows that stay in cache: each block's (x, xi) state is
 written into one buffer of the check, the kernel is called once on it, and
 each condition keeps only the block's least slack and its violated row of
@@ -26,10 +26,11 @@ where f, h or V is undefined gets a nan slack, which counts as a violation
 of that sample instead of failing the run.  To keep that where V does not
 depend on some x_i, Vdot multiplies f_i by the zero partial, unless an
 interval enclosure proves f finite on the whole sampling box; then the
-product, +-0.0, is left out, which changes no bit of Vdot.  A passing
-report is evidence over the sampled domain, never a proof; a failing
-report carries a counterexample that re-evaluates to a violation through
-an independent finite-difference path, unless its slack is nan.
+product, +-0.0, is left out, which changes no bit of Vdot; so a candidate
+has at most two kernels, with and without those products.  A passing report
+is evidence over the sampled domain, never a proof; a failing report
+carries a counterexample that re-evaluates to a violation through an
+independent finite-difference path, unless its slack is nan.
 
 Certificates are checked, never synthesised.
 """
@@ -302,44 +303,39 @@ def _vdot_expr(spec: SystemSpec, V: Expr, f_finite: bool = False) -> Expr:
     return Bin("+", Bin("+", differentiate(V, "t"), along_x), along_xi)
 
 
-def _kernel(spec: SystemSpec, V: CandidateV, nu: bool, decay: bool,
-            f_finite: bool = False):
-    """One kernel over x1..xn, xi1..xin of the columns V, then nu_1..nu_m
-    if `nu`, then Vdot if `decay`; compiled once per spec and key.
+def _kernel(spec: SystemSpec, V: CandidateV, f_finite: bool):
+    """One kernel over x1..xn, xi1..xin of the columns V, nu_1..nu_m and
+    Vdot; compiled once per spec, V and `f_finite`.
 
     V, nu = Jh xi and Vdot share one call, so a subtree of f, h or V that
     several of them hold is computed once per call.  `f_finite`, that f is
     proven finite wherever the kernel will be called, lets Vdot leave out
     its products of f with a zero partial (`_vdot_expr`)."""
-    key = ("certificate", V, nu, decay, f_finite)
+    key = ("certificate", V, f_finite)
     kernel = spec._kernels.get(key)
     if kernel is None:
-        exprs = (V.expr,)
-        if nu:
-            exprs += _tangents(spec, spec.h)
-        if decay:
-            exprs += (_vdot_expr(spec, V.expr, f_finite),)
         kernel = spec._kernels[key] = compile_expr(
-            exprs, spec.state_names + _tangent_names(spec))
+            (V.expr, *_tangents(spec, spec.h),
+             _vdot_expr(spec, V.expr, f_finite)),
+            spec.state_names + _tangent_names(spec))
     return kernel
 
 
-def _f_finite(spec: SystemSpec, domain: CheckDomain,
-              at_time_zero: bool) -> bool:
+def _f_finite(spec: SystemSpec, domain: CheckDomain) -> bool:
     """Whether f is proven finite on every sample of `domain`'s draw: each
-    x lies in `x_box` and t in `t_range`, or at 0 if `at_time_zero`."""
-    box = dict(zip(spec.state_names, domain.x_box))
-    box["t"] = (0.0, 0.0) if at_time_zero else domain.t_range
+    x lies in `x_box` and t in `t_range` (a time-invariant check, which
+    evaluates at t = 0, requires an f free of t)."""
+    box = dict(zip(spec.state_names, domain.x_box), t=domain.t_range)
     return finite_on_box(spec.f, box)
 
 
 def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     """dV/dt + dV/dx f + dV/dxi (Jf xi).
 
-    V's partials, f and Jf xi are compiled symbolic derivatives in one
-    kernel with V (abs in V differentiates to sign, 0 at the kink).  The
-    points have no box to prove f finite on, so every zero partial of V
-    multiplies f, as in the falsifier's decay kernel where f is not proven
+    V's partials, f and Jf xi are compiled symbolic derivatives in V's
+    certificate kernel (abs in V differentiates to sign, 0 at the kink).
+    The points have no box to prove f finite on, so every zero partial of V
+    multiplies f, as in the falsifier's kernel where f is not proven
     finite; where f is finite, both kernels give these bits.  Works on single
     points (shape (n,)) or batches (..., n); the result is a float or an
     array of the batch shape.
@@ -348,7 +344,7 @@ def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     x = np.asarray(x, dtype=float)
     state = np.concatenate(
         np.broadcast_arrays(x, np.asarray(xi, dtype=float)), axis=-1)
-    total = _kernel(spec, V, nu=False, decay=True)(state, t)[..., -1]
+    total = _kernel(spec, V, False)(state, t)[..., -1]
     return float(total) if x.ndim == 1 else total
 
 
@@ -381,15 +377,12 @@ class _Condition(NamedTuple):
     """One condition of a certificate, as `_falsify` judges it.
 
     ``terms(xi, t, v, nu, vdot) -> (slack, named terms)`` reads one block:
-    its xi and t, and the kernel's columns V, nu (rows x m) and Vdot, the
-    last two present when `nu` and `decay` ask the kernel for them.
+    its xi and t, and the kernel's columns V, nu (rows x m) and Vdot.
     `requires` holds ``(met, message)`` pairs checked before the draw."""
 
     name: str
     terms: Callable
     requires: tuple = ()
-    nu: bool = False
-    decay: bool = False
 
 
 def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
@@ -401,20 +394,19 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     Checks V's variables and the box against the spec, and raises the
     message of the first unmet requirement of the conditions in order,
     before it draws (at t = 0 if `at_time_zero`).
-    One kernel gives V, nu and Vdot as far as the conditions read them,
-    Vdot without its products of f with a zero partial of V where f is
-    proven finite on the draw's box (`_f_finite`).  The draw comes in
-    blocks of `_BLOCK` rows (`_draw_blocks`), each written into one
-    column-major (rows, 2n) buffer of the check and judged as it comes,
-    with one kernel call and every condition on its rows.  A slack not at
-    least -tolerance (nan included, as where V or f is undefined) is a
-    violation; a block keeps its least slack and its violated row of least
-    slack, nan ranked last, with the named terms of that row.  Across
-    blocks the least slack is np.min of the blocks' (so nan wins, as in
-    one pass), and a block's violated row replaces the one held only when
-    its slack is strictly less, so ties go to the lowest index.  Nothing of
-    the length of the draw is kept but its xi directions, and the reports
-    equal those of one pass over it."""
+    V's one kernel gives V, nu and Vdot for every condition, Vdot without
+    its products of f with a zero partial of V where f is proven finite on
+    the draw's box (`_f_finite`).  The draw comes in blocks of `_BLOCK`
+    rows (`_draw_blocks`), each written into one column-major (rows, 2n)
+    buffer of the check and judged as it comes, with one kernel call and
+    every condition on its rows.  A slack not at least -tolerance (nan included,
+    as where V or f is undefined) is a violation; a block keeps its least
+    slack and its violated row of least slack, nan ranked last, with the
+    named terms of that row.  Across blocks the least slack is np.min of
+    the blocks' (so nan wins, as in one pass), and a block's violated row
+    replaces the one held only when its slack is strictly less, so ties go
+    to the lowest index.  Nothing of the length of the draw is kept but its
+    xi directions, and the reports equal those of one pass over it."""
     V.check_variables(spec.n)
     if len(domain.x_box) != spec.n:
         raise ValueError(f"domain box has {len(domain.x_box)} intervals, "
@@ -423,11 +415,7 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
         for met, message in condition.requires:
             if not met:
                 raise ValueError(message)
-    nu, decay = (any(c.nu for c in conditions),
-                 any(c.decay for c in conditions))
-    kernel = _kernel(spec, V, nu, decay,
-                     decay and _f_finite(spec, domain, at_time_zero))
-    m = spec.m if nu else 0
+    kernel = _kernel(spec, V, _f_finite(spec, domain))
     mins = [[] for _ in conditions]
     worst = [(math.inf, None)] * len(conditions)   # (rank, counterexample)
     checked = 0
@@ -441,7 +429,7 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
             tolerance = _tolerance(v)
             for k, condition in enumerate(conditions):
                 slack, named = condition.terms(
-                    xi, t, v, out[:, 1:1 + m], out[:, -1] if decay else None)
+                    xi, t, v, out[:, 1:-1], out[:, -1])
                 mins[k].append(np.min(slack))
                 bad = np.flatnonzero(~(slack >= -tolerance))
                 if bad.size == 0:
@@ -490,7 +478,7 @@ def _sandwich(bounds: Bounds, domain: CheckDomain) -> _Condition:
             "nu_norm": nu_norm, "xi_norm": xi_norm, "lower_slack": lower,
             "upper_slack": upper, "t0": t0}
 
-    return _Condition("sandwich", terms, nu=True)
+    return _Condition("sandwich", terms)
 
 
 def _decay(bounds: Bounds) -> _Condition:
@@ -500,7 +488,7 @@ def _decay(bounds: Bounds) -> _Condition:
 
     return _Condition("decay", terms, requires=(
         (bounds.alpha4 is not None,
-         "the decay check needs alpha4 (time-varying form)"),), decay=True)
+         "the decay check needs alpha4 (time-varying form)"),))
 
 
 def _time_invariant(spec: SystemSpec, V: CandidateV,
@@ -518,8 +506,7 @@ def _time_invariant(spec: SystemSpec, V: CandidateV,
         (not V.time_dependent,
          "the time-invariant check needs a t-independent certificate"),
         (bounds.alpha3 > 0,
-         "the time-invariant form uses alpha3 > 0 as the decay constant")),
-        nu=True, decay=True)
+         "the time-invariant form uses alpha3 > 0 as the decay constant")))
 
 
 def check_certificate(spec: SystemSpec, V: CandidateV, bounds: Bounds,
@@ -528,8 +515,9 @@ def check_certificate(spec: SystemSpec, V: CandidateV, bounds: Bounds,
 
     With alpha4 set (time-varying form) the reports are those of
     `check_sandwich` and `check_decay`, in that order; without it, the one
-    report of `check_time_invariant`.  The samples are drawn, and V's kernel
-    compiled, once for all of them.
+    report of `check_time_invariant`.  The samples are drawn once for all
+    of them, and judged by the one kernel of V that every check of V reads
+    (`_kernel`).
     """
     if bounds.alpha4 is None:
         return [check_time_invariant(spec, V, bounds, domain)]

@@ -248,6 +248,30 @@ def test_malformed_vector_names_its_flag(capsys, argv, flag):
                   f"'{argv[-1]}'\n"
 
 
+@pytest.mark.parametrize("argv, threads, message", [
+    (["simulate", "--system", "SYSTEM_FILE", "--x0", "1,1"], None,
+     "malformed system JSON "),
+    (["jacobian", *LTI, "--x", "0,0"], "0", "OCCTL_THREADS must be at least 1"),
+    (["simulate", *LTI, "--x0", "1,2,3"], None,
+     "--x0 needs 2 component(s), got 3"),
+    (["contraction", *LTI, "--box", "1-2,3:4"], None,
+     "interval must look like 'lo:hi', got '1-2'"),
+    (["contraction", *LTI, "--box=-5:5"], None,
+     "box needs 2 interval(s), got 1"),
+])
+def test_an_unusable_input_is_a_one_line_usage_error(
+        tmp_path, monkeypatch, capsys, argv, threads, message):
+    system_file = tmp_path / "sys.json"
+    system_file.write_text('{"name": "b", "n": 2,')
+    if threads is not None:
+        monkeypatch.setenv("OCCTL_THREADS", threads)
+    argv = [str(system_file) if a == "SYSTEM_FILE" else a for a in argv]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 # ---------------------------------------------------------------------------
 # simulate and jacobian
 # ---------------------------------------------------------------------------

@@ -7,8 +7,10 @@ import pytest
 from occtl.contraction import (
     DivergenceSeries, SamplingPlan, check_oes_equilibrium,
     check_oes_variational, check_output_contraction,
-    check_partial_contraction, fit_rate, simulate_pair, verdict_json,
+    _project_equal_output, check_partial_contraction, fit_rate,
+    simulate_pair, verdict_json,
 )
+from occtl.exprlang import evaluate, parse
 from occtl.odeint import IntegratorConfig, integrate
 from occtl.sysmodel import SystemSpec, augment, builtin_system
 
@@ -245,6 +247,28 @@ def test_full_state_output_partial_contraction_holds():
     # state-scaled check
     for r in verdict.results:
         assert r.series.dy0 == pytest.approx(r.series.dx0, rel=1e-12)
+
+
+def test_projection_stops_where_jh_is_not_finite():
+    # h = sqrt(x1) is finite at x1 = 0, but its partial 1/(2 sqrt(x1)) is not
+    spec = SystemSpec.from_strings("sqrt-out", 2, 1, ["-x1", "-x2"],
+                                   ["sqrt(x1)"])
+    z = np.array([0.0, 1.0])
+    x, ok = _project_equal_output(spec, np.array([1.0, 0.0]), z, 0.0)
+    assert not ok and np.array_equal(x, z)
+
+
+@pytest.mark.parametrize("h, ok", [("x1^3", False), ("2*x1 - x2", True)])
+def test_projection_judges_its_last_step_when_it_runs_out_of_steps(h, ok):
+    # one Newton step from x1 = 2 towards x1^3 = 1 ends at x1 = 1.4167, off
+    # the level set; an affine output lands on it in that one step
+    spec = SystemSpec.from_strings("one-step", 2, 1, ["-x1", "-x2"], [h])
+    x0 = np.array([1.0, 0.0])
+    x, got = _project_equal_output(spec, x0, np.array([2.0, 0.5]), 0.0,
+                                   max_iter=1)
+    residual = abs(evaluate(parse(h), {"x1": x[0], "x2": x[1]})
+                   - evaluate(parse(h), {"x1": 1.0, "x2": 0.0}))
+    assert got is ok and bool(residual <= 1e-10) is ok
 
 
 # ---------------------------------------------------------------------------

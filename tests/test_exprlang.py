@@ -465,6 +465,27 @@ def _bits(v) -> int:
     return np.asarray(v, dtype=float).reshape(()).view(np.uint64).item()
 
 
+@pytest.mark.parametrize("src, env", [
+    ("2^2000", {}), ("x^5", {"x": 1e103}), ("x^2.5", {"x": 1e200}),
+    ("x^y", {"x": 10.0, "y": 400.0})])
+def test_an_overflowing_float_power_is_inf_as_in_the_kernel(src, env):
+    # Python's float ** raises OverflowError here; numpy's pow gives inf
+    got = evaluate(parse(src), env)
+    row = compile_expr([parse(src)], list(env))(
+        np.array([list(env.values())]).reshape(1, len(env)), 0.0)[0, 0]
+    assert got == math.inf and _bits(got) == _bits(row)
+
+
+def test_a_finite_float_power_keeps_pythons_pow():
+    # a scalar base takes numpy's scalar pow, which is libm's pow as Python's
+    # float ** is, so every finite power keeps its bits
+    rng = np.random.default_rng(29)
+    for a, b in zip(np.exp(rng.uniform(-100, 100, 2000)).tolist(),
+                    rng.uniform(-5, 5, 2000).tolist()):
+        assert _bits(evaluate(parse("x^y"), {"x": a, "y": b})) \
+            == _bits(a ** b), (a, b)
+
+
 def test_compiled_matches_evaluate_bit_for_bit_or_returns_where_it_raises():
     # evaluate sees each sample as a one-element batch, so both sides take
     # numpy's array loops; a sample outside the domain raises in evaluate

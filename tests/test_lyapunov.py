@@ -137,7 +137,7 @@ def test_pointwise_vdot_compiles_the_variational_field_once(compile_calls):
     for _ in range(25):
         vdot(spec, V_SUM_SQ, rng.uniform(-2, 2, size=2),
              rng.uniform(-2, 2, size=2), 0.0)
-    assert compile_calls == [2]   # (V, Vdot)
+    assert compile_calls == [3]   # (V, Jh xi, Vdot)
 
 
 def test_candidate_variable_validation():
@@ -183,7 +183,7 @@ def test_sandwich_then_decay_compile_each_kernel_once(compile_calls):
     bounds = Bounds(1.0, 2.0, 0.0, 2.0)
     for check in (check_sandwich, check_decay, check_sandwich, check_decay):
         check(spec, V_SUM_SQ, bounds, domain(samples=200))
-    assert compile_calls == [2, 2]   # (V, Jh xi), then (V, Vdot)
+    assert compile_calls == [3]   # (V, Jh xi, Vdot), read by both checks
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +283,7 @@ def test_implied_rate_time_invariant_constants():
     dict(xi_radii=(1.0, math.inf)),
     dict(xi_radii=(math.nan,)),
     dict(xi_radii=()),
+    dict(samples=0),
 ])
 def test_domain_rejects_non_finite_ranges(kw):
     base = dict(x_box=((-1.0, 1.0), (-1.0, 1.0)))
@@ -343,6 +344,26 @@ def test_checks_reject_a_box_of_another_dimension(check, intervals):
 def test_bounds_reject_non_finite_constants(kw):
     with pytest.raises(ValueError, match="finite"):
         Bounds(**{**dict(alpha1=0.5, alpha2=2.0, alpha3=1.0), **kw})
+
+
+@pytest.mark.parametrize("kw, message", [
+    (dict(alpha1=0.0), "alpha1 and alpha2 must be positive"),
+    (dict(alpha2=-1.0), "alpha1 and alpha2 must be positive"),
+    (dict(alpha3=-0.5), "alpha3 must be nonnegative"),
+    (dict(p=0.5), "p must be at least 1"),
+])
+def test_bounds_reject_constants_out_of_range(kw, message):
+    with pytest.raises(ValueError, match=message):
+        Bounds(**{**dict(alpha1=0.5, alpha2=2.0, alpha3=1.0), **kw})
+
+
+def test_a_passing_report_has_no_counterexample_to_reverify():
+    spec = builtin_system("ex1-timevarying")
+    bounds = Bounds(1.0, 2.0, 0.0, 2.0)
+    report = check_sandwich(spec, V_SUM_SQ, bounds, domain(samples=100))
+    assert report.passed
+    with pytest.raises(ValueError, match="report has no counterexample"):
+        reverify_counterexample(spec, V_SUM_SQ, bounds, report)
 
 
 def test_degenerate_rate_rejected():
@@ -602,9 +623,9 @@ def kernels_built(monkeypatch) -> list:
     built = []
     real = lyapunov._kernel
 
-    def recording(spec, V, nu, decay, f_finite=False):
+    def recording(spec, V, f_finite):
         built.append(f_finite)
-        return real(spec, V, nu, decay, f_finite)
+        return real(spec, V, f_finite)
     monkeypatch.setattr(lyapunov, "_kernel", recording)
     return built
 
@@ -642,13 +663,12 @@ def test_folded_decay_kernel_keeps_every_bit(system, certificate):
     spec = builtin_system(system)
     V = CandidateV.from_string(certificate)
     dom = domain(samples=100_000, seed=7)
-    assert lyapunov._f_finite(spec, dom, at_time_zero=False)
+    assert lyapunov._f_finite(spec, dom)
     x, xi, t = _drawn(spec.n, dom)
     state = np.concatenate([x, xi], axis=-1)
     with np.errstate(all="ignore"):
-        full = lyapunov._kernel(spec, V, nu=False, decay=True)(state, t)
-        folded = lyapunov._kernel(spec, V, nu=False, decay=True,
-                                  f_finite=True)(state, t)
+        full = lyapunov._kernel(spec, V, False)(state, t)
+        folded = lyapunov._kernel(spec, V, True)(state, t)
     assert full.tobytes() == folded.tobytes()
     assert np.any(xi[:, 0] == 0.0)
     if "x1" not in certificate:
@@ -672,7 +692,7 @@ def test_block_layout_changes_no_bit():
     spec = builtin_system("ex1-timevarying")
     x, xi, t = _drawn(spec.n, domain(samples=4096, seed=7))
     rows = np.concatenate([x, xi], axis=-1)
-    kernel = lyapunov._kernel(spec, V_SUM_SQ, nu=True, decay=True)
+    kernel = lyapunov._kernel(spec, V_SUM_SQ, False)
     with np.errstate(all="ignore"):
         assert kernel(rows, t).tobytes() \
             == kernel(np.asfortranarray(rows), t).tobytes()

@@ -46,6 +46,10 @@ def test_unknown_state_variable_rejected():
 def test_dimension_mismatch_rejected():
     with pytest.raises(SystemValidationError, match="expected n=2"):
         SystemSpec.from_strings("bad", 2, 1, ["x1"], ["x1"])
+    with pytest.raises(SystemValidationError, match="expected m=2"):
+        SystemSpec.from_strings("bad", 1, 2, ["-x1"], ["x1"])
+    with pytest.raises(SystemValidationError, match="need n >= 1 and m >= 1"):
+        SystemSpec.from_strings("bad", 0, 1, [], ["1"])
 
 
 def test_abs_in_dynamics_rejected():
@@ -321,6 +325,21 @@ def test_jacobians_of_powers_equal_the_dual_numbers_bit_for_bit():
     assert negative.sum() > 900 and np.all(same[~negative])
     assert np.all(same[:, 1]) and np.all(same[..., 0])
     assert np.isnan(got[negative, 0, 0]).all()
+
+
+def test_jacobians_of_tan_equal_the_dual_numbers_bit_for_bit():
+    # the dual rule (1 + tan^2) g is the product `differentiate` forms
+    spec = SystemSpec.from_strings(
+        "tan", 2, 1, ["tan(x1)*x2", "tan(0.5*x1 + x2)^3"], ["tan(x1 - x2)"])
+    points = np.random.default_rng(31).uniform(-1.2, 1.2, size=(2000, 3))
+    names = ["x1", "x2", "t"]
+    env = dual_env(dict(zip(names, points.T)), names)
+    b = jacobians(spec, points[:, :2], points[:, 2])
+    Jf = np.stack([evaluate_dual(e, env).grad[:-1] for e in spec.f])
+    grads = np.stack([evaluate_dual(e, env).grad for e in spec.h])
+    assert b.Jf.tobytes() == Jf.transpose(2, 0, 1).copy().tobytes()
+    got = np.concatenate([b.Jh, b.dh_dt[..., None]], axis=-1)
+    assert got.tobytes() == grads.transpose(2, 0, 1).copy().tobytes()
 
 
 def test_jacobians_batched_match_loop():
