@@ -38,9 +38,9 @@ import numpy as np
 
 from . import __version__
 from .contraction import (
-    SamplingPlan, check_oes_equilibrium, check_oes_variational,
-    check_output_contraction, check_partial_contraction, fit_rate,
-    simulate_pair, verdict_json,
+    DEFAULT_ALPHA_MIN, SamplingPlan, check_oes_equilibrium,
+    check_oes_variational, check_output_contraction,
+    check_partial_contraction, fit_rate, simulate_pair, verdict_json,
 )
 from .exprlang import ExprEvalError
 from .lyapunov import (
@@ -421,7 +421,7 @@ def _add_plan(sub):
     sub.add_argument("--box", default="-5:5,-5:5",
                      help="per-coordinate lo:hi intervals, comma separated")
     sub.add_argument("--pairs", "--samples", dest="pairs", type=int, default=50)
-    sub.add_argument("--alpha-min", type=float, default=0.05)
+    sub.add_argument("--alpha-min", type=float, default=DEFAULT_ALPHA_MIN)
     sub.add_argument("--dump-series", action="store_true",
                      help="also write every pair's divergence series")
 

@@ -407,11 +407,11 @@ def _factors(exponent: Expr) -> int:
 
 
 def _power(a: Number, b: Number, exponent: Expr) -> Number:
-    """a^b, b the value of `exponent`, as the kernels compute it.  A scalar
-    base is taken as a numpy scalar: its pow is libm's, as Python's float
-    `**` is, but it overflows to inf instead of raising OverflowError."""
+    """a^b, b the value of `exponent`, as the kernels compute it: numpy's
+    `power` ufunc in float, on a float, an int or an array alike, so a
+    value gets the bits of its row in a batch and overflows to inf."""
     if not (k := _factors(exponent)):
-        return (a if isinstance(a, np.ndarray) else np.float64(a)) ** b
+        return np.power(a, b, dtype=float)
     out = a
     for _ in range(k - 1):
         out = out * a
@@ -568,8 +568,6 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if _is(a, 0.0) and not _is(b, 0.0):
         return _c(0.0)
-    if _is(b, 1.0):
-        return a
     return Bin("/", a, b)
 
 
@@ -738,7 +736,6 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
     of_node: dict[int, int] = {}   # id() of a node object -> its id
     keys: list[tuple] = []
     uses: list[int] = []           # references to each id from the trees
-    constant: list[bool] = []      # whether the subtree mentions no variable
 
     def add(key: tuple) -> int:
         k = ids.get(key)
@@ -748,8 +745,6 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
             uses.append(0)
             for child in key[2:]:
                 uses[child] += 1
-            constant.append(key[0] != "var"
-                            and all(constant[c] for c in key[2:]))
         return k
 
     def intern(e: Expr) -> int:
@@ -791,13 +786,10 @@ def _emit_shared(exprs: tuple[Expr, ...], consts: dict[str, str],
         args, depths = zip(*map(emit, children))
         if kind == "neg":
             text = f"(-{args[0]})"
-        elif kind == "bin" and label == "^" and not constant[k]:
-            # "^" as a ufunc: `**` on one state rounds unlike its row in a batch
+        elif label == "^":
             text = f"_np.power({args[0]}, {args[1]})"
         elif kind == "bin":
-            # other constant powers are one scalar in every call: `**` gives
-            # them `evaluate`'s libm pow, where the ufunc's loop rounds apart
-            text = f"({args[0]} {'**' if label == '^' else label} {args[1]})"
+            text = f"({args[0]} {label} {args[1]})"
         else:
             text = f"_np.{'log' if label == 'ln' else label}({args[0]})"
         if uses[k] < 2 and max(depths) < _NESTED:
@@ -821,15 +813,14 @@ def compile_expr(exprs: Sequence[Expr], names: Sequence[str]):
     domain guards: constants are numpy float64 values and t is taken as an
     array, so it computes under IEEE semantics and returns nan or inf where
     `evaluate` raises (the integrators truncate such a sample alone).  u^2,
-    u^3 and u^4 are `evaluate`'s products; other powers and calls are numpy
-    ufuncs even on a single state, and + - * / round alike in numpy's
-    scalar math and its array loops, so one state gives the same bits as
-    its row in a batch; only another power of constants, one scalar in
-    every call, takes `**` and so `evaluate`'s rounding.  A
-    subtree that occurs more than once in `exprs`, as f's subtrees do in
-    its Jacobian, is computed once per call and reused; it is the same
-    ufunc on the same inputs each time, so sharing it changes no bit.  A
-    name that is neither in `names` nor t raises ExprEvalError here.
+    u^3 and u^4 are `evaluate`'s products; every other power, constants'
+    included, is `evaluate`'s numpy `power` and every call a numpy ufunc,
+    and + - * / round alike in numpy's scalar math and its array loops, so
+    one state gives the same bits as its row in a batch.  A subtree that
+    occurs more than once in `exprs`, as f's subtrees do in its Jacobian,
+    is computed once per call and reused; it is the same ufunc on the same
+    inputs each time, so sharing it changes no bit.  A name that is neither
+    in `names` nor t raises ExprEvalError here.
     """
     exprs, names = tuple(exprs), tuple(names)
     unbound = frozenset().union(*map(free_vars, exprs)) - {*names, "t"}

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -8,8 +9,11 @@ import pytest
 
 from occtl import cli
 from occtl.cli import main
-from occtl.contraction import SamplingPlan, check_output_contraction
+from occtl.contraction import (
+    DEFAULT_ALPHA_MIN, SamplingPlan, check_output_contraction,
+)
 from occtl.exprlang import to_source
+from occtl.lyapunov import Bounds, CheckDomain
 from occtl.odeint import IntegratorConfig, integrate, map_output
 from occtl.sysmodel import builtin_system, vector_field
 
@@ -166,6 +170,28 @@ def test_threads_env_recorded(capsys, monkeypatch):
                            "--x", "0,0")
     assert code == 0
     assert report["threads"] == 4
+
+
+def test_flag_defaults_are_the_library_defaults():
+    defaults = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
+                for cls in (SamplingPlan, CheckDomain, Bounds)}
+    plan = ("pairs", "seed", "t0", "tf")
+    for argv in (["contraction"], ["partial"], ["oes"],
+                 ["oes-eq", "--y-star", "0"]):
+        args = cli.build_parser().parse_args(argv + ["--system", "ex1"])
+        assert [getattr(args, key) for key in plan] \
+            == [defaults[SamplingPlan][key] for key in plan], argv
+        assert args.alpha_min == DEFAULT_ALPHA_MIN
+    args = cli.build_parser().parse_args(
+        ["lyapunov", "--system", "ex1", "--V", "xi1^2", "--alpha1", "1",
+         "--alpha2", "2"])
+    domain = defaults[CheckDomain]
+    assert (args.samples, args.seed) == (domain["samples"], domain["seed"])
+    assert cli._range(args.t_range) == domain["t_range"]
+    assert tuple(cli._vec(args.xi_radii, None, "--xi-radii").tolist()) \
+        == domain["xi_radii"]
+    assert (args.p, args.alpha4) == (defaults[Bounds]["p"],
+                                     defaults[Bounds]["alpha4"])
 
 
 # ---------------------------------------------------------------------------

@@ -78,6 +78,9 @@ def test_call_parses_into_call_node():
     ("2x", 1),                # no implicit multiplication
     ("x1 + ", 5),             # dangling operator
     ("x1, x2", 2),            # comma is not part of this grammar
+    (")", 0),                 # a token no atom starts with
+    ("1 + *", 4),
+    ("sin(,)", 4),
 ])
 def test_syntax_errors_carry_positions(src, pos):
     with pytest.raises(ExprSyntaxError) as exc:
@@ -380,6 +383,10 @@ def test_symbolic_derivative_matches_dual_and_fd():
                                        ["x1", "x2"])).grad[0] == -4.0
 
 
+def test_a_first_power_differentiates_to_one():
+    assert differentiate(parse("x^1"), "x") == Const(1.0)
+
+
 def test_symbolic_abs_derivative_is_its_sign_with_zero_at_the_kink():
     # sign(u)*u', the dual numbers' subgradient; sign is a kernel call only
     d = differentiate(parse("abs(x1*x2)"), "x1")
@@ -476,20 +483,30 @@ def test_an_overflowing_float_power_is_inf_as_in_the_kernel(src, env):
     assert got == math.inf and _bits(got) == _bits(row)
 
 
-def test_a_finite_float_power_keeps_pythons_pow():
-    # a scalar base takes numpy's scalar pow, which is libm's pow as Python's
-    # float ** is, so every finite power keeps its bits
+def test_a_float_power_has_the_bits_of_its_kernel_row():
+    # a float takes numpy's power ufunc as a row does, not libm's pow, which
+    # rounds some of these pairs apart
     rng = np.random.default_rng(29)
+    fn = compile_expr([parse("x^y")], ["x", "y"])
     for a, b in zip(np.exp(rng.uniform(-100, 100, 2000)).tolist(),
                     rng.uniform(-5, 5, 2000).tolist()):
         assert _bits(evaluate(parse("x^y"), {"x": a, "y": b})) \
-            == _bits(a ** b), (a, b)
+            == _bits(fn(np.array([[a, b]]), 0.0)[0, 0]), (a, b)
+
+
+def test_integer_bindings_take_a_float_power():
+    # numpy refuses an integer to a negative integer power; evaluate does not
+    ast = parse("x^y")
+    got = evaluate(ast, {"x": np.array([2, 3]), "y": -1})
+    assert got.dtype == float and got.tolist() == [0.5, 1 / 3]
+    got = evaluate(ast, {"x": 2, "y": -1})
+    assert isinstance(got, np.float64) and got == 0.5
 
 
 def test_compiled_matches_evaluate_bit_for_bit_or_returns_where_it_raises():
-    # evaluate sees each sample as a one-element batch, so both sides take
-    # numpy's array loops; a sample outside the domain raises in evaluate
-    # and only comes out nan or inf in its own row of the kernel's batch
+    # evaluate sees each sample as floats and as a one-element batch, and
+    # gives its row's bits either way; a sample outside the domain raises in
+    # evaluate and only comes out nan or inf in its own row of the batch
     rng = np.random.default_rng(5)
     matched = raised = 0
     # then trees that repeat subtrees, which the kernel computes once
@@ -499,14 +516,18 @@ def test_compiled_matches_evaluate_bit_for_bit_or_returns_where_it_raises():
         t = rng.uniform(-2, 2, size=8)
         out = compile_expr([ast], ["x1", "x2"])(x, t)[:, 0]
         for j in range(8):
+            at = f"{to_source(ast)} at x={x[j]}, t={t[j]}"
             env = {"x1": x[j:j + 1, 0], "x2": x[j:j + 1, 1], "t": t[j:j + 1]}
+            floats = {name: float(v[0]) for name, v in env.items()}
             try:
                 want = evaluate(ast, env)
             except ArithmeticError:
                 raised += 1
+                with pytest.raises(ArithmeticError):
+                    evaluate(ast, floats)
                 continue
-            assert _bits(out[j]) == _bits(want), \
-                f"{to_source(ast)} at x={x[j]}, t={t[j]}"
+            assert _bits(out[j]) == _bits(want), at
+            assert _bits(evaluate(ast, floats)) == _bits(want), at
             matched += 1
     assert matched > 1000 and raised > 200, (matched, raised)
 
@@ -598,14 +619,24 @@ def test_small_powers_are_one_product_in_every_evaluator(k):
 
 def test_other_powers_stay_numpy_power(monkeypatch):
     # only a constant 2, 3 or 4 makes a product; the exponent's value alone
-    # (x^y at y = 3) does not
+    # (x^y at y = 3) does not, and a power of constants is `power` too
+    sources = []
+
+    def capturing(text, *args):
+        sources.append(text)
+        return compile(text, *args)
+    monkeypatch.setattr("occtl.exprlang.compile", capturing, raising=False)
     x = np.array([[-1.5, 3.0], [0.5, 3.0]])
-    for src in ("x^5", "x^2.5", "x^-2", "x^y"):
+    for src in ("x^5", "x^2.5", "x^-2", "x^y", "2^0.5", "(0-1.1)^5",
+                "2^3^2"):
         fn = compile_expr([parse(src)], ["x", "y"])
         counting = _CountingNumpy("power")
         monkeypatch.setitem(fn.__globals__, "_np", counting)
-        fn(x, 0.0)
+        row = fn(x, 0.0)[1, 0]
         assert counting.calls == {"power": 1}, src
+        want = evaluate(parse(src), {"x": 0.5, "y": 3.0})
+        assert _bits(row) == _bits(want), src
+    assert len(sources) == 7 and not any("**" in text for text in sources)
 
 
 def test_ex1_kernels_make_no_power_call_and_share_a_powers_base(monkeypatch):
