@@ -43,8 +43,7 @@ from .contraction import (
 )
 from .lyapunov import (
     Bounds, CandidateV, CheckDomain, FalsificationReport, check_certificate,
-    check_decay, check_sandwich, check_time_invariant, implied_rate,
-    report_json, reverify_counterexample, vdot, vdot_fd,
+    implied_rate, report_json, reverify_counterexample, vdot, vdot_fd,
 )
 
 __version__ = "0.1.0"

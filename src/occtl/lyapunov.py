@@ -10,10 +10,12 @@ A candidate certificate V(x, xi, t) together with constants
 
 For time-invariant systems the corollary variant drops the t dependence and
 the exponential weight, and its decay constant is named alpha3 (leave alpha4
-unset for that form).  `check_certificate` judges every condition of the
-certificate's form on one draw of the domain; `check_sandwich`,
-`check_decay` and `check_time_invariant` judge one condition each through
-the same pipeline.  Every check reads the one kernel of the candidate's V,
+unset for that form).  `check_certificate` is the entry point: it picks the
+conditions of the certificate's form and judges them on one draw of the
+domain.  (`check_sandwich` and `check_decay` judge one condition each
+through the same pipeline; they remain only because the benchmark tracer,
+bench/tracing.py, times the lyapunov layer through those names.)  A check
+reads the one kernel of the candidate's V,
 nu and Vdot, whatever its conditions: nu is the symbolic Jh xi and Vdot one
 symbolic tree of V's partials (abs differentiates to sign), f and Jf xi, so
 subtrees they share are computed once.  The draw is made and judged in
@@ -41,7 +43,6 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -58,9 +59,8 @@ from .sysmodel import jacobians  # noqa: F401  looked up by bench/tracing.py
 
 __all__ = [
     "CandidateV", "Bounds", "CheckDomain", "FalsificationReport",
-    "vdot", "vdot_fd", "check_certificate", "check_sandwich", "check_decay",
-    "check_time_invariant", "implied_rate", "reverify_counterexample",
-    "report_json",
+    "vdot", "vdot_fd", "check_certificate", "implied_rate",
+    "reverify_counterexample", "report_json",
 ]
 
 #: absolute/relative slack admitted when asserting the inequalities;
@@ -373,27 +373,16 @@ def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
 # condition checks
 # ---------------------------------------------------------------------------
 
-class _Condition(NamedTuple):
-    """One condition of a certificate, as `_falsify` judges it.
-
-    ``terms(xi, t, v, nu, vdot) -> (slack, named terms)`` reads one block:
-    its xi and t, and the kernel's columns V, nu (rows x m) and Vdot.
-    `requires` holds ``(met, message)`` pairs checked before the draw."""
-
-    name: str
-    terms: Callable
-    requires: tuple = ()
-
-
 def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
-             conditions: list[_Condition], at_time_zero: bool = False
+             conditions: list[tuple], at_time_zero: bool = False
              ) -> list[FalsificationReport]:
     """Judge every condition of `conditions` on one draw of `domain`,
     reports in that order.
 
-    Checks V's variables and the box against the spec, and raises the
-    message of the first unmet requirement of the conditions in order,
-    before it draws (at t = 0 if `at_time_zero`).
+    A condition is a ``(name, terms)`` pair, where ``terms(xi, t, v, nu,
+    vdot) -> (slack, named terms)`` reads one block: its xi and t, and the
+    kernel's columns V, nu (rows x m) and Vdot.  Checks V's variables and
+    the box against the spec before it draws (at t = 0 if `at_time_zero`).
     V's one kernel gives V, nu and Vdot for every condition, Vdot without
     its products of f with a zero partial of V where f is proven finite on
     the draw's box (`_f_finite`).  The draw comes in blocks of `_BLOCK`
@@ -411,10 +400,6 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     if len(domain.x_box) != spec.n:
         raise ValueError(f"domain box has {len(domain.x_box)} intervals, "
                          f"system has n={spec.n}")
-    for condition in conditions:
-        for met, message in condition.requires:
-            if not met:
-                raise ValueError(message)
     kernel = _kernel(spec, V, _f_finite(spec, domain))
     mins = [[] for _ in conditions]
     worst = [(math.inf, None)] * len(conditions)   # (rank, counterexample)
@@ -427,9 +412,8 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
             out = kernel(state, t)
             v = out[:, 0]
             tolerance = _tolerance(v)
-            for k, condition in enumerate(conditions):
-                slack, named = condition.terms(
-                    xi, t, v, out[:, 1:-1], out[:, -1])
+            for k, (_, terms) in enumerate(conditions):
+                slack, named = terms(xi, t, v, out[:, 1:-1], out[:, -1])
                 mins[k].append(np.min(slack))
                 bad = np.flatnonzero(~(slack >= -tolerance))
                 if bad.size == 0:
@@ -439,12 +423,12 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
                 if worst[k][1] is None or ranks[j] < worst[k][0]:
                     worst[k] = ranks[j], _counterexample(
                         bad[j], state, xi, t, v, named)
-    return [FalsificationReport(condition=condition.name,
+    return [FalsificationReport(condition=name,
                                 passed=counterexample is None,
                                 checked=checked,
                                 worst_margin=float(np.min(block_mins)),
                                 counterexample=counterexample)
-            for condition, block_mins, (_, counterexample)
+            for (name, _), block_mins, (_, counterexample)
             in zip(conditions, mins, worst)]
 
 
@@ -468,7 +452,7 @@ def _sandwich_terms(bounds, xi, v, nu, weight=1.0):
             bounds.alpha2 * xi_norm ** bounds.p * weight - v, nu_norm, xi_norm)
 
 
-def _sandwich(bounds: Bounds, domain: CheckDomain) -> _Condition:
+def _sandwich(bounds: Bounds, domain: CheckDomain) -> tuple:
     t0 = domain.t_range[0]
 
     def terms(xi, t, v, nu, vd):
@@ -478,21 +462,31 @@ def _sandwich(bounds: Bounds, domain: CheckDomain) -> _Condition:
             "nu_norm": nu_norm, "xi_norm": xi_norm, "lower_slack": lower,
             "upper_slack": upper, "t0": t0}
 
-    return _Condition("sandwich", terms)
+    return "sandwich", terms
 
 
-def _decay(bounds: Bounds) -> _Condition:
+def _decay(bounds: Bounds) -> tuple:
+    if bounds.alpha4 is None:
+        raise ValueError("the decay check needs alpha4 (time-varying form)")
+
     def terms(xi, t, v, nu, vd):
         slack = -bounds.alpha4 * v - vd
         return slack, {"vdot": vd, "slack": slack}
 
-    return _Condition("decay", terms, requires=(
-        (bounds.alpha4 is not None,
-         "the decay check needs alpha4 (time-varying form)"),))
+    return "decay", terms
 
 
-def _time_invariant(spec: SystemSpec, V: CandidateV,
-                    bounds: Bounds) -> _Condition:
+def _time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds) -> tuple:
+    if not spec.time_invariant:
+        raise ValueError(f"{spec.name!r} is time-varying; use the "
+                         "sandwich and decay checks")
+    if V.time_dependent:
+        raise ValueError(
+            "the time-invariant check needs a t-independent certificate")
+    if not bounds.alpha3 > 0:
+        raise ValueError(
+            "the time-invariant form uses alpha3 > 0 as the decay constant")
+
     def terms(xi, t, v, nu, vd):
         lower, upper, _, _ = _sandwich_terms(bounds, xi, v, nu)
         decay = -bounds.alpha3 * v - vd
@@ -500,58 +494,49 @@ def _time_invariant(spec: SystemSpec, V: CandidateV,
             "vdot": vd, "lower_slack": lower, "upper_slack": upper,
             "decay_slack": decay}
 
-    return _Condition("time-invariant sandwich+decay", terms, requires=(
-        (spec.time_invariant, f"{spec.name!r} is time-varying; use the "
-                              "sandwich and decay checks"),
-        (not V.time_dependent,
-         "the time-invariant check needs a t-independent certificate"),
-        (bounds.alpha3 > 0,
-         "the time-invariant form uses alpha3 > 0 as the decay constant")))
+    return "time-invariant sandwich+decay", terms
 
 
 def check_certificate(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                       domain: CheckDomain) -> list[FalsificationReport]:
     """Falsify every condition of the certificate's form on one draw.
 
-    With alpha4 set (time-varying form) the reports are those of
-    `check_sandwich` and `check_decay`, in that order; without it, the one
-    report of `check_time_invariant`.  The samples are drawn once for all
-    of them, and judged by the one kernel of V that every check of V reads
-    (`_kernel`).
+    With alpha4 set (time-varying form), two reports in this order:
+
+    * "sandwich": alpha1 ||nu||^p <= V <= alpha2 ||xi||^p e^{alpha3 (t - t0)},
+      t0 the left end of the sampling t_range (any fixed choice only
+      rescales alpha2);
+    * "decay": Vdot <= -alpha4 V.
+
+    With alpha4 unset (time-invariant form), one report, "time-invariant
+    sandwich+decay": alpha1 ||nu||^p <= V <= alpha2 ||xi||^p and Vdot <=
+    -alpha3 V, with alpha3 > 0 playing the decay role.  It rejects
+    time-varying systems and t-dependent certificates, and evaluates at
+    t = 0 since nothing depends on time.
+
+    Every inequality is asserted per sample with slack tolerance
+    1e-9 (1 + |V|).  The samples are drawn once for all conditions, and
+    judged by the one kernel of V that every check of V reads (`_kernel`).
     """
     if bounds.alpha4 is None:
-        return [check_time_invariant(spec, V, bounds, domain)]
+        return _falsify(spec, V, domain, [_time_invariant(spec, V, bounds)],
+                        at_time_zero=True)
     return _falsify(spec, V, domain, [_sandwich(bounds, domain),
                                       _decay(bounds)])
 
 
 def check_sandwich(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                    domain: CheckDomain) -> FalsificationReport:
-    """Falsify alpha1 ||nu||^p <= V <= alpha2 ||xi||^p e^{alpha3 (t - t0)}.
-
-    t0 is the left end of the sampling t_range (any fixed choice only
-    rescales alpha2).  Both inequalities are asserted per sample with slack
-    tolerance 1e-9 (1 + |V|).
-    """
+    """The "sandwich" report of `check_certificate`, judged alone; kept
+    only while bench/tracing.py times the lyapunov layer through it."""
     return _falsify(spec, V, domain, [_sandwich(bounds, domain)])[0]
 
 
 def check_decay(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                 domain: CheckDomain) -> FalsificationReport:
-    """Falsify Vdot <= -alpha4 V over the sampled domain."""
+    """The "decay" report of `check_certificate`, judged alone; kept only
+    while bench/tracing.py times the lyapunov layer through it."""
     return _falsify(spec, V, domain, [_decay(bounds)])[0]
-
-
-def check_time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds,
-                         domain: CheckDomain) -> FalsificationReport:
-    """Time-invariant variant: alpha1 ||nu||^p <= V <= alpha2 ||xi||^p and
-    Vdot <= -alpha3 V, with alpha3 playing the decay role.
-
-    Rejects time-varying systems and t-dependent certificates; evaluation is
-    at t = 0 since nothing depends on time.
-    """
-    return _falsify(spec, V, domain, [_time_invariant(spec, V, bounds)],
-                    at_time_zero=True)[0]
 
 
 # ---------------------------------------------------------------------------

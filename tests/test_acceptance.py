@@ -16,8 +16,8 @@ from occtl.contraction import (
     check_partial_contraction, fit_rate, simulate_pair,
 )
 from occtl.lyapunov import (
-    Bounds, CandidateV, CheckDomain, check_decay, check_sandwich,
-    check_time_invariant, implied_rate, reverify_counterexample,
+    Bounds, CandidateV, CheckDomain, check_certificate, implied_rate,
+    reverify_counterexample,
 )
 from occtl.odeint import IntegratorConfig, integrate, map_output
 from occtl.sysmodel import (
@@ -114,15 +114,14 @@ def test_criterion_4_certificate_falsification_at_scale():
                          samples=100_000, seed=7)
     good = Bounds(1.0, 2.0, 0.0, 2.0, p=2.0)
     start = time.perf_counter()
-    sandwich = check_sandwich(spec, V_SUM_SQ, good, domain)
-    decay = check_decay(spec, V_SUM_SQ, good, domain)
+    sandwich, decay = check_certificate(spec, V_SUM_SQ, good, domain)
     elapsed = time.perf_counter() - start
     assert sandwich.passed and sandwich.counterexample is None
     assert decay.passed and decay.counterexample is None
     assert sandwich.checked >= 100_000 and decay.checked >= 100_000
 
     overclaimed = Bounds(1.0, 2.0, 0.0, 12.0, p=2.0)
-    broken = check_decay(spec, V_SUM_SQ, overclaimed, domain)
+    broken = check_certificate(spec, V_SUM_SQ, overclaimed, domain)[1]
     assert not broken.passed and broken.counterexample is not None
     assert elapsed < 30.0, f"took {elapsed:.2f} s"
     _announce(4, f"{sandwich.checked} samples, zero counterexamples; "
@@ -167,7 +166,7 @@ def test_criterion_6_time_invariant_certificate_and_empirical_rate():
     bounds = Bounds(1.0, 2.0, 2.0, p=2.0)     # decay constant in alpha3
     domain = CheckDomain(x_box=((-10.0, 10.0), (-10.0, 10.0)),
                          samples=20_000, seed=11)
-    report = check_time_invariant(spec, V_SUM_SQ, bounds, domain)
+    report = check_certificate(spec, V_SUM_SQ, bounds, domain)[0]
     assert report.passed
 
     c, alpha = implied_rate(bounds)
@@ -243,14 +242,14 @@ def test_criterion_8c_falsifier_counterexample_soundness():
     spec = builtin_system("ex1-timevarying")
     domain = CheckDomain(x_box=((-10.0, 10.0), (-10.0, 10.0)),
                          samples=5_000, seed=3)
-    cases = [
-        (check_sandwich, Bounds(1.0, 0.5, 0.0, 2.0, p=2.0), spec),
-        (check_decay, Bounds(1.0, 2.0, 0.0, 12.0, p=2.0), spec),
-        (check_time_invariant, Bounds(1.0, 2.0, 12.0, p=2.0),
-         builtin_system("ex2-timeinvariant")),
+    cases = [   # (bounds, system, which report of check_certificate)
+        (Bounds(1.0, 0.5, 0.0, 2.0, p=2.0), spec, 0),    # sandwich
+        (Bounds(1.0, 2.0, 0.0, 12.0, p=2.0), spec, 1),   # decay
+        (Bounds(1.0, 2.0, 12.0, p=2.0),                  # time-invariant
+         builtin_system("ex2-timeinvariant"), 0),
     ]
-    for checker, bounds, system in cases:
-        report = checker(system, V_SUM_SQ, bounds, domain)
+    for bounds, system, k in cases:
+        report = check_certificate(system, V_SUM_SQ, bounds, domain)[k]
         assert not report.passed
         slack = reverify_counterexample(system, V_SUM_SQ, bounds, report)
         assert slack < -1e-6, f"{report.condition}: fd re-check slack {slack}"

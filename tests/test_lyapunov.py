@@ -11,13 +11,14 @@ from occtl import lyapunov
 from occtl.cli import main
 from occtl.contraction import SamplingPlan, check_oes_variational
 from occtl.lyapunov import (
-    Bounds, CandidateV, CheckDomain, check_certificate, check_decay,
-    check_sandwich, check_time_invariant, implied_rate, report_json,
-    reverify_counterexample, vdot, vdot_fd,
+    Bounds, CandidateV, CheckDomain, check_certificate, implied_rate,
+    report_json, reverify_counterexample, vdot, vdot_fd,
 )
 from occtl.exprlang import evaluate, to_source
 from occtl.odeint import IntegratorConfig, integrate
-from occtl.sysmodel import SystemSpec, augment, builtin_system
+from occtl.sysmodel import (
+    BUILTIN_NAMES, SystemSpec, augment, builtin_system,
+)
 from oracles import dual_vdot, stacked_sample_domain
 
 V_SUM_SQ = CandidateV.from_string("(xi1 + xi2)^2")
@@ -151,8 +152,8 @@ def test_candidate_variable_validation():
 # ---------------------------------------------------------------------------
 
 def test_sandwich_passes_for_time_varying_demo():
-    report = check_sandwich(builtin_system("ex1-timevarying"), V_SUM_SQ,
-                            Bounds(1.0, 2.0, 0.0, 2.0, p=2.0), domain())
+    report = check_certificate(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                               Bounds(1.0, 2.0, 0.0, 2.0, p=2.0), domain())[0]
     assert report.passed
     assert report.counterexample is None
     assert report.checked > 20_000      # probes come on top of the samples
@@ -160,9 +161,9 @@ def test_sandwich_passes_for_time_varying_demo():
 
 def test_sandwich_tight_lower_bound_passes_at_equality():
     # alpha1 ||nu||^2 equals V exactly for this certificate: boundary case
-    report = check_sandwich(builtin_system("ex1-timevarying"), V_SUM_SQ,
-                            Bounds(1.0, 2.0, 0.0, 2.0, p=2.0),
-                            domain(samples=5_000, seed=3))
+    report = check_certificate(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                               Bounds(1.0, 2.0, 0.0, 2.0, p=2.0),
+                               domain(samples=5_000, seed=3))[0]
     assert report.passed
     assert report.worst_margin >= -1e-9
 
@@ -170,7 +171,8 @@ def test_sandwich_tight_lower_bound_passes_at_equality():
 def test_sandwich_finds_overtight_upper_bound():
     spec = builtin_system("ex1-timevarying")
     bounds = Bounds(1.0, 0.5, 0.0, 2.0, p=2.0)
-    report = check_sandwich(spec, V_SUM_SQ, bounds, domain(samples=5_000))
+    report = check_certificate(spec, V_SUM_SQ, bounds,
+                               domain(samples=5_000))[0]
     assert not report.passed
     ce = report.counterexample
     assert ce is not None
@@ -181,9 +183,10 @@ def test_sandwich_finds_overtight_upper_bound():
 def test_sandwich_then_decay_compile_each_kernel_once(compile_calls):
     spec = builtin_system("ex1-timevarying")
     bounds = Bounds(1.0, 2.0, 0.0, 2.0)
-    for check in (check_sandwich, check_decay, check_sandwich, check_decay):
-        check(spec, V_SUM_SQ, bounds, domain(samples=200))
-    assert compile_calls == [3]   # (V, Jh xi, Vdot), read by both checks
+    for _ in range(2):
+        check_certificate(spec, V_SUM_SQ, bounds, domain(samples=200))
+    # (V, Jh xi, Vdot), read by both conditions of both checks
+    assert compile_calls == [3]
 
 
 # ---------------------------------------------------------------------------
@@ -191,15 +194,15 @@ def test_sandwich_then_decay_compile_each_kernel_once(compile_calls):
 # ---------------------------------------------------------------------------
 
 def test_decay_passes_for_time_varying_demo():
-    report = check_decay(builtin_system("ex1-timevarying"), V_SUM_SQ,
-                         Bounds(1.0, 2.0, 0.0, 2.0, p=2.0), domain())
+    report = check_certificate(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                               Bounds(1.0, 2.0, 0.0, 2.0, p=2.0), domain())[1]
     assert report.passed
 
 
 def test_decay_passes_for_lti_norm_certificate():
-    report = check_decay(builtin_system("lti-remark1"), V_NORM_SQ,
-                         Bounds(1.0, 1.0, 0.0, 2.0, p=2.0),
-                         domain(samples=5_000))
+    report = check_certificate(builtin_system("lti-remark1"), V_NORM_SQ,
+                               Bounds(1.0, 1.0, 0.0, 2.0, p=2.0),
+                               domain(samples=5_000))[1]
     assert report.passed
     assert report.worst_margin >= -1e-9   # equality along the slow mode
 
@@ -207,7 +210,7 @@ def test_decay_passes_for_lti_norm_certificate():
 def test_decay_overclaimed_rate_is_falsified():
     spec = builtin_system("ex1-timevarying")
     bounds = Bounds(1.0, 2.0, 0.0, 12.0, p=2.0)
-    report = check_decay(spec, V_SUM_SQ, bounds, domain())
+    report = check_certificate(spec, V_SUM_SQ, bounds, domain())[1]
     assert not report.passed
     assert reverify_counterexample(spec, V_SUM_SQ, bounds, report) < -1e-6
 
@@ -215,14 +218,17 @@ def test_decay_overclaimed_rate_is_falsified():
 def test_decay_monotone_in_claimed_rate():
     spec = builtin_system("ex1-timevarying")
     dom = domain(samples=5_000)
-    assert check_decay(spec, V_SUM_SQ, Bounds(1.0, 2.0, 0.0, 2.0), dom).passed
-    assert check_decay(spec, V_SUM_SQ, Bounds(1.0, 2.0, 0.0, 1.0), dom).passed
+    for alpha4 in (2.0, 1.0):
+        assert check_certificate(spec, V_SUM_SQ, Bounds(1.0, 2.0, 0.0, alpha4),
+                                 dom)[1].passed
 
 
 def test_decay_requires_alpha4():
+    # the time-invariant form has no decay condition of its own
     with pytest.raises(ValueError, match="alpha4"):
-        check_decay(builtin_system("lti-remark1"), V_NORM_SQ,
-                    Bounds(1.0, 1.0, 2.0), domain(samples=10))
+        lyapunov._falsify(builtin_system("lti-remark1"), V_NORM_SQ,
+                          domain(samples=10),
+                          [lyapunov._decay(Bounds(1.0, 1.0, 2.0))])
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +236,21 @@ def test_decay_requires_alpha4():
 # ---------------------------------------------------------------------------
 
 def test_time_invariant_demo_certificate_passes():
-    report = check_time_invariant(
+    report = check_certificate(
         builtin_system("ex2-timeinvariant"), V_SUM_SQ,
-        Bounds(1.0, 2.0, 2.0, p=2.0), domain())
+        Bounds(1.0, 2.0, 2.0, p=2.0), domain())[0]
     assert report.passed
 
 
 def test_time_invariant_rejects_time_varying_system():
     with pytest.raises(ValueError, match="time-varying"):
-        check_time_invariant(builtin_system("ex1-timevarying"), V_SUM_SQ,
-                             Bounds(1.0, 2.0, 2.0), domain(samples=10))
+        check_certificate(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                          Bounds(1.0, 2.0, 2.0), domain(samples=10))
 
 
 def test_time_invariant_rejects_time_dependent_certificate():
     with pytest.raises(ValueError, match="t-independent"):
-        check_time_invariant(
+        check_certificate(
             builtin_system("ex2-timeinvariant"),
             CandidateV.from_string("exp(t)*(xi1 + xi2)^2"),
             Bounds(1.0, 2.0, 2.0), domain(samples=10))
@@ -253,9 +259,29 @@ def test_time_invariant_rejects_time_dependent_certificate():
 def test_time_invariant_overclaimed_decay_fails():
     spec = builtin_system("ex2-timeinvariant")
     bounds = Bounds(1.0, 2.0, 12.0, p=2.0)
-    report = check_time_invariant(spec, V_SUM_SQ, bounds, domain(samples=2_000))
+    report = check_certificate(spec, V_SUM_SQ, bounds,
+                               domain(samples=2_000))[0]
     assert not report.passed
     assert reverify_counterexample(spec, V_SUM_SQ, bounds, report) < -1e-6
+
+
+@pytest.mark.parametrize("system", BUILTIN_NAMES)
+def test_the_single_condition_checks_give_check_certificates_reports(system):
+    # check_sandwich and check_decay remain only because bench/tracing.py
+    # times the lyapunov layer through them: until it stops, each must give
+    # the bytes of its report of the one entry point
+    spec = builtin_system(system)
+    dom = domain(samples=1_000, seed=4, x_range=4.0)
+    for certificate in ("(xi1 + xi2)^2", "abs(xi1) + 2*abs(xi2)",
+                        "exp(-0.5*t)*(1 + 0.1*x1^2)*(xi1 + xi2)^2"):
+        V = CandidateV.from_string(certificate)
+        for bounds in (Bounds(1.0, 2.0, 0.0, 2.0),
+                       Bounds(0.25, 8.0, 0.5, 3.0, p=1.5)):
+            reports = check_certificate(spec, V, bounds, dom)
+            alone = [check(spec, V, bounds, dom) for check
+                     in (lyapunov.check_sandwich, lyapunov.check_decay)]
+            assert [json.dumps(report_json(r)) for r in alone] \
+                == [json.dumps(report_json(r)) for r in reports]
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +349,15 @@ def test_domain_takes_numpy_and_bool_seeds(seed):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("check", [check_certificate, check_sandwich,
-                                   check_decay, check_time_invariant])
+@pytest.mark.parametrize("alpha4", [2.0, None], ids=[
+    "check_certificate", "check_certificate-time-invariant"])
 @pytest.mark.parametrize("intervals", [1, 3])
-def test_checks_reject_a_box_of_another_dimension(check, intervals):
+def test_checks_reject_a_box_of_another_dimension(alpha4, intervals):
     dom = CheckDomain(x_box=((-1.0, 1.0),) * intervals, samples=10)
     with pytest.raises(ValueError, match=f"box has {intervals} intervals, "
                                          "system has n=2"):
-        check(builtin_system("lti-remark1"), V_NORM_SQ,
-              Bounds(1.0, 2.0, 1.0, 2.0), dom)
+        check_certificate(builtin_system("lti-remark1"), V_NORM_SQ,
+                          Bounds(1.0, 2.0, 1.0, alpha4), dom)
 
 
 @pytest.mark.parametrize("kw", [
@@ -360,7 +386,7 @@ def test_bounds_reject_constants_out_of_range(kw, message):
 def test_a_passing_report_has_no_counterexample_to_reverify():
     spec = builtin_system("ex1-timevarying")
     bounds = Bounds(1.0, 2.0, 0.0, 2.0)
-    report = check_sandwich(spec, V_SUM_SQ, bounds, domain(samples=100))
+    report = check_certificate(spec, V_SUM_SQ, bounds, domain(samples=100))[0]
     assert report.passed
     with pytest.raises(ValueError, match="report has no counterexample"):
         reverify_counterexample(spec, V_SUM_SQ, bounds, report)
@@ -405,8 +431,8 @@ def test_certified_decay_bounds_integrated_certificate():
     # with the decay condition passing at rate 2, V along any augmented
     # trajectory must sit under V(0) e^{-2 t} (up to solver slack)
     spec = builtin_system("ex1-timevarying")
-    assert check_decay(spec, V_SUM_SQ, Bounds(1.0, 2.0, 0.0, 2.0),
-                       domain(samples=2_000)).passed
+    assert check_certificate(spec, V_SUM_SQ, Bounds(1.0, 2.0, 0.0, 2.0),
+                             domain(samples=2_000))[1].passed
     aug = augment(spec)
     rng = np.random.default_rng(17)
 
@@ -443,15 +469,16 @@ def test_certified_decay_bounds_integrated_certificate():
 def test_reports_are_deterministic():
     spec = builtin_system("ex1-timevarying")
     bounds = Bounds(1.0, 2.0, 0.0, 2.0)
-    r1 = check_sandwich(spec, V_SUM_SQ, bounds, domain(samples=3_000))
-    r2 = check_sandwich(spec, V_SUM_SQ, bounds, domain(samples=3_000))
+    r1 = check_certificate(spec, V_SUM_SQ, bounds, domain(samples=3_000))[0]
+    r2 = check_certificate(spec, V_SUM_SQ, bounds, domain(samples=3_000))[0]
     assert report_json(r1) == report_json(r2)
     assert r1.worst_margin == r2.worst_margin
 
 
 def test_report_json_shape():
-    report = check_decay(builtin_system("lti-remark1"), V_NORM_SQ,
-                         Bounds(1.0, 1.0, 0.0, 2.0), domain(samples=500))
+    report = check_certificate(builtin_system("lti-remark1"), V_NORM_SQ,
+                               Bounds(1.0, 1.0, 0.0, 2.0),
+                               domain(samples=500))[1]
     doc = report_json(report)
     assert set(doc) == {"condition", "passed", "checked", "worst_margin",
                         "counterexample"}
@@ -463,8 +490,8 @@ def test_nan_slack_is_a_violation_reported_as_null():
     # nan slack (the unit-axis probes do not)
     huge = CheckDomain(x_box=((-1.0, 1.0), (-1.0, 1.0)), samples=300,
                        xi_radii=(1e200,))
-    report = check_decay(builtin_system("ex1-timevarying"), V_SUM_SQ,
-                         Bounds(1.0, 2.0, 0.0, 2.0), huge)
+    report = check_certificate(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                               Bounds(1.0, 2.0, 0.0, 2.0), huge)[1]
     assert not report.passed
     assert math.isnan(report.worst_margin)
     doc = report_json(report)
@@ -478,7 +505,7 @@ def test_counterexample_prefers_a_numeric_slack():
     bounds = Bounds(1.0, 2.0, 0.0, 12.0)
     mixed = CheckDomain(x_box=((-5.0, 5.0), (-5.0, 5.0)), samples=2_000,
                         xi_radii=(1.0, 1e200))
-    report = check_decay(spec, V_SUM_SQ, bounds, mixed)
+    report = check_certificate(spec, V_SUM_SQ, bounds, mixed)[1]
     assert math.isnan(report.worst_margin)
     assert report.counterexample["slack"] < -1e-9
     assert reverify_counterexample(spec, V_SUM_SQ, bounds, report) < -1e-6
@@ -532,7 +559,7 @@ def test_row_blocks_judge_as_one_pass(monkeypatch, blocks):
     bounds = Bounds(1.0, 2.0, 0.0, 12.0)
     # scaling xi by 1e3 scales the decay slack by 1e6: the worst sample
     # scaled stays the worst
-    worst = check_decay(spec, V_SUM_SQ, bounds, dom).counterexample
+    worst = check_certificate(spec, V_SUM_SQ, bounds, dom)[1].counterexample
     scaled = np.multiply(1e3, worst["xi"])
     _injecting(monkeypatch, {
         rows // 2: {"x": worst["x"], "xi": scaled, "t": worst["t"]},
@@ -576,7 +603,7 @@ def test_a_block_tie_goes_to_the_lower_index(monkeypatch):
     spec = builtin_system("ex1-timevarying")
     bounds = Bounds(1.0, 2.0, 0.0, 12.0)
     dom = domain(samples=1_000, seed=5)
-    worst = check_decay(spec, V_SUM_SQ, bounds, dom).counterexample
+    worst = check_certificate(spec, V_SUM_SQ, bounds, dom)[1].counterexample
     monkeypatch.setattr(lyapunov, "_BLOCK", 64)
     real = lyapunov._draw_blocks
     scaled = np.multiply(1e3, worst["xi"])
@@ -585,7 +612,7 @@ def test_a_block_tie_goes_to_the_lower_index(monkeypatch):
         _injecting(monkeypatch, {
             low: {"x": worst["x"], "xi": scaled, "t": worst["t"]},
             high: {"x": worst["x"], "xi": -scaled, "t": worst["t"]}})
-        report = check_decay(spec, V_SUM_SQ, bounds, dom)
+        report = check_certificate(spec, V_SUM_SQ, bounds, dom)[1]
         x, xi, t = _drawn(spec.n, dom)
         v = evaluate(V_SUM_SQ.expr, {"xi1": xi[:, 0], "xi2": xi[:, 1]})
         with np.errstate(all="ignore"):
@@ -606,7 +633,7 @@ def test_decay_is_nan_where_f_is_undefined_and_v_ignores_x():
     spec = SystemSpec.from_strings("log", 1, 1, ["ln(x1)"], ["x1"])
     V = CandidateV.from_string("xi1^2")
     dom = CheckDomain(x_box=((-2.0, -1.0),), samples=100, seed=3)
-    report = check_decay(spec, V, Bounds(1.0, 2.0, 0.0, 2.0), dom)
+    report = check_certificate(spec, V, Bounds(1.0, 2.0, 0.0, 2.0), dom)[1]
     assert not report.passed and math.isnan(report.worst_margin)
     assert math.isnan(report.counterexample["slack"])
     assert math.isnan(report.counterexample["vdot"])
@@ -648,7 +675,7 @@ def test_decay_keeps_the_products_where_f_is_not_proven_finite(
     spec = SystemSpec.from_strings("unproven", len(f), 1, f, ["x1"])
     V = CandidateV.from_string("xi1^2")
     dom = CheckDomain(x_box=x_box, samples=100, seed=3)
-    check_decay(spec, V, Bounds(1.0, 2.0, 0.0, 2.0), dom)
+    check_certificate(spec, V, Bounds(1.0, 2.0, 0.0, 2.0), dom)
     assert kernels_built == [False]
 
 

@@ -21,7 +21,7 @@ from occtl.contraction import (
     SamplingPlan, check_oes_variational, check_output_contraction,
 )
 from occtl.lyapunov import (
-    Bounds, CandidateV, CheckDomain, check_decay, check_time_invariant,
+    Bounds, CandidateV, CheckDomain, check_certificate,
 )
 from occtl.sysmodel import builtin_system
 from oracles import OUTPUT_ODES, rk4_scalar
@@ -77,8 +77,8 @@ BOX = CheckDomain(x_box=((-5.0, 5.0), (-5.0, 5.0)), samples=10_000, seed=0)
 @pytest.mark.parametrize("alpha4,passes", [(3.4211, True), (3.4411, False)])
 def test_decay_falsifier_finds_the_exact_threshold_on_ex1(alpha4, passes):
     bounds = Bounds(alpha1=1.0, alpha2=2.0, alpha3=0.0, alpha4=alpha4)
-    report = check_decay(builtin_system("ex1-timevarying"), V_SUM_SQ, bounds,
-                         BOX)
+    report = check_certificate(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                               bounds, BOX)[1]
     assert report.passed is passes
 
 
@@ -86,6 +86,6 @@ def test_decay_falsifier_finds_the_exact_threshold_on_ex1(alpha4, passes):
 def test_time_invariant_falsifier_finds_the_exact_threshold_on_ex2(alpha3,
                                                                    passes):
     bounds = Bounds(alpha1=1.0, alpha2=2.0, alpha3=alpha3)
-    report = check_time_invariant(builtin_system("ex2-timeinvariant"),
-                                  V_SUM_SQ, bounds, BOX)
+    report = check_certificate(builtin_system("ex2-timeinvariant"),
+                               V_SUM_SQ, bounds, BOX)[0]
     assert report.passed is passes

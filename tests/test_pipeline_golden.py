@@ -8,8 +8,8 @@ checker pipeline; a batched or reordered pipeline must reproduce them bit for
 bit.
 
 The certificate cases pin `report_json` of the sandwich, decay and
-time-invariant checks (or the error each raises) for six certificates on the
-four built-ins, two seeds and three bound sets, `vdot` on 257 rows mixing
+time-invariant conditions (or the error each raises) for six certificates on
+the four built-ins, two seeds and three bound sets, `vdot` on 257 rows mixing
 uniform draws with the special values of the field cases, and the results
 of the reference 1e5-sample `lyapunov` runs.  They were recorded while the
 falsifier still took f from the tree-walking evaluator and Jf and Jh from
@@ -43,9 +43,9 @@ from occtl.contraction import (
     check_output_contraction, check_partial_contraction, verdict_json,
 )
 from occtl.cli import main
+from occtl import lyapunov
 from occtl.lyapunov import (
-    Bounds, CandidateV, CheckDomain, check_decay, check_sandwich,
-    check_time_invariant, report_json, vdot,
+    Bounds, CandidateV, CheckDomain, check_certificate, report_json, vdot,
 )
 from occtl.sysmodel import augment, builtin_system, vector_field
 from oracles import dual_vdot
@@ -317,26 +317,44 @@ BOUND_SETS = (Bounds(1.0, 2.0, 0.0, 2.0), Bounds(0.25, 8.0, 0.5, 3.0, p=1.5),
 
 CERT_SEEDS = (3, 2 ** 63 + 11)
 
-CERT_CHECKS = (check_sandwich, check_decay, check_time_invariant)
-
 CERT_CASES = [f"{name}/{i}" for name in SYSTEMS
               for i in range(len(CERTIFICATES))]
 
 
 def _cert_lines(name: str, V: CandidateV):
-    """`report_json` of every check, seed and bound set as JSON text (key
-    order kept), or the message of the error a check raised."""
+    """For every seed and bound set, `report_json` of the sandwich, the
+    decay and the time-invariant sandwich+decay as JSON text (key order
+    kept), or the message of the error a condition raised.
+    `check_certificate` judges the conditions of the bound set's form;
+    `_falsify` judges each condition of the other form alone."""
     spec = builtin_system(name)
     for seed in CERT_SEEDS:
         domain = CheckDomain(x_box=((-4.0, 4.0), (-4.0, 4.0)), samples=400,
                              seed=seed)
         for bounds in BOUND_SETS:
-            for check in CERT_CHECKS:
-                try:
-                    yield json.dumps(report_json(check(spec, V, bounds,
-                                                       domain)))
-                except ValueError as err:
-                    yield f"error: {err}"
+            conditions = (
+                ("sandwich", lambda: lyapunov._sandwich(bounds, domain)),
+                ("decay", lambda: lyapunov._decay(bounds)),
+                ("time-invariant", lambda: lyapunov._time_invariant(
+                    spec, V, bounds)))
+            form = ("sandwich", "decay") if bounds.alpha4 is not None \
+                else ("time-invariant",)
+            try:
+                reports = dict(zip(form, check_certificate(spec, V, bounds,
+                                                           domain)))
+            except ValueError as err:
+                reports = dict.fromkeys(form, err)
+            for key, condition in conditions:
+                if key not in reports:
+                    try:
+                        reports[key] = lyapunov._falsify(
+                            spec, V, domain, [condition()],
+                            at_time_zero=key == "time-invariant")[0]
+                    except ValueError as err:
+                        reports[key] = err
+                yield f"error: {reports[key]}" \
+                    if isinstance(reports[key], ValueError) \
+                    else json.dumps(report_json(reports[key]))
 
 
 def _vdot_rows():
