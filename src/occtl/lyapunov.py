@@ -478,8 +478,8 @@ def _decay(bounds: Bounds) -> tuple:
 
 def _time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds) -> tuple:
     if not spec.time_invariant:
-        raise ValueError(f"{spec.name!r} is time-varying; use the "
-                         "sandwich and decay checks")
+        raise ValueError(f"{spec.name!r} is time-varying; its certificate "
+                         "needs alpha4 (the time-varying form)")
     if V.time_dependent:
         raise ValueError(
             "the time-invariant check needs a t-independent certificate")

@@ -284,6 +284,9 @@ def test_malformed_vector_names_its_flag(capsys, argv, flag):
      "interval must look like 'lo:hi', got '1-2'"),
     (["contraction", *LTI, "--box=-5:5"], None,
      "box needs 2 interval(s), got 1"),
+    (["lyapunov", "--system", "ex1-timevarying", *LYAPUNOV[3:]], None,
+     "'ex1-timevarying' is time-varying; its certificate needs alpha4 "
+     "(the time-varying form)\n"),
 ])
 def test_an_unusable_input_is_a_one_line_usage_error(
         tmp_path, monkeypatch, capsys, argv, threads, message):

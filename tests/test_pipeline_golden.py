@@ -393,18 +393,18 @@ CERT_GOLDEN = {
     'lti-remark1/3': '2d8f3121f9df61d4868e0b74ed00169ee50008615dbb406bfe33088e8f5291ea',
     'lti-remark1/4': '127555471ad6015d74bc65a553e5d00b042653f6d4589579ea62a3db920b1d93',
     'lti-remark1/5': '755aedb94f8d9980bcadc69569c2ca7033f90f4b982b62f5b3e84e79e6941d56',
-    'lti-remark1-badout/0': '5453bc474d2b667f683c8edd49df77371d30f680db78d035b95d03deffec00f9',
-    'lti-remark1-badout/1': '51bbcaeebc6764fb8e49cc208db4b07ef4b0b35a382eb239a16926f20fb56c88',
-    'lti-remark1-badout/2': '1b6f493d8b23968f0d67aa5da4636969aaf683168cc584d7f4860448af8515e6',
-    'lti-remark1-badout/3': '4959b73d6ea1f7e62e0c887bd4b1824807ccef149357a3931aa01f54bdfe1b8c',
-    'lti-remark1-badout/4': '5a9e8b2c207850c54834065530a8f3f4bc3156aed2eea876de0c2925e5fd4a68',
-    'lti-remark1-badout/5': '0efc697688bb37ccab8da7f28aa65fc81f5c42cb6a75bbc1529606abad976d3b',
-    'ex1-timevarying/0': 'b0092035cbe7617a33c12329c4084e9abdb2bfd37a9c112c46b10ca5e364adab',
-    'ex1-timevarying/1': '924c621d6e6236430abcdaf90c055413c454bef1cde578f4266150175506ff43',
-    'ex1-timevarying/2': '76712a484d96989ad5007107e5e4e48e4589583e1ffba7fb7b62596f9c572ccb',
-    'ex1-timevarying/3': 'bed17552f93d643c7aea1233651302aab298dc3c5953863b12d2c84b3ef3cf7f',
-    'ex1-timevarying/4': 'ff3eef9d5bf37acb69d1bd726c25043c591332a780392eaa52bc09c394cd9b1e',
-    'ex1-timevarying/5': 'fa034560a9978f3bbcf4c29ca724f3dd803cda3ba4451efecf016a36faedf5f9',
+    'lti-remark1-badout/0': '5306ebadf86e5640832b76e94bf936b9659fee130cc9f0da21109fbdd4483276',
+    'lti-remark1-badout/1': '5b2fe50c97517e847b0b5c97ddeb6dfb8230efb1e858560e3997b8efe246457b',
+    'lti-remark1-badout/2': '3f89dddf78ebb5e9f22dec45123ccf267c24828cfdc31671738ba8e8a5b6750c',
+    'lti-remark1-badout/3': 'e0411630163bc207edc36abd08151b3b8dd9a3432dbdb1e8f6e2e7aee8327c5a',
+    'lti-remark1-badout/4': 'ca99a604fbe2be8c202007a0ce97cbb2e63b906e5c84cf493ac09842be379be8',
+    'lti-remark1-badout/5': 'ae4ccb2bbecc088de932a63556db93c6d392723a51635d68c7b3fde83844acad',
+    'ex1-timevarying/0': '5e9e0308f5e52a19eb80b2352e0066c96ab720f2ded418226d45d3a06b139887',
+    'ex1-timevarying/1': 'ab8a591c7101f94c003d8de7e1a1936b90583012f5104a06e0f147d992afa861',
+    'ex1-timevarying/2': 'ba957fb33c4b67873df1090affe9a84b9e4f10aaa22b5a7d2aded776d67c6e30',
+    'ex1-timevarying/3': 'a9a93f3cc4a0ab3baf8c415f4c13ca6ee201d3ed780f6b49f14691234f4bc076',
+    'ex1-timevarying/4': '51d18322f4ac093071c89f9779f0c5a652fea85a85089d70f9c4f659c6d25d18',
+    'ex1-timevarying/5': 'd407ba88474e9683dee0e88d32ab67115d77524d7273c0820b4dfbe33bc597f5',
     'ex2-timeinvariant/0': '2353e74244a54b69dce1a1946ad7d1f7041666e9b38f19810a058fa17a6a8e5e',
     'ex2-timeinvariant/1': '8122108d831b6be310ff906e911a15dc227386b8f3f1f666957bb5d47c9bddde',
     'ex2-timeinvariant/2': '384e9f9d6574552d3c7ab3f83a45e916bc5b1ac34320008287bf55e9850d0864',
