@@ -503,6 +503,20 @@ def test_integer_bindings_take_a_float_power():
     assert isinstance(got, np.float64) and got == 0.5
 
 
+@pytest.mark.parametrize("source, env", [
+    ("x^2", {"x": np.array([2 ** 40])}),   # int64 wraps to 0 in x*x
+    ("x*y", {"x": np.array([2 ** 62]), "y": 4}),
+    ("x^3", {"x": 3}),                     # the int 27 in integer arithmetic
+    ("x - y", {"x": np.array([True]), "y": np.uint8(200)}),
+])
+def test_integer_bindings_take_the_bits_of_their_kernel_row(source, env):
+    names = sorted(env)
+    row = np.array([[float(np.asarray(env[name]).item()) for name in names]])
+    want = compile_expr([parse(source)], names)(row, 0.0)[0, 0]
+    got = evaluate(parse(source), env)
+    assert np.asarray(got).dtype == float and _bits(got) == _bits(want)
+
+
 def test_compiled_matches_evaluate_bit_for_bit_or_returns_where_it_raises():
     # evaluate sees each sample as floats and as a one-element batch, and
     # gives its row's bits either way; a sample outside the domain raises in
