@@ -80,8 +80,12 @@ class SamplingPlan:
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise ValueError(
                     f"box interval [{lo}, {hi}] is empty or not finite")
-        if self.pairs < 1:
-            raise ValueError("need at least one pair")
+        try:
+            if operator.index(self.pairs) < 1:
+                raise ValueError("need at least one pair")
+        except TypeError:
+            raise ValueError(
+                f"pairs must be an integer, got {self.pairs!r}") from None
         try:
             if not 0 <= operator.index(self.seed) < 2 ** 64:
                 raise ValueError(f"seed must fit in 64 bits, got {self.seed}")

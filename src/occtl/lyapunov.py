@@ -155,8 +155,12 @@ class CheckDomain:
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise ValueError(
                     f"x_box interval [{lo}, {hi}] is empty or not finite")
-        if self.samples < 1:
-            raise ValueError("need at least one sample")
+        try:
+            if operator.index(self.samples) < 1:
+                raise ValueError("need at least one sample")
+        except TypeError:
+            raise ValueError(
+                f"samples must be an integer, got {self.samples!r}") from None
         try:
             if operator.index(self.seed) < 0:
                 raise ValueError(f"seed must be non-negative, got {self.seed}")

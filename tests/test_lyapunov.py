@@ -340,6 +340,18 @@ def test_domain_rejects_a_non_integer_seed_naming_it(seed):
         CheckDomain(x_box=((-1.0, 1.0), (-1.0, 1.0)), seed=seed)
 
 
+@pytest.mark.parametrize("field", ["pairs", "samples"])
+@pytest.mark.parametrize("count", [2.5, "3", 0])
+def test_a_count_must_be_a_positive_integer(field, count):
+    box = ((-1.0, 1.0),)
+    record = SamplingPlan(box=box) if field == "pairs" \
+        else CheckDomain(x_box=box)
+    message = "need at least one" if count == 0 \
+        else re.escape(f"{field} must be an integer, got {count!r}")
+    with pytest.raises(ValueError, match=message):
+        dataclasses.replace(record, **{field: count})
+
+
 @pytest.mark.parametrize("seed", [np.int64(1), np.uint64(1), True])
 def test_domain_takes_numpy_and_bool_seeds(seed):
     box = ((-1.0, 1.0), (-1.0, 1.0))
