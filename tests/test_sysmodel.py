@@ -223,6 +223,42 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     assert unused == []
 
 
+def test_every_module_level_import_is_read(monkeypatch):
+    # a name a module imports is read there or exported in its __all__;
+    # the only exceptions are `noqa: F401` imports that bench/tracing.py's
+    # spans look up on that module, which go once the tracer stops naming
+    # them
+    monkeypatch.syspath_prepend(str(Path(occtl.__file__).parents[2] / "bench"))
+    import tracing
+    spanned = {(module.__name__, name) for module, name, _ in tracing._SPANS}
+    unused = []
+    for path in sorted(Path(occtl.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        source = path.read_text()
+        lines = source.splitlines()
+        tree = ast.parse(source)
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Load)}
+        exported = {name for top in tree.body if isinstance(top, ast.Assign)
+                    and any(getattr(target, "id", None) == "__all__"
+                            for target in top.targets)
+                    for name in ast.literal_eval(top.value)}
+        for top in tree.body:
+            if not isinstance(top, (ast.Import, ast.ImportFrom)) \
+                    or getattr(top, "module", None) == "__future__":
+                continue
+            noqa = any("noqa: F401" in line
+                       for line in lines[top.lineno - 1:top.end_lineno])
+            for alias in top.names:
+                name = (alias.asname or alias.name).split(".")[0]
+                if name not in read | exported and not (
+                        noqa and (f"occtl.{path.stem}", name) in spanned):
+                    unused.append((path.name, name))
+    assert unused == []
+
+
 def test_eval_fh_batched_matches_loop():
     spec = builtin_system("ex1-timevarying")
     rng = np.random.default_rng(3)
