@@ -31,7 +31,6 @@ Conventions shared by the checks:
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +39,8 @@ from .odeint import (
     IntegratorConfig, Trajectory, integrate, integrate_batch, sample_at,
 )
 from .sysmodel import (
-    SystemSpec, augment, jacobians, json_safe, output_map, vector_field,
+    SystemSpec, _integer, augment, jacobians, json_safe, output_map,
+    vector_field,
 )
 from .sysmodel import eval_fh  # noqa: F401  looked up by bench/tracing.py
 
@@ -80,18 +80,10 @@ class SamplingPlan:
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise ValueError(
                     f"box interval [{lo}, {hi}] is empty or not finite")
-        try:
-            if operator.index(self.pairs) < 1:
-                raise ValueError("need at least one pair")
-        except TypeError:
-            raise ValueError(
-                f"pairs must be an integer, got {self.pairs!r}") from None
-        try:
-            if not 0 <= operator.index(self.seed) < 2 ** 64:
-                raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
-        except TypeError:
-            raise ValueError(
-                f"seed must be an integer, got {self.seed!r}") from None
+        if _integer(self.pairs, "pairs") < 1:
+            raise ValueError("need at least one pair")
+        if not 0 <= _integer(self.seed, "seed") < 2 ** 64:
+            raise ValueError(f"seed must fit in 64 bits, got {self.seed}")
         if not (self.tf > self.t0 and math.isfinite(self.tf - self.t0)):
             raise ValueError(
                 f"need finite t0 < tf, got [{self.t0}, {self.tf}]")

@@ -352,26 +352,17 @@ def evaluate(e: Expr, env: Mapping[str, Number]) -> Number:
     """Evaluate a tree in IEEE double precision.
 
     Values bound in `env` may be floats or numpy arrays of a common shape;
-    array values evaluate elementwise.  An integer value (an int, a numpy
-    integer or bool, an integer or bool array) is taken as float on entry,
-    as a kernel takes it; float and array values are used as they are.
-    Raises ExprEvalError for unbound variables and for domain violations
-    (ln of a non-positive value, square root of a negative value, division
-    by zero), naming the offending subexpression.
+    array values evaluate elementwise.  An integer or bool value is taken
+    as float on entry, as a kernel takes it; other values are used as they
+    are.  Raises ExprEvalError for unbound variables and for domain
+    violations (ln of a non-positive value, square root of a negative value,
+    division by zero), naming the offending subexpression.
     """
-    env = {name: _as_float(value) for name, value in env.items()}
+    env = {name: np.asarray(value, dtype=float)[()]   # [()]: a 0-d as a scalar
+           if np.asarray(value).dtype.kind in "biu" else value
+           for name, value in env.items()}
     with np.errstate(all="ignore"):
         return _eval(e, env)
-
-
-def _as_float(value):
-    """An integer or bool value as float, the value a kernel reads; any
-    other value unchanged."""
-    if isinstance(value, (int, np.integer, np.bool_)):
-        return float(value)
-    if isinstance(value, np.ndarray) and value.dtype.kind in "biu":
-        return value.astype(float)
-    return value
 
 
 def _eval(e: Expr, env: Mapping[str, Number]) -> Number:

@@ -10,29 +10,28 @@ A candidate certificate V(x, xi, t) together with constants
 
 For time-invariant systems the corollary variant drops the t dependence and
 the exponential weight, and its decay constant is named alpha3 (leave alpha4
-unset for that form).  `check_certificate` is the entry point: it picks the
+unset for that form).  `check_certificate`, the entry point, picks the
 conditions of the certificate's form and judges them on one draw of the
-domain.  (`check_sandwich` and `check_decay` judge one condition each
-through the same pipeline; they remain only because the benchmark tracer,
-bench/tracing.py, times the lyapunov layer through those names.)  A check
-reads the one kernel of the candidate's V,
-nu and Vdot, whatever its conditions: nu is the symbolic Jh xi and Vdot one
-symbolic tree of V's partials (abs differentiates to sign), f and Jf xi, so
-subtrees they share are computed once.  The draw is made and judged in
-blocks of `_BLOCK` rows that stay in cache: each block's (x, xi) state is
-written into one buffer of the check, the kernel is called once on it, and
-each condition keeps only the block's least slack and its violated row of
-least slack, with that row's named terms; of the draw only its xi
-directions are kept whole.  The kernel has no domain guards, so a sample
-where f, h or V is undefined gets a nan slack, which counts as a violation
-of that sample instead of failing the run.  To keep that where V does not
-depend on some x_i, Vdot multiplies f_i by the zero partial, unless an
-interval enclosure proves f finite on the whole sampling box; then the
-product, +-0.0, is left out, which changes no bit of Vdot; so a candidate
-has at most two kernels, with and without those products.  A passing report
-is evidence over the sampled domain, never a proof; a failing report
-carries a counterexample that re-evaluates to a violation through an
-independent finite-difference path, unless its slack is nan.
+domain (`check_sandwich` and `check_decay` judge one condition each, and
+remain only because bench/tracing.py times the lyapunov layer through them).
+A check reads the one kernel of the candidate's V, nu and Vdot, whatever its
+conditions: nu is the symbolic Jh xi and Vdot one symbolic tree of V's
+partials (abs differentiates to sign), f and Jf xi, so subtrees they share
+are computed once.  The draw is made and judged in blocks of `_BLOCK` rows
+that stay in cache: each block's (x, xi) state is written into one buffer of
+the check, the kernel is called once on it, and each condition keeps only
+the block's least slack and its violated row of least slack, with that row's
+named terms; of the draw only its xi directions are kept whole.  The kernel
+has no domain guards, so a sample where f, h or V is undefined gets a nan
+slack, which counts as a violation of that sample instead of failing the
+run.  To keep that where V does not depend on some x_i, Vdot multiplies f_i
+by the zero partial, unless an interval enclosure proves f finite on the
+whole sampling box; then the product, +-0.0, is left out, which changes no
+bit of Vdot; so a candidate has at most two kernels, with and without those
+products.  A passing report is evidence over the sampled domain, never a
+proof; a failing report carries a counterexample that re-evaluates to a
+violation through an independent finite-difference path, unless its slack is
+nan.
 
 Certificates are checked, never synthesised.
 """
@@ -41,7 +40,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +50,8 @@ from .exprlang import (
 )
 from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 from .sysmodel import (
-    SystemSpec, _tangent_names, _tangents, eval_fh, finite_diff_jacobian,
-    json_safe,
+    SystemSpec, _integer, _tangent_names, _tangents, eval_fh,
+    finite_diff_jacobian, json_safe,
 )
 from .sysmodel import jacobians  # noqa: F401  looked up by bench/tracing.py
 
@@ -155,18 +153,10 @@ class CheckDomain:
             if not (lo < hi and math.isfinite(hi - lo)):
                 raise ValueError(
                     f"x_box interval [{lo}, {hi}] is empty or not finite")
-        try:
-            if operator.index(self.samples) < 1:
-                raise ValueError("need at least one sample")
-        except TypeError:
-            raise ValueError(
-                f"samples must be an integer, got {self.samples!r}") from None
-        try:
-            if operator.index(self.seed) < 0:
-                raise ValueError(f"seed must be non-negative, got {self.seed}")
-        except TypeError:
-            raise ValueError(
-                f"seed must be an integer, got {self.seed!r}") from None
+        if _integer(self.samples, "samples") < 1:
+            raise ValueError("need at least one sample")
+        if _integer(self.seed, "seed") < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         t_lo, t_hi = self.t_range
         if not (0 <= t_lo <= t_hi and math.isfinite(t_hi)):
             raise ValueError("t_range must satisfy 0 <= t_lo <= t_hi < inf")

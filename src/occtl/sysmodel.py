@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Mapping
@@ -284,6 +285,15 @@ def augment(spec: SystemSpec) -> AugmentedSystem:
     """Attach the variational dynamics, compiled from symbolic derivatives,
     to a system; made once and cached on the spec."""
     return spec._augmented
+
+
+def _integer(value, name: str) -> int:
+    """`value` as an int (a numpy integer or a bool is one), else
+    ValueError naming `name` and the value."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 # ---------------------------------------------------------------------------
