@@ -352,14 +352,15 @@ def evaluate(e: Expr, env: Mapping[str, Number]) -> Number:
     """Evaluate a tree in IEEE double precision.
 
     Values bound in `env` may be floats or numpy arrays of a common shape;
-    array values evaluate elementwise.  An integer or bool value is taken
-    as float on entry, as a kernel takes it; other values are used as they
-    are.  Raises ExprEvalError for unbound variables and for domain
-    violations (ln of a non-positive value, square root of a negative value,
-    division by zero), naming the offending subexpression.
+    array values evaluate elementwise.  A value of another type (an int, a
+    bool, a float32) is taken as float on entry, as a kernel takes it; a
+    float or float array is used as it is.  Raises ExprEvalError for
+    unbound variables and for domain violations (ln of a non-positive
+    value, square root of a negative value, division by zero), naming the
+    offending subexpression.
     """
     env = {name: np.asarray(value, dtype=float)[()]   # [()]: a 0-d as a scalar
-           if np.asarray(value).dtype.kind in "biu" else value
+           if np.asarray(value).dtype != float else value
            for name, value in env.items()}
     with np.errstate(all="ignore"):
         return _eval(e, env)

@@ -10,28 +10,28 @@ A candidate certificate V(x, xi, t) together with constants
 
 For time-invariant systems the corollary variant drops the t dependence and
 the exponential weight, and its decay constant is named alpha3 (leave alpha4
-unset for that form).  `check_certificate`, the entry point, picks the
-conditions of the certificate's form and judges them on one draw of the
-domain (`check_sandwich` and `check_decay` judge one condition each, and
-remain only because bench/tracing.py times the lyapunov layer through them).
-A check reads the one kernel of the candidate's V, nu and Vdot, whatever its
-conditions: nu is the symbolic Jh xi and Vdot one symbolic tree of V's
-partials (abs differentiates to sign), f and Jf xi, so subtrees they share
-are computed once.  The draw is made and judged in blocks of `_BLOCK` rows
-that stay in cache: each block's (x, xi) state is written into one buffer of
-the check, the kernel is called once on it, and each condition keeps only
-the block's least slack and its violated row of least slack, with that row's
-named terms; of the draw only its xi directions are kept whole.  The kernel
-has no domain guards, so a sample where f, h or V is undefined gets a nan
-slack, which counts as a violation of that sample instead of failing the
-run.  To keep that where V does not depend on some x_i, Vdot multiplies f_i
-by the zero partial, unless an interval enclosure proves f finite on the
-whole sampling box; then the product, +-0.0, is left out, which changes no
-bit of Vdot; so a candidate has at most two kernels, with and without those
-products.  A passing report is evidence over the sampled domain, never a
-proof; a failing report carries a counterexample that re-evaluates to a
-violation through an independent finite-difference path, unless its slack is
-nan.
+unset for that form).  `check_certificate`, the entry point, judges every
+condition of the certificate's form on one draw of the domain;
+`check_sandwich` and `check_decay` judge one condition each through the
+same pipeline, kept only for bench/tracing.py, which times the lyapunov
+layer through them.  Every check reads the one kernel of the candidate's V,
+nu and Vdot, whatever its conditions: nu is the symbolic Jh xi and Vdot one
+symbolic tree of V's partials (abs differentiates to sign), f and Jf xi, so
+subtrees they share are computed once.  The draw is made and judged in
+blocks of `_BLOCK` rows that stay in cache: each block's (x, xi) state is
+written into one buffer of the check, the kernel is called once on it, and
+each condition keeps only the block's least slack and its violated row of
+least slack, with that row's named terms; of the draw only its xi
+directions are kept whole.  The kernel has no domain guards, so a sample
+where f, h or V is undefined gets a nan slack, which counts as a violation
+of that sample instead of failing the run.  To keep that where V does not
+depend on some x_i, Vdot multiplies f_i by the zero partial, unless an
+interval enclosure proves f finite on the whole sampling box; then the
+product, +-0.0, is left out, which changes no bit of Vdot; so a candidate
+has at most two kernels, with and without those products.  A passing report
+is evidence over the sampled domain, never a proof; a failing report
+carries a counterexample that re-evaluates to a violation through an
+independent finite-difference path, unless its slack is nan.
 
 Certificates are checked, never synthesised.
 """

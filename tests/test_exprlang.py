@@ -508,8 +508,10 @@ def test_integer_bindings_take_a_float_power():
     ("x*y", {"x": np.array([2 ** 62]), "y": 4}),
     ("x^3", {"x": 3}),                     # the int 27 in integer arithmetic
     ("x - y", {"x": np.array([True]), "y": np.uint8(200)}),
+    ("x*y + 0.1", {"x": np.float32([1.1]), "y": np.float32(3.3)}),
 ])
-def test_integer_bindings_take_the_bits_of_their_kernel_row(source, env):
+def test_bindings_other_than_float_take_the_bits_of_their_kernel_row(
+        source, env):
     names = sorted(env)
     row = np.array([[float(np.asarray(env[name]).item()) for name in names]])
     want = compile_expr([parse(source)], names)(row, 0.0)[0, 0]

@@ -38,12 +38,12 @@ import json
 import numpy as np
 import pytest
 
+from occtl import lyapunov
 from occtl.contraction import (
     SamplingPlan, check_oes_equilibrium, check_oes_variational,
     check_output_contraction, check_partial_contraction, verdict_json,
 )
 from occtl.cli import main
-from occtl import lyapunov
 from occtl.lyapunov import (
     Bounds, CandidateV, CheckDomain, check_certificate, report_json, vdot,
 )
