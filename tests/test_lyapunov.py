@@ -361,15 +361,20 @@ def test_domain_takes_numpy_and_bool_seeds(seed):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("alpha4", [2.0, None], ids=[
-    "check_certificate", "check_certificate-time-invariant"])
+@pytest.mark.parametrize("check, alpha4", [
+    (check_certificate, 2.0),
+    (lyapunov.check_sandwich, 2.0),
+    (lyapunov.check_decay, 2.0),
+    (check_certificate, None),
+], ids=["check_certificate", "check_sandwich", "check_decay",
+        "check_certificate-time-invariant"])
 @pytest.mark.parametrize("intervals", [1, 3])
-def test_checks_reject_a_box_of_another_dimension(alpha4, intervals):
+def test_checks_reject_a_box_of_another_dimension(check, alpha4, intervals):
     dom = CheckDomain(x_box=((-1.0, 1.0),) * intervals, samples=10)
     with pytest.raises(ValueError, match=f"box has {intervals} intervals, "
                                          "system has n=2"):
-        check_certificate(builtin_system("lti-remark1"), V_NORM_SQ,
-                          Bounds(1.0, 2.0, 1.0, alpha4), dom)
+        check(builtin_system("lti-remark1"), V_NORM_SQ,
+              Bounds(1.0, 2.0, 1.0, alpha4), dom)
 
 
 @pytest.mark.parametrize("kw", [
