@@ -2,8 +2,9 @@
 
 Subcommands: simulate, jacobian, contraction, partial, oes, oes-eq,
 lyapunov, reproduce.  Every randomized subcommand takes --seed (default 0)
-and prints it, so runs are reproducible; series files are written with 17
-significant digits and are byte-stable for a fixed seed and version.
+and prints it, so runs are reproducible.  Only --out DIR writes files:
+report.json and the series, one per item for a sampling check, with 17
+significant digits, byte-stable for a fixed seed and version.
 `reproduce` reads --rtol and --atol and always integrates with
 rk45-adaptive, so it rejects --method and --step (exit 2).
 
@@ -124,7 +125,10 @@ def _range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def _box(text: str, n: int) -> tuple[tuple[float, float], ...]:
+def _box(text, n: int, half_width: float) -> tuple[tuple[float, float], ...]:
+    """`text`'s lo:hi intervals, one per coordinate; +-half_width without."""
+    if text is None:
+        return ((-half_width, half_width),) * n
     box = tuple(_range(seg) for seg in text.split(","))
     if len(box) != n:
         raise UsageError(f"box needs {n} interval(s), got {len(box)}")
@@ -138,7 +142,9 @@ class _Reporter:
     def __init__(self, args):
         self.t_start = time.perf_counter()
         self.out = Path(args.out) if getattr(args, "out", None) else None
-        self.fmt = getattr(args, "format", "csv")
+        self.fmt = getattr(args, "format", None)
+        if self.out is None and self.fmt is not None:
+            raise UsageError("--format needs --out, which writes the files")
         if self.out is not None:
             try:
                 self.out.mkdir(parents=True, exist_ok=True)
@@ -217,7 +223,7 @@ def _trajectories(rep: _Reporter, spec, starts: dict, t0: float, tf: float,
 
 
 def _plan(args, spec) -> SamplingPlan:
-    return SamplingPlan(box=_box(args.box, spec.n), pairs=args.pairs,
+    return SamplingPlan(box=_box(args.box, spec.n, 5.0), pairs=args.pairs,
                         seed=args.seed, t0=args.t0, tf=args.tf)
 
 
@@ -257,8 +263,8 @@ def cmd_jacobian(args) -> int:
 
 
 def _run_verdict_command(args, checker, **results) -> int:
-    """Report ``checker(spec, plan, alpha_min=...)``, the extra `results`
-    and, with --dump-series, every item's series."""
+    """Report ``checker(spec, plan, alpha_min=...)`` and the extra
+    `results`, and write every item's divergence series."""
     rep = _Reporter(args)
     spec = load_system(args.system)
     verdict = checker(spec, _plan(args, spec),
@@ -266,10 +272,9 @@ def _run_verdict_command(args, checker, **results) -> int:
     rep.add("verdict", verdict_json(verdict))
     for key, value in results.items():
         rep.add(key, value)
-    if args.dump_series:
-        for result in verdict.results:
-            rep.write_series(f"{verdict.kind}_pair_{result.index:03d}",
-                             t=result.series.times, d=result.series.d)
+    for result in verdict.results:
+        rep.write_series(f"{verdict.kind}_pair_{result.index:03d}",
+                         t=result.series.times, d=result.series.d)
     return rep.finish(0 if verdict.holds else FALSIFIED)
 
 
@@ -287,14 +292,12 @@ def cmd_oes(args) -> int:
 
 def cmd_oes_eq(args) -> int:
     y_star = _vec(args.y_star, None, "--y-star")
-
-    def checker(spec, plan, alpha_min):
-        x_ref0 = _vec(args.x_ref0, spec.n, "--x-ref0") \
-            if args.x_ref0 is not None else None
-        return check_oes_equilibrium(spec, y_star, plan, x_ref0=x_ref0,
-                                     alpha_min=alpha_min)
-
-    return _run_verdict_command(args, checker, y_star=y_star)
+    x_ref0 = None if args.x_ref0 is None else _vec(args.x_ref0, None,
+                                                   "--x-ref0")
+    return _run_verdict_command(
+        args, lambda spec, plan, alpha_min: check_oes_equilibrium(
+            spec, y_star, plan, x_ref0=x_ref0, alpha_min=alpha_min),
+        y_star=y_star)
 
 
 def cmd_lyapunov(args) -> int:
@@ -304,8 +307,7 @@ def cmd_lyapunov(args) -> int:
     bounds = Bounds(alpha1=args.alpha1, alpha2=args.alpha2,
                     alpha3=args.alpha3, alpha4=args.alpha4, p=args.p)
     domain = CheckDomain(
-        x_box=_box(args.x_box, spec.n) if args.x_box else
-        tuple((-10.0, 10.0) for _ in range(spec.n)),
+        x_box=_box(args.x_box, spec.n, 10.0),
         t_range=_range(args.t_range),
         samples=args.samples, seed=args.seed,
         xi_radii=tuple(_vec(args.xi_radii, None, "--xi-radii").tolist()))
@@ -397,7 +399,7 @@ _SHARED = (("--system", dict(required=True, help="built-in name or path to "
            ("--t0", dict(type=float, default=0.0)),
            ("--tf", dict(type=float, default=10.0)),
            ("--out", dict(default=None, help="directory for emitted files")),
-           ("--format", dict(choices=("csv", "json"), default="csv")))
+           ("--format", dict(choices=("csv", "json"))))
 
 #: the shared flags a subcommand does not read, and so does not accept;
 #: `reproduce` NAME counts as subcommand NAME
@@ -418,12 +420,10 @@ def _command(subs, name: str, func, blurb: str) -> argparse.ArgumentParser:
 
 
 def _add_plan(sub):
-    sub.add_argument("--box", default="-5:5,-5:5",
-                     help="per-coordinate lo:hi intervals, comma separated")
+    sub.add_argument("--box", help="comma-separated lo:hi per coordinate "
+                                   "(default -5:5)")
     sub.add_argument("--pairs", "--samples", dest="pairs", type=int, default=50)
     sub.add_argument("--alpha-min", type=float, default=DEFAULT_ALPHA_MIN)
-    sub.add_argument("--dump-series", action="store_true",
-                     help="also write every pair's divergence series")
 
 
 @functools.cache
@@ -478,8 +478,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="omit for the time-invariant form (alpha3 = decay)")
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--samples", type=int, default=10_000)
-    s.add_argument("--x-box", default=None)
-    s.add_argument("--t-range", default="0:6.283185307179586")
+    s.add_argument("--x-box", help="like --box (default -10:10)")
+    s.add_argument("--t-range", default="0:6.283185307179586", help="read "
+                   "with --alpha4 only; the form without it is at t = 0")
     s.add_argument("--xi-radii", default="0.1,1,10")
 
     names = subs.add_parser(

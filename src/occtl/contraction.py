@@ -39,8 +39,8 @@ from .odeint import (
     IntegratorConfig, Trajectory, integrate, integrate_batch, sample_at,
 )
 from .sysmodel import (
-    SystemSpec, _integer, augment, jacobians, json_safe, output_map,
-    vector_field,
+    SystemSpec, _integer, _intervals, augment, jacobians, json_safe,
+    output_map, vector_field,
 )
 from .sysmodel import eval_fh  # noqa: F401  looked up by bench/tracing.py
 
@@ -74,12 +74,7 @@ class SamplingPlan:
     tf: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "box",
-                           tuple((float(lo), float(hi)) for lo, hi in self.box))
-        for lo, hi in self.box:
-            if not (lo < hi and math.isfinite(hi - lo)):
-                raise ValueError(
-                    f"box interval [{lo}, {hi}] is empty or not finite")
+        object.__setattr__(self, "box", _intervals(self.box, "box"))
         if _integer(self.pairs, "pairs") < 1:
             raise ValueError("need at least one pair")
         if not 0 <= _integer(self.seed, "seed") < 2 ** 64:
@@ -115,9 +110,10 @@ class RateFit:
     """Fitted exponential envelope d(t) <= c e^{-alpha (t - t0)} scale.
 
     (c, alpha) come from the log-linear least squares fit; `c_tight` is
-    sup_t d(t) e^{alpha (t - t0)} / scale over the full grid, so the bound
-    with c_tight holds pointwise on the grid by construction.  `window` is
-    the [t_lo, t_hi] actually used and `residual` the rms misfit of log d.
+    sup_t d(t) e^{alpha (t - t0)} / scale over every grid point but the
+    finite ones at or below the floor, so the bound with c_tight holds
+    there by construction.  `window` is the [t_lo, t_hi] actually used
+    and `residual` the rms misfit of log d.
     """
 
     c: float
@@ -175,6 +171,14 @@ def _pair_rng(seed: int, index: int) -> np.random.Generator:
 
 def _sample_box(rng: np.random.Generator, box) -> np.ndarray:
     return np.array([rng.uniform(lo, hi) for lo, hi in box])
+
+
+def _second_start(rng: np.random.Generator, box, x0: np.ndarray) -> np.ndarray:
+    """The next draw from `box` that differs from x0."""
+    z = _sample_box(rng, box)
+    while np.array_equal(z, x0):
+        z = _sample_box(rng, box)
+    return z
 
 
 def _observe(traj: Trajectory,
@@ -257,7 +261,7 @@ def fit_rate(series: DivergenceSeries, scale: float,
     residual = float(np.sqrt(np.mean((logd - (intercept + slope * tau)) ** 2)))
     with np.errstate(over="ignore"):
         envelope = d * np.exp(alpha * (t - t0))
-    c_tight = float(np.max(envelope) / scale)
+    c_tight = float(np.max(envelope[~(d <= floor)]) / scale)
     return RateFit(c=c, alpha=alpha, residual=residual,
                    window=(float(tau[0] + t0), float(tau[-1] + t0)),
                    c_tight=c_tight, valid=True, n_points=n_points)
@@ -286,13 +290,12 @@ def _witness_from(result: PairResult) -> dict:
 
 
 def _assemble(kind: str, results: list[PairResult], alpha_min: float) -> Verdict:
-    holds = all(r.passed for r in results)
     fitted = [r for r in results if r.fit is not None and r.fit.valid]
     min_alpha = min((r.fit.alpha for r in fitted), default=math.nan)
     max_c = max((r.fit.c_tight for r in fitted), default=math.nan)
     failed = [r for r in results if not r.passed]
     return Verdict(
-        kind=kind, holds=holds,
+        kind=kind, holds=not failed,
         min_alpha=float(min_alpha), max_c=float(max_c),
         pairs=len(results),
         truncated=sum(r.series.truncated for r in results),
@@ -376,10 +379,7 @@ def check_output_contraction(spec: SystemSpec, plan: SamplingPlan,
     """
     def draw(rng):
         x0 = _sample_box(rng, plan.box)
-        x0p = _sample_box(rng, plan.box)
-        while np.array_equal(x0, x0p):
-            x0p = _sample_box(rng, plan.box)
-        return x0, x0p
+        return x0, _second_start(rng, plan.box, x0)
 
     def judge(i, traj, x0, x0p):
         series = _pair_series(spec, traj, x0, x0p)
@@ -436,17 +436,11 @@ def check_partial_contraction(spec: SystemSpec, plan: SamplingPlan,
     """
     def draw(rng):
         x0 = _sample_box(rng, plan.box)
-        for _ in range(10):
-            z = _sample_box(rng, plan.box)
-            if np.array_equal(z, x0):
-                continue
-            projected, ok = _project_equal_output(spec, x0, z, plan.t0)
-            ok = ok and not np.linalg.norm(projected - x0) \
-                <= 1e-9 * (1.0 + np.linalg.norm(x0))
-            x0p = projected if ok else z
-            if not np.array_equal(x0p, x0):
-                return x0, x0p
-        raise RuntimeError("could not draw a distinct pair from the box")
+        z = _second_start(rng, plan.box, x0)
+        projected, ok = _project_equal_output(spec, x0, z, plan.t0)
+        ok = ok and not np.linalg.norm(projected - x0) \
+            <= 1e-9 * (1.0 + np.linalg.norm(x0))
+        return x0, projected if ok else z
 
     def judge(i, traj, x0, x0p):
         series = _pair_series(spec, traj, x0, x0p)

@@ -50,7 +50,7 @@ from .exprlang import (
 )
 from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 from .sysmodel import (
-    SystemSpec, _integer, _tangent_names, _tangents, eval_fh,
+    SystemSpec, _integer, _intervals, _tangent_names, _tangents, eval_fh,
     finite_diff_jacobian, json_safe,
 )
 from .sysmodel import jacobians  # noqa: F401  looked up by bench/tracing.py
@@ -147,12 +147,7 @@ class CheckDomain:
     xi_radii: tuple[float, ...] = (0.1, 1.0, 10.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "x_box",
-                           tuple((float(lo), float(hi)) for lo, hi in self.x_box))
-        for lo, hi in self.x_box:
-            if not (lo < hi and math.isfinite(hi - lo)):
-                raise ValueError(
-                    f"x_box interval [{lo}, {hi}] is empty or not finite")
+        object.__setattr__(self, "x_box", _intervals(self.x_box, "x_box"))
         if _integer(self.samples, "samples") < 1:
             raise ValueError("need at least one sample")
         if _integer(self.seed, "seed") < 0:

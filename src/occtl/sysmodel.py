@@ -296,6 +296,16 @@ def _integer(value, name: str) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
+def _intervals(box, name: str) -> tuple[tuple[float, float], ...]:
+    """`box` as float (lo, hi) pairs, else ValueError naming `name`."""
+    box = tuple((float(lo), float(hi)) for lo, hi in box)
+    for lo, hi in box:
+        if not (lo < hi and math.isfinite(hi - lo)):
+            raise ValueError(
+                f"{name} interval [{lo}, {hi}] is empty or not finite")
+    return box
+
+
 # ---------------------------------------------------------------------------
 # JSON interchange and built-in systems
 # ---------------------------------------------------------------------------

@@ -1,21 +1,26 @@
+import argparse
 import dataclasses
 import hashlib
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from occtl import cli
+from occtl import cli, contraction
 from occtl.cli import main
 from occtl.contraction import (
-    DEFAULT_ALPHA_MIN, SamplingPlan, check_output_contraction,
+    DEFAULT_ALPHA_MIN, SamplingPlan, check_oes_equilibrium,
+    check_oes_variational, check_output_contraction, check_partial_contraction,
+    verdict_json,
 )
 from occtl.exprlang import to_source
 from occtl.lyapunov import Bounds, CheckDomain
 from occtl.odeint import IntegratorConfig, integrate, map_output
-from occtl.sysmodel import builtin_system, vector_field
+from occtl.sysmodel import builtin_system, system_from_json, vector_field
 
 from oracles import output_equilibrium_root
 
@@ -287,6 +292,8 @@ def test_malformed_vector_names_its_flag(capsys, argv, flag):
     (["lyapunov", "--system", "ex1-timevarying", *LYAPUNOV[3:]], None,
      "'ex1-timevarying' is time-varying; its certificate needs alpha4 "
      "(the time-varying form)\n"),
+    (["oes-eq", *LTI, "--y-star", "0", "--x-ref0", "1,2,3"], None,
+     "x_ref0 must be a finite vector of length n=2"),
 ])
 def test_an_unusable_input_is_a_one_line_usage_error(
         tmp_path, monkeypatch, capsys, argv, threads, message):
@@ -299,6 +306,52 @@ def test_an_unusable_input_is_a_one_line_usage_error(
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", *LTI, "--x0", "1,1"],
+    ["reproduce", "fig1"], ["reproduce", "fig2"], ["reproduce", "remark1"],
+    ["contraction", *LTI], ["partial", *LTI], ["oes", *LTI],
+    ["oes-eq", *LTI, "--y-star", "0"],
+], ids=lambda argv: argv[1] if argv[0] == "reproduce" else argv[0])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_format_without_out_is_a_one_line_usage_error(monkeypatch, capsys,
+                                                      argv, fmt):
+    # only --out writes files, so a --format without it would do nothing;
+    # it is refused before anything is integrated
+    monkeypatch.setattr(cli, "integrate_batch", None)
+    monkeypatch.setattr(contraction, "integrate_batch", None)
+    assert main([*argv, "--format", fmt]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --format needs --out, which writes the files\n")
+
+
+#: each sampling check's command and its library function
+SAMPLING_CHECKS = {
+    "contraction": check_output_contraction,
+    "partial": check_partial_contraction,
+    "oes": check_oes_variational,
+    "oes-eq": lambda spec, plan: check_oes_equilibrium(spec, [0.0], plan),
+}
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("command", SAMPLING_CHECKS)
+def test_the_default_box_has_one_interval_per_state(tmp_path, capsys, n,
+                                                    command):
+    states = [f"x{i + 1}" for i in range(n)]
+    path = tmp_path / "decay.json"
+    path.write_text(json.dumps({"name": "decay", "n": n, "m": 1,
+                                "f": [f"-{x}" for x in states],
+                                "h": [" + ".join(states)]}))
+    extra = ["--y-star", "0"] if command == "oes-eq" else []
+    code, report = run_cli(capsys, command, "--system", str(path),
+                           "--pairs", "3", "--tf", "2", *extra)
+    verdict = SAMPLING_CHECKS[command](
+        system_from_json(path.read_text()),
+        SamplingPlan(box=((-5.0, 5.0),) * n, pairs=3, tf=2.0))
+    assert (code, verdict.holds) == (0, True)
+    assert report["results"]["verdict"] == verdict_json(verdict)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +443,29 @@ def test_oes_eq_time_invariant(capsys):
     assert code == 0
 
 
-def test_oes_eq_dump_series_writes_one_csv_per_sample(tmp_path, capsys):
+def test_oes_eq_out_writes_one_csv_per_sample(tmp_path, capsys):
     code, report = run_cli(capsys, "oes-eq", "--system", "lti-remark1",
                            "--y-star", "0", "--pairs", "3", "--tf", "4",
-                           "--dump-series", "--out", str(tmp_path))
+                           "--out", str(tmp_path))
     assert code == 0
     assert report["results"]["y_star"] == [0.0]
     series = sorted(p.name for p in tmp_path.glob("*.csv"))
     assert series == [f"oes-equilibrium_pair_{i:03d}.csv" for i in range(3)]
     assert report["files"] == series + ["report.json"]
+
+
+def test_oes_eq_x_ref0_sets_the_fit_scale(capsys):
+    argv = ["oes-eq", *LTI, "--y-star", "0", "--pairs", "3", "--tf", "4"]
+    code, report = run_cli(capsys, *argv, "--x-ref0", "1,-0.5")
+    verdict = check_oes_equilibrium(
+        builtin_system("lti-remark1"), [0.0],
+        SamplingPlan(box=((-5.0, 5.0),) * 2, pairs=3, tf=4.0),
+        x_ref0=[1.0, -0.5])
+    assert code == (0 if verdict.holds else 1)
+    assert report["results"]["verdict"] == verdict_json(verdict)
+    # the surrogate scale 1 + ||x0|| gives another max_c
+    _, surrogate = run_cli(capsys, *argv)
+    assert surrogate["results"]["verdict"]["max_c"] != verdict.max_c
 
 
 def test_oes_eq_rejects_time_varying(capsys):
@@ -511,12 +578,10 @@ def _strict_json(text):
 
 
 @pytest.mark.parametrize("argv,code", [
-    (["contraction", "--pairs", "3", "--box", "0.5:2,0.5:2", "--tf", "5",
-      "--dump-series"], 1),
-    (["partial", "--pairs", "3", "--box", "0.1:2,0.5:2", "--tf", "5",
-      "--dump-series"], 1),
+    (["contraction", "--pairs", "3", "--box", "0.5:2,0.5:2", "--tf", "5"], 1),
+    (["partial", "--pairs", "3", "--box", "0.1:2,0.5:2", "--tf", "5"], 1),
     (["oes-eq", "--y-star", "0", "--pairs", "3", "--box", "0.5:2,0.5:2",
-      "--tf", "5", "--dump-series"], 1),
+      "--tf", "5"], 1),
     (["simulate", "--x0", "1,1", "--tf", "5"], 3),
 ])
 def test_an_output_outside_its_domain_is_a_per_item_result(tmp_path, capsys,
@@ -658,8 +723,7 @@ def test_reproduce_remark1_honours_tolerances(tmp_path, capsys):
 
 def test_reports_and_series_are_byte_stable(tmp_path, capsys):
     argv = ["contraction", "--system", "lti-remark1", "--pairs", "5",
-            "--tf", "6", "--seed", "11", "--dump-series",
-            "--out", str(tmp_path)]
+            "--tf", "6", "--seed", "11", "--out", str(tmp_path)]
     assert main(list(argv)) == 0
     capsys.readouterr()
     first = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
@@ -679,9 +743,8 @@ SERIES_COMMANDS = (
     ["reproduce", "fig1"],
     ["reproduce", "fig2"],
     ["reproduce", "remark1", "--pairs", "5"],
-    ["contraction", *LTI, "--pairs", "3", "--tf", "4", "--dump-series"],
-    ["partial", *LTI, "--pairs", "3", "--tf", "4", "--dump-series",
-     "--format", "json"],
+    ["contraction", *LTI, "--pairs", "3", "--tf", "4"],
+    ["partial", *LTI, "--pairs", "3", "--tf", "4", "--format", "json"],
 )
 
 #: sha256[:16] of every series file SERIES_COMMANDS write; the five ex1
@@ -743,7 +806,7 @@ def test_csv_round_trips_doubles_and_is_byte_stable(tmp_path, capsys):
 
 def test_divergence_csv_format(tmp_path, capsys):
     assert main(["contraction", *LTI, "--pairs", "2", "--tf", "4",
-                 "--seed", "3", "--dump-series", "--out", str(tmp_path)]) == 0
+                 "--seed", "3", "--out", str(tmp_path)]) == 0
     capsys.readouterr()
     verdict = check_output_contraction(builtin_system("lti-remark1"),
                                        SamplingPlan(box=((-5.0, 5.0),) * 2,
@@ -802,3 +865,33 @@ def test_lyapunov_cli_reference_invocation(capsys):
     assert code == 0
     assert all(c["passed"] for c in report["results"]["checks"])
     assert all(c["checked"] >= 100000 for c in report["results"]["checks"])
+
+
+# ---------------------------------------------------------------------------
+# documentation
+# ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+LONG_OPTION = re.compile(r"--[A-Za-z][\w-]*")
+
+
+def _long_options(parser) -> set:
+    """The long options of `parser` and of its subcommands, nested ones
+    included, but --help and --version."""
+    options = set()
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                options |= _long_options(sub)
+        else:
+            options.update(flag for flag in action.option_strings
+                           if flag.startswith("--"))
+    return options - {"--help", "--version"}
+
+
+def test_readme_and_the_parser_name_the_same_long_options():
+    text = README.read_text()
+    section = text.split("\n## Command line\n")[1].split("\n## ")[0]
+    options = _long_options(cli.build_parser())
+    assert options - set(LONG_OPTION.findall(text)) == set()
+    assert set(LONG_OPTION.findall(section)) - options == set()

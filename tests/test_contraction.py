@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -163,6 +164,32 @@ def test_fit_rate_noise_floor_excludes_solver_noise():
                               truncated=False)
     fit = fit_rate(series, scale=1.0, floor=1e-9)
     assert fit.alpha == pytest.approx(3.0, abs=1e-3)
+
+
+def test_c_tight_leaves_out_the_points_the_floor_drops():
+    # the last point sits under an array floor that grows with a carrier,
+    # as a variational output's does near an escape: it is roundoff, and
+    # counted it would set c_tight to 0.5 e^{3 * 5}
+    series = synthetic_series()
+    d = series.d.copy()
+    d[-1] = 0.5
+    floor = np.full_like(d, 1e-12)
+    floor[-1] = 1.0
+    fit = fit_rate(dataclasses.replace(series, d=d), scale=1.0, floor=floor)
+    assert fit.n_points == fit_rate(series, scale=1.0).n_points - 1
+    assert fit.alpha == pytest.approx(3.0, abs=1e-6)
+    assert fit.c_tight == pytest.approx(2.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_c_tight_is_not_finite_where_a_point_is_not(bad):
+    # the fit leaves such a point out, but an output outside h's domain
+    # must still fail its own item through c_tight
+    series = synthetic_series()
+    d = series.d.copy()
+    d[-1] = bad
+    fit = fit_rate(dataclasses.replace(series, d=d), scale=1.0)
+    assert fit.valid and not math.isfinite(fit.c_tight)
 
 
 # ---------------------------------------------------------------------------
