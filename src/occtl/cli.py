@@ -141,7 +141,10 @@ class _Reporter:
 
     def __init__(self, args):
         self.t_start = time.perf_counter()
-        self.out = Path(args.out) if getattr(args, "out", None) else None
+        out = getattr(args, "out", None)
+        if out == "":
+            raise UsageError("--out needs a directory name, got ''")
+        self.out = None if out is None else Path(out)
         self.fmt = getattr(args, "format", None)
         if self.out is None and self.fmt is not None:
             raise UsageError("--format needs --out, which writes the files")
@@ -251,10 +254,9 @@ def cmd_jacobian(args) -> int:
     x = _vec(args.x, spec.n, "--x")
     if not np.isfinite(args.t):
         raise UsageError(f"--t must be finite, got {args.t}")
-    bundle = jacobians(spec, x, args.t)
     values = {"f": vector_field(spec)(x, args.t),
-              "y": output_map(spec)(x, args.t), "Jf": bundle.Jf,
-              "Jh": bundle.Jh, "dh_dt": bundle.dh_dt}
+              "y": output_map(spec)(x, args.t),
+              **vars(jacobians(spec, x, args.t))}
     for key, value in values.items():
         rep.add(key, value)
     # nan or inf where f or h is undefined or not differentiable there
@@ -306,9 +308,12 @@ def cmd_lyapunov(args) -> int:
     candidate = CandidateV.from_string(args.V)
     bounds = Bounds(alpha1=args.alpha1, alpha2=args.alpha2,
                     alpha3=args.alpha3, alpha4=args.alpha4, p=args.p)
+    t_range = {} if args.t_range is None else {"t_range": _range(args.t_range)}
+    if t_range and args.alpha4 is None:
+        raise UsageError("--t-range needs --alpha4: the form without it "
+                         "is evaluated at t = 0")
     domain = CheckDomain(
-        x_box=_box(args.x_box, spec.n, 10.0),
-        t_range=_range(args.t_range),
+        x_box=_box(args.x_box, spec.n, 10.0), **t_range,
         samples=args.samples, seed=args.seed,
         xi_radii=tuple(_vec(args.xi_radii, None, "--xi-radii").tolist()))
     reports = check_certificate(spec, candidate, bounds, domain)
@@ -479,8 +484,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--samples", type=int, default=10_000)
     s.add_argument("--x-box", help="like --box (default -10:10)")
-    s.add_argument("--t-range", default="0:6.283185307179586", help="read "
-                   "with --alpha4 only; the form without it is at t = 0")
+    s.add_argument("--t-range", help="lo:hi (default 0 to 2 pi); needs "
+                   "--alpha4, as the form without it is at t = 0")
     s.add_argument("--xi-radii", default="0.1,1,10")
 
     names = subs.add_parser(

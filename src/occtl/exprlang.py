@@ -126,42 +126,26 @@ class Call(Expr):
     arg: Expr
 
 
-_NUMBER_RE = re.compile(r"(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
-_NAME_RE = re.compile(r"[a-z][a-z0-9_]*")
+#: one alternative per token kind, then whitespace and any other character
+_TOKEN_RE = re.compile(r"""
+    (?P<number>(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)
+  | (?P<identifier>[a-z][a-z0-9_]*)
+  | (?P<operator>[-+*/^])
+  | (?P<paren>[()])
+  | (?P<comma>,)
+  | (?P<space>\s+)
+  | (?P<unexpected>.)""", re.VERBOSE | re.DOTALL)
 
 
 def tokenize(source: str) -> list[Token]:
     """Split source text into tokens; positions are character indices."""
     tokens: list[Token] = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*/^":
-            tokens.append(Token("operator", ch, i))
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(Token("paren", ch, i))
-            i += 1
-            continue
-        if ch == ",":
-            tokens.append(Token("comma", ch, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(Token("number", m.group(), i))
-            i = m.end()
-            continue
-        m = _NAME_RE.match(source, i)
-        if m:
-            tokens.append(Token("identifier", m.group(), i))
-            i = m.end()
-            continue
-        raise ExprSyntaxError(f"unexpected character {ch!r}", i)
+    for m in _TOKEN_RE.finditer(source):
+        if m.lastgroup == "unexpected":
+            raise ExprSyntaxError(f"unexpected character {m.group()!r}",
+                                  m.start())
+        if m.lastgroup != "space":
+            tokens.append(Token(m.lastgroup, m.group(), m.start()))
     return tokens
 
 

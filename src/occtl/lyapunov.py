@@ -177,13 +177,9 @@ class FalsificationReport:
 
 
 def report_json(report: FalsificationReport) -> dict:
-    return json_safe({
-        "condition": report.condition,
-        "passed": report.passed,
-        "checked": report.checked,
-        "worst_margin": report.worst_margin,
-        "counterexample": report.counterexample,
-    })
+    """`report`'s fields, JSON-ready; where every number is finite,
+    ``FalsificationReport(**report_json(report)) == report``."""
+    return json_safe(vars(report))
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,11 @@ from occtl import cli, contraction
 from occtl.cli import main
 from occtl.contraction import (
     DEFAULT_ALPHA_MIN, SamplingPlan, check_oes_equilibrium,
-    check_oes_variational, check_output_contraction, check_partial_contraction,
-    verdict_json,
+    Verdict, check_oes_variational, check_output_contraction,
+    check_partial_contraction, verdict_json,
 )
 from occtl.exprlang import to_source
-from occtl.lyapunov import Bounds, CheckDomain
+from occtl.lyapunov import Bounds, CheckDomain, FalsificationReport
 from occtl.odeint import IntegratorConfig, integrate, map_output
 from occtl.sysmodel import builtin_system, system_from_json, vector_field
 
@@ -177,26 +177,28 @@ def test_threads_env_recorded(capsys, monkeypatch):
     assert report["threads"] == 4
 
 
-def test_flag_defaults_are_the_library_defaults():
-    defaults = {cls: {f.name: f.default for f in dataclasses.fields(cls)}
-                for cls in (SamplingPlan, CheckDomain, Bounds)}
+def test_flag_defaults_are_the_library_defaults(monkeypatch, capsys):
+    defaults = {f.name: f.default for f in dataclasses.fields(SamplingPlan)}
     plan = ("pairs", "seed", "t0", "tf")
     for argv in (["contraction"], ["partial"], ["oes"],
                  ["oes-eq", "--y-star", "0"]):
         args = cli.build_parser().parse_args(argv + ["--system", "ex1"])
         assert [getattr(args, key) for key in plan] \
-            == [defaults[SamplingPlan][key] for key in plan], argv
+            == [defaults[key] for key in plan], argv
         assert args.alpha_min == DEFAULT_ALPHA_MIN
-    args = cli.build_parser().parse_args(
-        ["lyapunov", "--system", "ex1", "--V", "xi1^2", "--alpha1", "1",
-         "--alpha2", "2"])
-    domain = defaults[CheckDomain]
-    assert (args.samples, args.seed) == (domain["samples"], domain["seed"])
-    assert cli._range(args.t_range) == domain["t_range"]
-    assert tuple(cli._vec(args.xi_radii, None, "--xi-radii").tolist()) \
-        == domain["xi_radii"]
-    assert (args.p, args.alpha4) == (defaults[Bounds]["p"],
-                                     defaults[Bounds]["alpha4"])
+    # the bounds and domain the command builds keep the library's defaults
+    built = []
+
+    def check_certificate(spec, V, bounds, domain):
+        built.append((bounds, domain))
+        return []
+    monkeypatch.setattr(cli, "check_certificate", check_certificate)
+    assert main(["lyapunov", "--system", "ex2-timeinvariant", "--V", "xi1^2",
+                 "--alpha1", "1", "--alpha2", "2", "--alpha3", "1"]) == 0
+    capsys.readouterr()
+    [(bounds, domain)] = built
+    assert bounds == Bounds(alpha1=1.0, alpha2=2.0, alpha3=1.0)
+    assert domain == CheckDomain(x_box=domain.x_box)
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +238,7 @@ def test_infinite_horizon_is_usage_error(argv):
     ["contraction", *LTI, "--box", "0:inf,0:1"],
     ["oes", *LTI, "--box=-1e308:1e308,0:1"],
     [*LYAPUNOV, "--x-box", "0:inf,0:1"],
-    [*LYAPUNOV, "--t-range", "0:inf"],
+    [*LYAPUNOV, "--alpha4", "2", "--t-range", "0:inf"],
     [*LYAPUNOV, "--xi-radii", "1,inf"],
     [*LYAPUNOV, "--alpha1", "inf", "--alpha2", "inf"],
     [*LYAPUNOV, "--p", "nan"],
@@ -247,6 +249,14 @@ def test_infinite_horizon_is_usage_error(argv):
 def test_non_finite_input_is_usage_error(capsys, argv):
     assert main(argv) == 2
     assert capsys.readouterr().out == ""
+
+
+def test_a_t_range_without_alpha4_is_a_usage_error(monkeypatch, capsys):
+    # the form without --alpha4 is evaluated at t = 0 and would ignore it
+    monkeypatch.setattr(cli, "check_certificate", None)
+    assert main([*LYAPUNOV, "--t-range", "3:9"]) == 2
+    assert capsys.readouterr() == ("", "error: --t-range needs --alpha4: the "
+                                   "form without it is evaluated at t = 0\n")
 
 
 def test_negative_lyapunov_seed_is_a_usage_error_naming_the_seed(capsys):
@@ -819,6 +829,18 @@ def test_divergence_csv_format(tmp_path, capsys):
         np.testing.assert_array_equal(d, result.series.d)
 
 
+@pytest.mark.parametrize("fmt", [[], ["--format", "json"]],
+                         ids=["no-format", "json"])
+def test_an_empty_out_is_a_one_line_usage_error(monkeypatch, capsys, fmt):
+    # an empty --out names no directory: it neither writes nothing quietly
+    # nor counts as an absent --out for --format
+    monkeypatch.setattr(contraction, "integrate_batch", None)
+    assert main(["contraction", *LTI, "--pairs", "2", "--tf", "2",
+                 "--out", "", *fmt]) == 2
+    assert capsys.readouterr() == (
+        "", "error: --out needs a directory name, got ''\n")
+
+
 @pytest.mark.parametrize("under", ["", "sub"], ids=["file", "under-file"])
 def test_an_out_that_is_not_a_directory_is_a_usage_error(
         tmp_path, capsys, monkeypatch, under):
@@ -887,6 +909,16 @@ def _long_options(parser) -> set:
             options.update(flag for flag in action.option_strings
                            if flag.startswith("--"))
     return options - {"--help", "--version"}
+
+
+@pytest.mark.parametrize("label, record, omitted", [
+    ("verdict JSON", Verdict, {"results"}),
+    ("falsification JSON", FalsificationReport, set())])
+def test_readme_lists_the_fields_each_report_renders(label, record, omitted):
+    rest = README.read_text().split(f"\n- {label}: ")[1]
+    item = re.split(r"\n(?:- |\n)", rest)[0].split(";")[0]
+    assert re.findall(r"`(\w+)`", item) == [
+        f.name for f in dataclasses.fields(record) if f.name not in omitted]
 
 
 def test_readme_and_the_parser_name_the_same_long_options():

@@ -242,6 +242,13 @@ def test_determinism_same_seed_identical_verdicts():
         np.testing.assert_array_equal(a.series.d, b.series.d)
 
 
+def test_verdict_json_renders_every_field_but_the_results():
+    v = check_output_contraction(builtin_system("lti-remark1"),
+                                 small_plan(pairs=2, tf=2.0))
+    assert list(verdict_json(v)) == [f.name for f in dataclasses.fields(v)
+                                     if f.name != "results"]
+
+
 def test_box_dimension_mismatch():
     with pytest.raises(ValueError):
         check_output_contraction(

@@ -33,6 +33,29 @@ def test_unexpected_character_reports_position():
     assert exc.value.position == 5
 
 
+@settings(max_examples=500, deadline=None)
+@given(st.text(st.sampled_from(list("0123456789.eE" "abxyz_" "+-*/^(),"
+                                    " \t\n\u00a0\u3000" "X$!\u200b")),
+               max_size=30))
+def test_tokens_cover_every_character_but_whitespace(source):
+    try:
+        toks = tokenize(source)
+    except ExprSyntaxError as err:
+        # the error is at the first non-space character no token covers:
+        # everything before it tokenizes, and the character itself does not
+        p = err.position
+        assert not source[p].isspace()
+        assert "".join(t.lexeme for t in tokenize(source[:p])) \
+            == "".join(source[:p].split())
+        with pytest.raises(ExprSyntaxError) as again:
+            tokenize(source[:p + 1])
+        assert again.value.position == p
+        return
+    assert all(source[t.position:t.position + len(t.lexeme)] == t.lexeme
+               for t in toks)
+    assert "".join(t.lexeme for t in toks) == "".join(source.split())
+
+
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------

@@ -500,6 +500,15 @@ def test_report_json_shape():
     assert set(doc) == {"condition", "passed", "checked", "worst_margin",
                         "counterexample"}
     assert doc["passed"] is True and doc["counterexample"] is None
+    # the keys are the record's fields, and a report whose numbers are all
+    # finite comes back from its JSON
+    falsified = check_certificate(builtin_system("ex1-timevarying"), V_SUM_SQ,
+                                  Bounds(1.0, 0.5, 0.0, 2.0),
+                                  domain(samples=2_000))[0]
+    assert not falsified.passed
+    for r in (report, falsified):
+        assert list(report_json(r)) == [f.name for f in dataclasses.fields(r)]
+        assert lyapunov.FalsificationReport(**report_json(r)) == r
 
 
 def test_nan_slack_is_a_violation_reported_as_null():
