@@ -480,7 +480,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--alpha2", type=float, required=True)
     s.add_argument("--alpha3", type=float, default=0.0)
     s.add_argument("--alpha4", type=float, default=None,
-                   help="omit for the time-invariant form (alpha3 = decay)")
+                   help="omit for the time-invariant form: alpha3 is then "
+                   "the decay rate, and both conditions are judged at t = 0")
     s.add_argument("--p", type=float, default=2.0)
     s.add_argument("--samples", type=int, default=10_000)
     s.add_argument("--x-box", help="like --box (default -10:10)")

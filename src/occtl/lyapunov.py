@@ -8,16 +8,16 @@ A candidate certificate V(x, xi, t) together with constants
 * decay:     Vdot <= -alpha4 V, with
   Vdot = dV/dt + dV/dx f + dV/dxi (Jf xi).
 
-For time-invariant systems the corollary variant drops the t dependence and
-the exponential weight, and its decay constant is named alpha3 (leave alpha4
-unset for that form).  `check_certificate`, the entry point, judges every
-condition of the certificate's form on one draw of the domain;
-`check_sandwich` and `check_decay` judge one condition each through the
-same pipeline, kept only for bench/tracing.py, which times the lyapunov
-layer through them.  Every check reads the one kernel of the candidate's V,
-nu and Vdot, whatever its conditions: nu is the symbolic Jh xi and Vdot one
-symbolic tree of V's partials (abs differentiates to sign), f and Jf xi, so
-subtrees they share are computed once.  The draw is made and judged in
+For time-invariant systems the corollary variant (leave alpha4 unset) is
+the same two conditions judged at t = t0 = 0, so without the exponential
+weight, with alpha3 as the decay rate.  `check_certificate`, the entry
+point, judges both conditions on one draw of the domain; `check_sandwich`
+and `check_decay` judge one condition each through the same pipeline, kept
+only for bench/tracing.py, which times the lyapunov layer through them.
+Every check reads the one kernel of the candidate's V, nu and Vdot,
+whatever its conditions: nu is the symbolic Jh xi and Vdot one symbolic
+tree of V's partials (abs differentiates to sign), f and Jf xi, so subtrees
+they share are computed once.  The draw is made and judged in
 blocks of `_BLOCK` rows that stay in cache: each block's (x, xi) state is
 written into one buffer of the check, the kernel is called once on it, and
 each condition keeps only the block's least slack and its violated row of
@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -88,14 +88,13 @@ class CandidateV:
     def time_dependent(self) -> bool:
         return "t" in free_vars(self.expr)
 
-    def check_variables(self, n: int) -> None:
-        allowed = {f"x{i + 1}" for i in range(n)} \
-            | {f"xi{i + 1}" for i in range(n)} | {"t"}
+    def check_variables(self, spec: SystemSpec) -> None:
+        allowed = {*spec.state_names, *_tangent_names(spec), "t"}
         unknown = free_vars(self.expr) - allowed
         if unknown:
             raise ValueError(
                 f"certificate uses unknown variable(s) {sorted(unknown)}; "
-                f"allowed are x1..x{n}, xi1..xi{n}, t")
+                f"allowed are x1..x{spec.n}, xi1..xi{spec.n}, t")
 
 
 @dataclass(frozen=True)
@@ -103,8 +102,10 @@ class Bounds:
     """Constants of the certificate conditions.
 
     Time-varying form: all four alphas, with alpha3 < alpha4 (alpha3 weights
-    the exponential in the sandwich, alpha4 is the decay).  Time-invariant
-    form: leave alpha4 as None; alpha3 is then itself the decay constant.
+    the exponential in the sandwich, alpha4 is the decay rate).
+    Time-invariant form: leave alpha4 as None; alpha3 is then the decay
+    rate, and the conditions are judged at t = t0 = 0, where the sandwich's
+    weight is 1.
     """
 
     alpha1: float
@@ -254,10 +255,11 @@ def _draw_blocks(n: int, domain: CheckDomain, block: int):
         yield out, xi[start:stop], t
 
 
-def _v_env(n: int, x, xi, t) -> dict:
+def _v_env(spec: SystemSpec, x, xi, t) -> dict:
     """V's variables, in the order x1..xn, xi1..xin, t."""
-    env = {f"x{i + 1}": x[..., i] for i in range(n)}
-    env.update({f"xi{i + 1}": xi[..., i] for i in range(n)})
+    env = {name: x[..., i] for i, name in enumerate(spec.state_names)}
+    env.update({name: xi[..., i]
+                for i, name in enumerate(_tangent_names(spec))})
     env["t"] = t
     return env
 
@@ -308,8 +310,7 @@ def _kernel(spec: SystemSpec, V: CandidateV, f_finite: bool):
 
 def _f_finite(spec: SystemSpec, domain: CheckDomain) -> bool:
     """Whether f is proven finite on every sample of `domain`'s draw: each
-    x lies in `x_box` and t in `t_range` (a time-invariant check, which
-    evaluates at t = 0, requires an f free of t)."""
+    x lies in `x_box` and t in `t_range`."""
     box = dict(zip(spec.state_names, domain.x_box), t=domain.t_range)
     return finite_on_box(spec.f, box)
 
@@ -325,7 +326,7 @@ def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     points (shape (n,)) or batches (..., n); the result is a float or an
     array of the batch shape.
     """
-    V.check_variables(spec.n)
+    V.check_variables(spec)
     x = np.asarray(x, dtype=float)
     state = np.concatenate(
         np.broadcast_arrays(x, np.asarray(xi, dtype=float)), axis=-1)
@@ -340,7 +341,7 @@ def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
     n = spec.n
 
     def v_at(xv, xiv, tv) -> float:
-        return float(evaluate(V.expr, _v_env(n, xv, xiv, tv)))
+        return float(evaluate(V.expr, _v_env(spec, xv, xiv, tv)))
 
     dV_dt = (v_at(x, xi, t + step) - v_at(x, xi, t - step)) / (2 * step)
     grads_x = np.zeros(n)
@@ -359,15 +360,14 @@ def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
 # ---------------------------------------------------------------------------
 
 def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
-             conditions: list[tuple], at_time_zero: bool = False
-             ) -> list[FalsificationReport]:
+             conditions: list[tuple]) -> list[FalsificationReport]:
     """Judge every condition of `conditions` on one draw of `domain`,
     reports in that order.
 
     A condition is a ``(name, terms)`` pair, where ``terms(xi, t, v, nu,
     vdot) -> (slack, named terms)`` reads one block: its xi and t, and the
     kernel's columns V, nu (rows x m) and Vdot.  Checks V's variables and
-    the box against the spec before it draws (at t = 0 if `at_time_zero`).
+    the box against the spec before it draws.
     V's one kernel gives V, nu and Vdot for every condition, Vdot without
     its products of f with a zero partial of V where f is proven finite on
     the draw's box (`_f_finite`).  The draw comes in blocks of `_BLOCK`
@@ -381,7 +381,7 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     replaces the one held only when its slack is strictly less, so ties go
     to the lowest index.  Nothing of the length of the draw is kept but its
     xi directions, and the reports equal those of one pass over it."""
-    V.check_variables(spec.n)
+    V.check_variables(spec)
     if len(domain.x_box) != spec.n:
         raise ValueError(f"domain box has {len(domain.x_box)} intervals, "
                          f"system has n={spec.n}")
@@ -391,8 +391,6 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     checked = 0
     with np.errstate(all="ignore"):   # an overflowing sample judges as nan
         for state, xi, t in _draw_blocks(spec.n, domain, _BLOCK):
-            if at_time_zero:
-                t = np.broadcast_to(0.0, t.shape)
             checked += len(t)
             out = kernel(state, t)
             v = out[:, 0]
@@ -428,21 +426,13 @@ def _counterexample(i: int, state, xi, t, v, named) -> dict:
     return counterexample
 
 
-def _sandwich_terms(bounds, xi, v, nu, weight=1.0):
-    """Slacks of alpha1 ||nu||^p <= V <= alpha2 ||xi||^p weight, with
-    ||nu|| and ||xi||: (lower, upper, nu_norm, xi_norm)."""
-    nu_norm = np.linalg.norm(nu, axis=-1)
-    xi_norm = np.linalg.norm(xi, axis=-1)
-    return (v - bounds.alpha1 * nu_norm ** bounds.p,
-            bounds.alpha2 * xi_norm ** bounds.p * weight - v, nu_norm, xi_norm)
-
-
-def _sandwich(bounds: Bounds, domain: CheckDomain) -> tuple:
-    t0 = domain.t_range[0]
-
+def _sandwich(bounds: Bounds, t0: float) -> tuple:
     def terms(xi, t, v, nu, vd):
-        lower, upper, nu_norm, xi_norm = _sandwich_terms(
-            bounds, xi, v, nu, np.exp(bounds.alpha3 * (t - t0)))
+        nu_norm = np.linalg.norm(nu, axis=-1)
+        xi_norm = np.linalg.norm(xi, axis=-1)
+        lower = v - bounds.alpha1 * nu_norm ** bounds.p
+        upper = bounds.alpha2 * xi_norm ** bounds.p \
+            * np.exp(bounds.alpha3 * (t - t0)) - v
         return np.minimum(lower, upper), {
             "nu_norm": nu_norm, "xi_norm": xi_norm, "lower_slack": lower,
             "upper_slack": upper, "t0": t0}
@@ -450,78 +440,66 @@ def _sandwich(bounds: Bounds, domain: CheckDomain) -> tuple:
     return "sandwich", terms
 
 
-def _decay(bounds: Bounds) -> tuple:
-    if bounds.alpha4 is None:
-        raise ValueError("the decay check needs alpha4 (time-varying form)")
-
+def _decay(rate: float) -> tuple:
     def terms(xi, t, v, nu, vd):
-        slack = -bounds.alpha4 * v - vd
+        slack = -rate * v - vd
         return slack, {"vdot": vd, "slack": slack}
 
     return "decay", terms
 
 
-def _time_invariant(spec: SystemSpec, V: CandidateV, bounds: Bounds) -> tuple:
-    if not spec.time_invariant:
-        raise ValueError(f"{spec.name!r} is time-varying; its certificate "
-                         "needs alpha4 (the time-varying form)")
-    if V.time_dependent:
-        raise ValueError(
-            "the time-invariant check needs a t-independent certificate")
-    if not bounds.alpha3 > 0:
-        raise ValueError(
-            "the time-invariant form uses alpha3 > 0 as the decay constant")
-
-    def terms(xi, t, v, nu, vd):
-        lower, upper, _, _ = _sandwich_terms(bounds, xi, v, nu)
-        decay = -bounds.alpha3 * v - vd
-        return np.minimum(np.minimum(lower, upper), decay), {
-            "vdot": vd, "lower_slack": lower, "upper_slack": upper,
-            "decay_slack": decay}
-
-    return "time-invariant sandwich+decay", terms
-
-
 def check_certificate(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                       domain: CheckDomain) -> list[FalsificationReport]:
-    """Falsify every condition of the certificate's form on one draw.
-
-    With alpha4 set (time-varying form), two reports in this order:
+    """Falsify both conditions of the certificate on one draw; two reports,
+    in this order:
 
     * "sandwich": alpha1 ||nu||^p <= V <= alpha2 ||xi||^p e^{alpha3 (t - t0)},
       t0 the left end of the sampling t_range (any fixed choice only
       rescales alpha2);
-    * "decay": Vdot <= -alpha4 V.
+    * "decay": Vdot <= -rate V.
 
-    With alpha4 unset (time-invariant form), one report, "time-invariant
-    sandwich+decay": alpha1 ||nu||^p <= V <= alpha2 ||xi||^p and Vdot <=
-    -alpha3 V, with alpha3 > 0 playing the decay role.  It rejects
-    time-varying systems and t-dependent certificates, and evaluates at
-    t = 0 since nothing depends on time.
+    With alpha4 set (time-varying form), the rate is alpha4.  With alpha4
+    unset (time-invariant form), the rate is alpha3 > 0, and both are judged
+    at t = t0 = 0, where the sandwich's weight is 1: alpha1 ||nu||^p <= V <=
+    alpha2 ||xi||^p.  That form rejects time-varying systems and
+    t-dependent certificates, as nothing may depend on time.
 
     Every inequality is asserted per sample with slack tolerance
-    1e-9 (1 + |V|).  The samples are drawn once for all conditions, and
+    1e-9 (1 + |V|).  The samples are drawn once for both conditions, and
     judged by the one kernel of V that every check of V reads (`_kernel`).
     """
-    if bounds.alpha4 is None:
-        return _falsify(spec, V, domain, [_time_invariant(spec, V, bounds)],
-                        at_time_zero=True)
-    return _falsify(spec, V, domain, [_sandwich(bounds, domain),
-                                      _decay(bounds)])
+    rate = bounds.alpha4
+    if rate is None:
+        if not spec.time_invariant:
+            raise ValueError(f"{spec.name!r} is time-varying; its certificate "
+                             "needs alpha4 (the time-varying form)")
+        if V.time_dependent:
+            raise ValueError(
+                "the time-invariant check needs a t-independent certificate")
+        if not bounds.alpha3 > 0:
+            raise ValueError("the time-invariant form uses alpha3 > 0 as "
+                             "the decay constant")
+        rate = bounds.alpha3
+        domain = replace(domain, t_range=(0.0, 0.0))
+    return _falsify(spec, V, domain, [_sandwich(bounds, domain.t_range[0]),
+                                      _decay(rate)])
 
 
 def check_sandwich(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                    domain: CheckDomain) -> FalsificationReport:
     """The "sandwich" report of `check_certificate`, judged alone; kept
     only while bench/tracing.py times the lyapunov layer through it."""
-    return _falsify(spec, V, domain, [_sandwich(bounds, domain)])[0]
+    return _falsify(spec, V, domain, [_sandwich(bounds, domain.t_range[0])])[0]
 
 
 def check_decay(spec: SystemSpec, V: CandidateV, bounds: Bounds,
                 domain: CheckDomain) -> FalsificationReport:
-    """The "decay" report of `check_certificate`, judged alone; kept only
-    while bench/tracing.py times the lyapunov layer through it."""
-    return _falsify(spec, V, domain, [_decay(bounds)])[0]
+    """The time-varying form's "decay" report of `check_certificate`,
+    judged alone; kept only while bench/tracing.py times the lyapunov layer
+    through it."""
+    if bounds.alpha4 is None:
+        raise ValueError("the decay check needs alpha4 (time-varying form)")
+    return _falsify(spec, V, domain, [_decay(bounds.alpha4)])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -559,24 +537,23 @@ def reverify_counterexample(spec: SystemSpec, V: CandidateV, bounds: Bounds,
     symbolic derivatives of f, h and V), so a confirmed negative slack rules
     out a falsifier-side evaluation bug.  A counterexample of nan slack is not confirmed this way,
     and where f, h or V is undefined at the counterexample (the falsifier's
-    kernels give nan there) the recomputation raises ExprEvalError.
+    kernels give nan there) the recomputation raises ExprEvalError.  The
+    decay rate is alpha4, or alpha3 in the time-invariant form.
     """
+    if report.condition not in ("sandwich", "decay"):
+        raise ValueError(f"unknown condition {report.condition!r}")
     if report.counterexample is None:
         raise ValueError("report has no counterexample")
     ce = report.counterexample
     x = np.array(ce["x"])
     xi = np.array(ce["xi"])
     t = ce["t"]
-    v = float(evaluate(V.expr, _v_env(spec.n, x, xi, t)))
+    v = float(evaluate(V.expr, _v_env(spec, x, xi, t)))
     if report.condition == "decay":
-        return float(-bounds.alpha4 * v - vdot_fd(spec, V, x, xi, t))
+        rate = bounds.alpha3 if bounds.alpha4 is None else bounds.alpha4
+        return float(-rate * v - vdot_fd(spec, V, x, xi, t))
     _, Jh = finite_diff_jacobian(spec, x, t, 1e-6)
     lower = v - bounds.alpha1 * np.linalg.norm(Jh @ xi) ** bounds.p
-    if report.condition == "sandwich":
-        upper = bounds.alpha2 * np.linalg.norm(xi) ** bounds.p \
-            * math.exp(bounds.alpha3 * (t - ce.get("t0", 0.0))) - v
-        return float(min(lower, upper))
-    # time-invariant combined condition
-    upper = bounds.alpha2 * np.linalg.norm(xi) ** bounds.p - v
-    decay = -bounds.alpha3 * v - vdot_fd(spec, V, x, xi, t)
-    return float(min(lower, upper, decay))
+    upper = bounds.alpha2 * np.linalg.norm(xi) ** bounds.p \
+        * math.exp(bounds.alpha3 * (t - ce.get("t0", 0.0))) - v
+    return float(min(lower, upper))

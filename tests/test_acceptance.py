@@ -166,8 +166,8 @@ def test_criterion_6_time_invariant_certificate_and_empirical_rate():
     bounds = Bounds(1.0, 2.0, 2.0, p=2.0)     # decay constant in alpha3
     domain = CheckDomain(x_box=((-10.0, 10.0), (-10.0, 10.0)),
                          samples=20_000, seed=11)
-    report = check_certificate(spec, V_SUM_SQ, bounds, domain)[0]
-    assert report.passed
+    sandwich, decay = check_certificate(spec, V_SUM_SQ, bounds, domain)
+    assert sandwich.passed and decay.passed
 
     c, alpha = implied_rate(bounds)
     assert alpha == 1.0
@@ -246,7 +246,7 @@ def test_criterion_8c_falsifier_counterexample_soundness():
         (Bounds(1.0, 0.5, 0.0, 2.0, p=2.0), spec, 0),    # sandwich
         (Bounds(1.0, 2.0, 0.0, 12.0, p=2.0), spec, 1),   # decay
         (Bounds(1.0, 2.0, 12.0, p=2.0),                  # time-invariant
-         builtin_system("ex2-timeinvariant"), 0),
+         builtin_system("ex2-timeinvariant"), 1),        # decay
     ]
     for bounds, system, k in cases:
         report = check_certificate(system, V_SUM_SQ, bounds, domain)[k]

@@ -224,11 +224,11 @@ def test_decay_monotone_in_claimed_rate():
 
 
 def test_decay_requires_alpha4():
-    # the time-invariant form has no decay condition of its own
+    # judged alone, the decay takes its rate from alpha4; the time-invariant
+    # form's decay, at rate alpha3, is judged at t = 0 by check_certificate
     with pytest.raises(ValueError, match="alpha4"):
-        lyapunov._falsify(builtin_system("lti-remark1"), V_NORM_SQ,
-                          domain(samples=10),
-                          [lyapunov._decay(Bounds(1.0, 1.0, 2.0))])
+        lyapunov.check_decay(builtin_system("lti-remark1"), V_NORM_SQ,
+                             Bounds(1.0, 1.0, 2.0), domain(samples=10))
 
 
 # ---------------------------------------------------------------------------
@@ -236,10 +236,11 @@ def test_decay_requires_alpha4():
 # ---------------------------------------------------------------------------
 
 def test_time_invariant_demo_certificate_passes():
-    report = check_certificate(
+    reports = check_certificate(
         builtin_system("ex2-timeinvariant"), V_SUM_SQ,
-        Bounds(1.0, 2.0, 2.0, p=2.0), domain())[0]
-    assert report.passed
+        Bounds(1.0, 2.0, 2.0, p=2.0), domain())
+    assert [r.condition for r in reports] == ["sandwich", "decay"]
+    assert all(r.passed for r in reports)
 
 
 def test_time_invariant_rejects_time_varying_system():
@@ -259,10 +260,33 @@ def test_time_invariant_rejects_time_dependent_certificate():
 def test_time_invariant_overclaimed_decay_fails():
     spec = builtin_system("ex2-timeinvariant")
     bounds = Bounds(1.0, 2.0, 12.0, p=2.0)
-    report = check_certificate(spec, V_SUM_SQ, bounds,
-                               domain(samples=2_000))[0]
-    assert not report.passed
-    assert reverify_counterexample(spec, V_SUM_SQ, bounds, report) < -1e-6
+    sandwich, decay = check_certificate(spec, V_SUM_SQ, bounds,
+                                        domain(samples=2_000))
+    assert sandwich.passed and not decay.passed
+    assert decay.counterexample["t"] == 0.0
+    assert reverify_counterexample(spec, V_SUM_SQ, bounds, decay) < -1e-6
+
+
+def test_reverify_takes_the_time_invariant_decay_rate_from_alpha3():
+    spec = builtin_system("ex2-timeinvariant")
+    dom = dataclasses.replace(domain(samples=1_000), t_range=(0.0, 0.0))
+    varying = Bounds(1.0, 2.0, 0.0, 12.0)
+    decay = check_certificate(spec, V_SUM_SQ, varying, dom)[1]
+    assert not decay.passed
+    assert reverify_counterexample(spec, V_SUM_SQ, Bounds(1.0, 2.0, 12.0),
+                                   decay) \
+        == reverify_counterexample(spec, V_SUM_SQ, varying, decay) < -1e-6
+
+
+def test_reverify_refuses_a_condition_it_does_not_know():
+    spec = builtin_system("ex1-timevarying")
+    bounds = Bounds(1.0, 2.0, 0.0, 12.0)
+    decay = check_certificate(spec, V_SUM_SQ, bounds,
+                              domain(samples=1_000))[1]
+    assert not decay.passed
+    with pytest.raises(ValueError, match="unknown condition 'bogus'"):
+        reverify_counterexample(spec, V_SUM_SQ, bounds,
+                                dataclasses.replace(decay, condition="bogus"))
 
 
 @pytest.mark.parametrize("system", BUILTIN_NAMES)
@@ -587,6 +611,7 @@ def test_row_blocks_judge_as_one_pass(monkeypatch, blocks):
     # scaled stays the worst
     worst = check_certificate(spec, V_SUM_SQ, bounds, dom)[1].counterexample
     scaled = np.multiply(1e3, worst["xi"])
+    real = lyapunov._draw_blocks
     _injecting(monkeypatch, {
         rows // 2: {"x": worst["x"], "xi": scaled, "t": worst["t"]},
         rows - 2: {"xi": 1e200},
@@ -607,18 +632,29 @@ def test_row_blocks_judge_as_one_pass(monkeypatch, blocks):
     # the first of the tied least slacks, not the nan one
     assert decay.counterexample["xi"] == [1e3 * c for c in worst["xi"]]
     # a violated sandwich, whose named terms include the scalar t0, and the
-    # time-invariant form: the counterexample's named terms are rebuilt from
-    # its own block, which at two blocks is the second
+    # time-invariant decay: the counterexample's named terms are rebuilt
+    # from its own block, which at two blocks is the second
     sandwich, _ = blocked_as_whole(spec, Bounds(1.0, 0.5, 0.0, 12.0))
-    [combined] = blocked_as_whole(builtin_system("ex2-timeinvariant"),
-                                  Bounds(1.0, 2.0, 12.0))
-    for report in (sandwich, combined):
+    # the time-invariant form draws at t = 0, with one probe time: its draw
+    # is given as many rows, and the same rows at t = 0
+    dom = dataclasses.replace(dom, t_range=(0.0, 0.0))
+    dom = dataclasses.replace(dom, samples=rows - _probe_rows(dom))
+    monkeypatch.setattr(lyapunov, "_draw_blocks", real)
+    _injecting(monkeypatch, {
+        rows // 2: {"x": worst["x"], "xi": scaled, "t": 0.0},
+        rows - 2: {"xi": 1e200},
+        rows - 1: {"x": worst["x"], "xi": -scaled, "t": 0.0}})
+    _, invariant = blocked_as_whole(builtin_system("ex2-timeinvariant"),
+                                    Bounds(1.0, 2.0, 12.0))
+    assert invariant.checked == rows
+    for report in (sandwich, invariant):
         assert report.counterexample["xi"] == [1e3 * c for c in worst["xi"]]
     assert sandwich.counterexample["t0"] == 0.0
     assert sandwich.counterexample["xi_norm"] == pytest.approx(
         np.linalg.norm(sandwich.counterexample["xi"]), rel=1e-15)
     assert sandwich.counterexample["upper_slack"] < 0
-    assert combined.counterexample["decay_slack"] < 0
+    assert invariant.counterexample["t"] == 0.0
+    assert invariant.counterexample["slack"] < 0
 
 
 def test_a_block_tie_goes_to_the_lower_index(monkeypatch):
@@ -814,7 +850,8 @@ def test_one_lyapunov_command_draws_once_and_compiles_v_once(
                  "--alpha1", "1", "--alpha2", "2", "--alpha3", "1", *alpha4,
                  "--samples", "3000"])
     checks = json.loads(capsys.readouterr().out)["results"]["checks"]
-    assert code == 0 and len(checks) == (2 if alpha4 else 1)
+    assert code == 0
+    assert [c["condition"] for c in checks] == ["sandwich", "decay"]
     assert len(draws) == 1 and len(v_compiles) == 1
     assert compile_calls == [3]   # (V, Jh xi, Vdot)
 

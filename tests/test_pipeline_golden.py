@@ -7,14 +7,14 @@ judging shows up as a mismatch.  The values were recorded with the serial
 checker pipeline; a batched or reordered pipeline must reproduce them bit for
 bit.
 
-The certificate cases pin `report_json` of the sandwich, decay and
-time-invariant conditions (or the error each raises) for six certificates on
-the four built-ins, two seeds and three bound sets, `vdot` on 257 rows mixing
+The certificate cases pin `report_json` of the reports of
+`check_certificate` (or the error it raises) for six certificates on the
+four built-ins, two seeds and four bound sets, `vdot` on 257 rows mixing
 uniform draws with the special values of the field cases, and the results
 of the reference 1e5-sample `lyapunov` runs.  They were recorded while the
 falsifier still took f from the tree-walking evaluator and Jf and Jh from
-dual numbers; the `vdot` digests were re-recorded since, as noted at their
-table.
+dual numbers; the `vdot` and certificate digests were re-recorded since,
+as noted at their tables.
 
 The field cases pin the compiled kernels themselves: a sha256 over every
 value of ``vector_field(spec)``, ``AugmentedSystem.field`` and
@@ -30,6 +30,7 @@ over the `*GOLDEN` tables.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import itertools
@@ -38,7 +39,6 @@ import json
 import numpy as np
 import pytest
 
-from occtl import lyapunov
 from occtl.contraction import (
     SamplingPlan, check_oes_equilibrium, check_oes_variational,
     check_output_contraction, check_partial_contraction, verdict_json,
@@ -312,9 +312,10 @@ CERTIFICATES = ("(xi1 + xi2)^2", "xi1^2 + xi2^2", "abs(xi1) + 2*abs(xi2)",
                 "exp(-0.5*t)*(xi1 + xi2)^2", "(1 + 0.1*x1^2)*xi1^2 + xi2^2",
                 "(xi1 + xi2)^2 + 0.1*sin(x1 - x2)*xi1*xi2")
 
-#: a time-varying set, a loose one with p = 1.5, and a time-invariant one
+#: a time-varying set, a loose one with p = 1.5, and a passing and a
+#: failing time-invariant one
 BOUND_SETS = (Bounds(1.0, 2.0, 0.0, 2.0), Bounds(0.25, 8.0, 0.5, 3.0, p=1.5),
-              Bounds(1.0, 2.0, 2.0))
+              Bounds(1.0, 2.0, 2.0), Bounds(1.0, 2.0, 12.0))
 
 CERT_SEEDS = (3, 2 ** 63 + 11)
 
@@ -322,40 +323,47 @@ CERT_CASES = [f"{name}/{i}" for name in SYSTEMS
               for i in range(len(CERTIFICATES))]
 
 
+def _cert_domain(seed: int) -> CheckDomain:
+    return CheckDomain(x_box=((-4.0, 4.0), (-4.0, 4.0)), samples=400,
+                       seed=seed)
+
+
 def _cert_lines(name: str, V: CandidateV):
-    """For every seed and bound set, `report_json` of the sandwich, the
-    decay and the time-invariant sandwich+decay as JSON text (key order
-    kept), or the message of the error a condition raised.
-    `check_certificate` judges the conditions of the bound set's form;
-    `_falsify` judges each condition of the other form alone."""
+    """For every seed and bound set, `report_json` of each report of
+    `check_certificate` as JSON text (key order kept), or the message of
+    the error it raised."""
     spec = builtin_system(name)
     for seed in CERT_SEEDS:
-        domain = CheckDomain(x_box=((-4.0, 4.0), (-4.0, 4.0)), samples=400,
-                             seed=seed)
         for bounds in BOUND_SETS:
-            conditions = (
-                ("sandwich", lambda: lyapunov._sandwich(bounds, domain)),
-                ("decay", lambda: lyapunov._decay(bounds)),
-                ("time-invariant", lambda: lyapunov._time_invariant(
-                    spec, V, bounds)))
-            form = ("sandwich", "decay") if bounds.alpha4 is not None \
-                else ("time-invariant",)
             try:
-                reports = dict(zip(form, check_certificate(spec, V, bounds,
-                                                           domain)))
+                reports = check_certificate(spec, V, bounds,
+                                            _cert_domain(seed))
             except ValueError as err:
-                reports = dict.fromkeys(form, err)
-            for key, condition in conditions:
-                if key not in reports:
-                    try:
-                        reports[key] = lyapunov._falsify(
-                            spec, V, domain, [condition()],
-                            at_time_zero=key == "time-invariant")[0]
-                    except ValueError as err:
-                        reports[key] = err
-                yield f"error: {reports[key]}" \
-                    if isinstance(reports[key], ValueError) \
-                    else json.dumps(report_json(reports[key]))
+                yield f"error: {err}"
+                continue
+            for report in reports:
+                yield json.dumps(report_json(report))
+
+
+@pytest.mark.parametrize("name", ["ex2-timeinvariant", "lti-remark1"])
+def test_the_time_invariant_form_is_the_time_varying_one_at_t_zero(name):
+    # alpha3 is the decay rate, and both conditions are judged at t = t0 = 0,
+    # where the sandwich's weight e^{alpha3 (t - t0)} is exactly 1
+    spec = builtin_system(name)
+    domain = _cert_domain(CERT_SEEDS[0])
+    at_zero = dataclasses.replace(domain, t_range=(0.0, 0.0))
+    outcomes = set()
+    for source in CERTIFICATES:
+        V = CandidateV.from_string(source)
+        if V.time_dependent:
+            continue
+        for a1, a2, a3 in ((1.0, 2.0, 2.0), (1.0, 2.0, 12.0)):
+            reports = check_certificate(spec, V, Bounds(a1, a2, a3), domain)
+            assert [report_json(r) for r in reports] == [
+                report_json(r) for r in check_certificate(
+                    spec, V, Bounds(a1, a2, 0.0, a3), at_zero)]
+            outcomes.add(all(r.passed for r in reports))
+    assert outcomes == {True, False}
 
 
 def _vdot_rows():
@@ -388,30 +396,33 @@ def vdot_digest(case: str) -> str:
 
 #: case (system/certificate index) -> sha256 of its reports
 CERT_GOLDEN = {
-    'lti-remark1/0': '792f755df13016cffa83939aec8f0db126f399b474639dc9db25bdcf21a651ad',
-    'lti-remark1/1': 'a296391ee8f50ef00eb2c5f7f675c1d4cc71495d72bffe24093f1b972519655c',
-    'lti-remark1/2': '1ffe63b4ed6486e57fb272b81291bb06d0a802bd9bb51234f41372dab918e5b3',
-    'lti-remark1/3': '2d8f3121f9df61d4868e0b74ed00169ee50008615dbb406bfe33088e8f5291ea',
-    'lti-remark1/4': '127555471ad6015d74bc65a553e5d00b042653f6d4589579ea62a3db920b1d93',
-    'lti-remark1/5': '755aedb94f8d9980bcadc69569c2ca7033f90f4b982b62f5b3e84e79e6941d56',
-    'lti-remark1-badout/0': '5306ebadf86e5640832b76e94bf936b9659fee130cc9f0da21109fbdd4483276',
-    'lti-remark1-badout/1': '5b2fe50c97517e847b0b5c97ddeb6dfb8230efb1e858560e3997b8efe246457b',
-    'lti-remark1-badout/2': '3f89dddf78ebb5e9f22dec45123ccf267c24828cfdc31671738ba8e8a5b6750c',
-    'lti-remark1-badout/3': 'e0411630163bc207edc36abd08151b3b8dd9a3432dbdb1e8f6e2e7aee8327c5a',
-    'lti-remark1-badout/4': 'ca99a604fbe2be8c202007a0ce97cbb2e63b906e5c84cf493ac09842be379be8',
-    'lti-remark1-badout/5': 'ae4ccb2bbecc088de932a63556db93c6d392723a51635d68c7b3fde83844acad',
-    'ex1-timevarying/0': '5e9e0308f5e52a19eb80b2352e0066c96ab720f2ded418226d45d3a06b139887',
-    'ex1-timevarying/1': 'ab8a591c7101f94c003d8de7e1a1936b90583012f5104a06e0f147d992afa861',
-    'ex1-timevarying/2': 'ba957fb33c4b67873df1090affe9a84b9e4f10aaa22b5a7d2aded776d67c6e30',
-    'ex1-timevarying/3': 'a9a93f3cc4a0ab3baf8c415f4c13ca6ee201d3ed780f6b49f14691234f4bc076',
-    'ex1-timevarying/4': '51d18322f4ac093071c89f9779f0c5a652fea85a85089d70f9c4f659c6d25d18',
-    'ex1-timevarying/5': 'd407ba88474e9683dee0e88d32ab67115d77524d7273c0820b4dfbe33bc597f5',
-    'ex2-timeinvariant/0': '2353e74244a54b69dce1a1946ad7d1f7041666e9b38f19810a058fa17a6a8e5e',
-    'ex2-timeinvariant/1': '8122108d831b6be310ff906e911a15dc227386b8f3f1f666957bb5d47c9bddde',
-    'ex2-timeinvariant/2': '384e9f9d6574552d3c7ab3f83a45e916bc5b1ac34320008287bf55e9850d0864',
-    'ex2-timeinvariant/3': 'd2f3cefa4375ca2270a6610a43c32b68b480254bf018d5a1aa470f08608ccd7b',
-    'ex2-timeinvariant/4': '5e146b13b319792d9fbd99ad1870a03bd216700037ed740393ae7b72bd35dec0',
-    'ex2-timeinvariant/5': '839ba3303ac54e40a84702c47168e204e8c24c9c3c744a0f1f9a25f1531d103a',
+    # re-recorded when the time-invariant form became the sandwich and the
+    # decay judged at t = 0, and these lines became check_certificate's
+    # reports alone, with a failing time-invariant bound set added
+    'lti-remark1/0': '179139aaf88dac062ded106cca35d75445cef5665e50c92f9e8cf8fca5313cfe',
+    'lti-remark1/1': '714ce9a072be5a2c67b158f7744a760ab8ac3a63f699c51f8e2d290dcaac35a4',
+    'lti-remark1/2': '36f855fd0264627922194930e99fb4bbbe226abba20f085779eb4428ead1c6dd',
+    'lti-remark1/3': 'ce3d60591d8bd39e8b30cfd01aac817de230796b3a84f73a982f104f181f6577',
+    'lti-remark1/4': 'd09bfa7b60bd77605b43db443915627051a3a88973247f9668da9101337e2b71',
+    'lti-remark1/5': '3f18cfdb596b23448d546fb8de10b1834e890b474cacf8718d654b8ea59c07b7',
+    'lti-remark1-badout/0': '03c55306ce490a420e5d32447dc5cdea8259ecfdfe7a9e0c4736863b53ddb340',
+    'lti-remark1-badout/1': 'd884fa1b868e1089e189e7842459256cd3ebd8b2984e119e7cd42318d38a3277',
+    'lti-remark1-badout/2': '00e7aefba6ad3d7128b0286be8329ee32ed075fa6caeabdaf8d0fedb4a4f0470',
+    'lti-remark1-badout/3': '0acdda9dadcb5f61cd42ec61a35e27269a2be302c03619afaa4857559fb180d6',
+    'lti-remark1-badout/4': '622312d32438ff329d3b30f162da33e5bd6fb774e25d02e39d5d9135dee8941e',
+    'lti-remark1-badout/5': '6c18c1f357f5386417f6e1c659221df7448f3e1388b8568f291234fd4536c479',
+    'ex1-timevarying/0': '186ae2dbb5aaedff8862633f36fd3b2cdad8cc278ffdd0c1a395554bf071c745',
+    'ex1-timevarying/1': '5c95bb9fbd406ab3fc4e84536a416c4aaaca6c54f322d5e87c4ba512305ab6e0',
+    'ex1-timevarying/2': '3ed1bf4a401591793aa9e670c7c23a9f023bb504474e16d28c2e07d5c9d41c95',
+    'ex1-timevarying/3': '145c533648497e88a6ee3644503fcc75a9e1358f33c0d04e2273d8df0d2df1d8',
+    'ex1-timevarying/4': '912740ef9146c99d85b1866298122ca16c6c4bb3520c023ad0173c48e2bae0d5',
+    'ex1-timevarying/5': '61c788755557e7e5695b011ab05ecb259da3e05b4f56b9f2457341cf6f7b6173',
+    'ex2-timeinvariant/0': '9b6fea5d49657281eb4f2402f74ae84f1c914e9dc1364787052c495ba33b98b8',
+    'ex2-timeinvariant/1': '9a415bd7ff2dc54f1300e3e7dd23d077d8f9c7628f6cb60281e41a69f74fa57c',
+    'ex2-timeinvariant/2': 'b0de6e5ebd0d36cb72a5236f897fcea7e5bd3f146254b0a640e09c2cd61933d0',
+    'ex2-timeinvariant/3': '82bee77701d4fb2a54291ff08ebc10a3fa16f4cf82275f595fbe0ba4e65dd293',
+    'ex2-timeinvariant/4': '7cb6982f4700b92dc106d879076079a8cafff6d2142522195718e78ad738ee12',
+    'ex2-timeinvariant/5': '7e0105c0609f59cd528d516be420049ec5d2993fb11e75eded1b703dc004737a',
 }
 
 #: case (system/certificate index) -> sha256 of vdot on the 257 rows.
