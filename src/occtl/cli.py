@@ -18,7 +18,8 @@ differentiable at the point), with the report printed all the same.  Inside
 the checkers a trajectory that leaves f's domain is a truncated item, an
 output outside h's domain fails its own item, and a certificate sample where
 f, h or V is undefined is a violation; none of them is a failure of the run.
-Reports print every number that is not finite as null.
+Reports print every number that is not finite as null.  A run whose stdout
+is closed before its report is written exits 141, with no traceback.
 
 The environment variable OCCTL_THREADS caps the worker count; the numeric
 engine evaluates samples as vectorised batches on one thread, so the cap is
@@ -57,6 +58,8 @@ from .sysmodel import (
 )
 
 USAGE_ERROR, FALSIFIED, NUMERIC_FAILURE = 2, 1, 3
+#: 128 + SIGPIPE, as a shell reports a writer killed by a closed pipe
+CLOSED_STDOUT = 141
 
 #: reference value the fig2 reproduction checks the long-run output against
 FIG2_OUTPUT_TARGET = 0.246
@@ -508,7 +511,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args.command_echo = ["occtl"] + argv
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()   # a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # stdout's reader is gone: what is left of the report goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return USAGE_ERROR

@@ -19,14 +19,17 @@ whatever its conditions: nu is the symbolic Jh xi and Vdot one symbolic
 tree of V's partials (abs differentiates to sign), f and Jf xi, so subtrees
 they share are computed once.  The draw is made and judged in
 blocks of `_BLOCK` rows that stay in cache: each block's (x, xi) state is
-written into one buffer of the check, the kernel is called once on it, and
-each condition keeps only the block's least slack and its violated row of
-least slack, with that row's named terms; of the draw only its xi
-directions are kept whole.  The kernel has no domain guards, so a sample
-where f, h or V is undefined gets a nan slack, which counts as a violation
-of that sample instead of failing the run.  To keep that where V does not
-depend on some x_i, Vdot multiplies f_i by the zero partial, unless an
-interval enclosure proves f finite on the whole sampling box; then the
+written into one column-major buffer of the check, xi normalised in place
+there, the kernel is called once on it, and each condition keeps only the
+block's least slack and its violated row of least slack, with that row's
+named terms; of the draw only its raw xi directions are kept whole.  The
+norms of the xi and nu rows, a few numbers wide, are summed a column at a
+time in the order numpy sums such a row (`_row_norms`), not by numpy's loop
+per row.  The kernel has no domain guards, so a sample where f, h or V is
+undefined gets a nan slack, which counts as a violation of that sample
+instead of failing the run.  To keep that where V does not depend on some
+x_i, Vdot multiplies f_i by the zero partial, unless an interval enclosure
+proves f finite on the whole sampling box; then the
 product, +-0.0, is left out, which changes no bit of Vdot; so a candidate
 has at most two kernels, with and without those products.  A passing report
 is evidence over the sampled domain, never a proof; a failing report
@@ -68,9 +71,9 @@ def _tolerance(v) -> np.ndarray:
 
 
 #: samples drawn and judged together, their state, kernel columns and slacks
-#: in cache; one 1e5-sample ex1 command took 54, 45, 39 and 36 ms at 1024,
-#: 2048, 4096 and 16384 rows (BENCH_18.json), but 16384 rows add 3.2 MB of
-#: peak RSS, most of what streaming the draw saves
+#: in cache; one 1e5-sample ex1 command, in process, took a median of 24-38,
+#: 20, 17 and 19-24 ms at 1024, 2048, 4096 and 16384 rows (2-core Xeon,
+#: numpy 2.4.6; CHANGES.md), and 16384 rows add 2.9 MB of peak RSS
 _BLOCK = 4096
 
 
@@ -196,9 +199,26 @@ def _uniform(rng: np.random.Generator, lo: float, hi: float,
     out += lo
 
 
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=-1)`` of the rows of a 2-d `a`, bit for
+    bit what it gives on a C-order copy of `a`, whatever `a`'s layout.
+
+    numpy sums a C-order row of fewer than 8 left to right, so such rows
+    are summed here a column at a time, one vector loop per column instead
+    of one per row.  From 8 on it sums a C-order row pairwise in 8 lanes,
+    but an F-order row left to right, so those go through a C-order copy."""
+    if a.shape[1] >= 8:
+        return np.linalg.norm(np.ascontiguousarray(a), axis=-1)
+    out = a[:, 0] * a[:, 0]
+    for column in a.T[1:]:
+        out += column * column
+    return np.sqrt(out, out=out)
+
+
 def _draw_blocks(n: int, domain: CheckDomain, block: int):
     """Yield the draw of `domain` in blocks of `block` rows as (state, xi,
-    t): state the column-major (rows, 2n) buffer of x and xi, xi row-major.
+    t): state the column-major (rows, 2n) buffer of x and xi, xi its view
+    ``state[:, n:]``.
 
     The bytes are those of one `default_rng(seed)` filling x column by
     column with uniforms, then unit normal directions times each row's
@@ -207,9 +227,11 @@ def _draw_blocks(n: int, domain: CheckDomain, block: int):
     in the tail.  A uniform takes one raw draw, so x's column j and t come
     block by block from the seed's stream advanced past what precedes them.
     The normals vary in draws, so they are drawn at once, the one array as
-    long as the draw, and normalised and scaled block by block.  The
-    buffers are reused: a block is gone once the next is asked for.  A draw
-    whose normals do not fit in memory raises ValueError."""
+    long as the draw; each block copies its rows into state's xi columns
+    and normalises and scales them there, a column at a time
+    (`_row_norms`).  The buffers are reused: a block is gone once the next
+    is asked for.  A draw whose normals do not fit in memory raises
+    ValueError."""
     s, radii = domain.samples, domain.xi_radii
     corners = [c + tuple(0.5 * (lo + hi) for lo, hi in domain.x_box[len(c):])
                for c in itertools.product(*domain.x_box[:6])]
@@ -225,23 +247,25 @@ def _draw_blocks(n: int, domain: CheckDomain, block: int):
         bits.advance(j * s)   # x's column j, then the normals and t
     *columns, rng = map(np.random.Generator, streams)
     try:
-        xi = np.empty((size, n))
+        normals = np.empty((size, n))
     except MemoryError:
         raise ValueError(f"{s} samples are too many to draw: their "
                          "directions do not fit in memory") from None
-    rng.standard_normal(out=xi[:s])
-    xi[s:] = np.tile(seeds, (len(corners), 1))
-    state = np.empty((min(block, size), 2 * n), order="F")
-    times = np.empty(len(state))
+    rng.standard_normal(out=normals[:s])
+    normals[s:] = np.tile(seeds, (len(corners), 1))
+    times = np.empty(min(block, size))
+    buffer = np.empty(len(times) * 2 * n)
     for start in range(0, size, block):
         stop = min(start + block, size)
         drawn = max(0, min(stop, s) - start)   # random rows of the block
-        out, t = state[:stop - start], times[:stop - start]
+        t = times[:stop - start]
+        out = buffer[:t.size * 2 * n].reshape((t.size, 2 * n), order="F")
         for (lo, hi), column, rows in zip(domain.x_box, columns, out.T):
             _uniform(column, lo, hi, rows[:drawn])
-        dirs = xi[start:start + drawn]
-        norms = np.add.reduce(dirs * dirs, axis=-1, keepdims=True)
-        np.sqrt(norms, out=norms)
+        xi = out[:, n:]
+        xi[...] = normals[start:stop]
+        dirs = xi[:drawn]
+        norms = _row_norms(dirs)[:, np.newaxis]
         small = norms < 1e-12
         np.maximum(norms, 1e-300, out=norms)
         dirs /= norms
@@ -251,8 +275,7 @@ def _draw_blocks(n: int, domain: CheckDomain, block: int):
         _uniform(rng, t_lo, t_hi, t[:drawn])
         out[drawn:, :n] = probe_x[start + drawn - s:stop - s]
         t[drawn:] = probe_t[start + drawn - s:stop - s]
-        out[:, n:] = xi[start:stop]
-        yield out, xi[start:stop], t
+        yield out, xi, t
 
 
 def _v_env(spec: SystemSpec, x, xi, t) -> dict:
@@ -428,8 +451,8 @@ def _counterexample(i: int, state, xi, t, v, named) -> dict:
 
 def _sandwich(bounds: Bounds, t0: float) -> tuple:
     def terms(xi, t, v, nu, vd):
-        nu_norm = np.linalg.norm(nu, axis=-1)
-        xi_norm = np.linalg.norm(xi, axis=-1)
+        nu_norm = _row_norms(nu)
+        xi_norm = _row_norms(xi)
         lower = v - bounds.alpha1 * nu_norm ** bounds.p
         upper = bounds.alpha2 * xi_norm ** bounds.p \
             * np.exp(bounds.alpha3 * (t - t0)) - v

@@ -23,10 +23,11 @@ any shape: a state (n,), or a pair (2, n) whose two rows share every step.
 Each member keeps its own time, step, step floor, accept/reject decision and
 failure, and leaves the batch when it reaches tf or fails, so one escaping
 member costs its siblings nothing; every field call evaluates the running
-members together, each at its own time.  Each member's trajectory is bit for
-bit the one it gets alone, and `integrate`, the single-start function, is a
-one-member batch.  Fixed-step RK4 members share one grid instead.  Both
-integrators keep only the points that their running members reach.
+members together, as flat (rows, n) states, each row at its member's time.
+Each member's trajectory is bit for bit the one it gets alone, and
+`integrate`, the single-start function, is a one-member batch.  Fixed-step
+RK4 members share one grid instead.  Both integrators keep only the points
+that their running members reach.
 """
 
 from __future__ import annotations
@@ -102,9 +103,10 @@ def integrate_batch(field, x0s, t0: float, tf: float,
     returns for that member alone.
 
     Every field call evaluates the k members still running at once, as
-    states shaped ``(k,) + member_shape`` at times shaped ``(k,) + (1,) *
-    (member ndim - 1)`` to broadcast against the member axes; RK4's members
-    share one time, with 1 in place of k.
+    states shaped (rows, n), each member's rows in turn, at times shaped
+    (rows,), a member's time repeated over its rows; RK4's members share
+    one time, passed as a numpy scalar.  A member of shape (n,) is one row,
+    so its call is ``(k, n)`` at (k,) times.
     """
     cfg = cfg or IntegratorConfig()
     x0s = np.asarray(x0s, dtype=float)
@@ -120,10 +122,21 @@ def integrate_batch(field, x0s, t0: float, tf: float,
 
 def _stacked(field, x0s: np.ndarray):
     """``call(x, t)``: `field` on the states x of the k running members at
-    their times t, shaped (k,), or at one shared time, a numpy scalar; t is
-    reshaped to broadcast against the member axes."""
-    col = (-1,) + (1,) * (x0s.ndim - 2)
-    return lambda x, t: np.asarray(field(x, t.reshape(col)), dtype=float)
+    their times t, shaped (k,), or at one shared time, a numpy scalar.
+
+    The field sees one form: states flattened to (rows, n), each member's
+    rows consecutive, and t of shape (rows,), a member's time repeated over
+    its rows, or the scalar; its result is reshaped to x's shape.  Members
+    of one row, (n,), are called as they are."""
+    if x0s.ndim <= 2:
+        return lambda x, t: np.asarray(field(x, t), dtype=float)
+    rows = math.prod(x0s.shape[1:-1])
+
+    def call(x, t):
+        flat = x.reshape(-1, x.shape[-1])
+        return np.asarray(field(flat, t.repeat(rows) if t.ndim else t),
+                          dtype=float).reshape(x.shape)
+    return call
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import hashlib
 import json
+import os
 import re
 import subprocess
 import sys
@@ -855,6 +856,30 @@ def test_an_out_that_is_not_a_directory_is_a_usage_error(
     assert err.startswith(f"error: cannot write to --out {taken / under}: ")
     assert err.count("\n") == 1
     assert taken.read_text() == ""
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["contraction", "--system", "ex1-timevarying", "--pairs", "5", "--tf",
+      "2", "--seed", "7"], 0),
+    (["lyapunov", "--system", "ex1-timevarying", "--V", "(xi1+xi2)^2",
+      "--alpha1", "1", "--alpha2", "2", "--alpha3", "0", "--alpha4", "12",
+      "--samples", "100"], 1),
+])
+def test_a_closed_stdout_exits_141_without_a_traceback(argv, code):
+    # the pipe's reader is closed before the run writes, as when `| head`
+    # has already exited; neither the verdict's code nor a traceback shows
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "occtl", *argv],
+                              stdout=write, stderr=subprocess.PIPE,
+                              text=True, timeout=60)
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (141, "")
+    # an open stdout gets the report and the verdict's code
+    assert subprocess.run([sys.executable, "-m", "occtl", *argv],
+                          capture_output=True, timeout=60).returncode == code
 
 
 def test_console_entry_point_runs():

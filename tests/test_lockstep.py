@@ -167,30 +167,59 @@ def test_batch_rejects_a_missing_member_axis():
 @pytest.mark.parametrize("members", [None, 3], ids=["single", "batch"])
 @pytest.mark.parametrize("member", [(2,), (2, 2)], ids=["state", "pair"])
 def test_every_field_call_sees_the_member_axis(method, members, member):
-    # a single start is a batch of one: its field gets (1,) + member states
+    # a single start is a batch of one; every call gets the members' rows
+    # stacked as (rows, n), at (rows,) times, or at RK4's one scalar time
     seen = []
 
     def field(x, t):
-        seen.append((x.shape, np.broadcast_shapes(x.shape[:-1], np.shape(t))))
+        seen.append((x.shape, np.shape(t)))
         return -x
     cfg = IntegratorConfig(method=method, step=0.05)
     if members is None:
         integrate(field, np.ones(member), 0.0, 0.1, cfg)
     else:
         integrate_batch(field, np.ones((members,) + member), 0.0, 0.1, cfg)
-    k = members or 1
-    assert set(seen) == {((k,) + member, (k,) + member[:-1])}
+    rows = (members or 1) * math.prod(member[:-1])
+    t_shape = () if method == "rk4-fixed" else (rows,)
+    assert set(seen) == {((rows, member[-1]), t_shape)}
 
 
-@pytest.mark.parametrize("member, t_shape", [((2,), (3,)), ((2, 2), (3, 1))])
+@pytest.mark.parametrize("member, t_shape", [((2,), (3,)), ((2, 2), (6,))])
 def test_members_get_per_member_times_that_broadcast(member, t_shape):
+    # three members of one or two rows: one time per row
     seen = set()
 
     def field(x, t):
         seen.add((x.shape, np.shape(t)))
         return -x
     integrate_batch(field, np.ones((3,) + member), 0.0, 0.1)
-    assert seen == {((3,) + member, t_shape)}
+    assert seen == {(t_shape + member[-1:], t_shape)}
+
+
+def test_each_row_of_a_pair_sees_its_pairs_time():
+    # ex1's pairs step apart and leave the batch one by one; the j-th call
+    # of the batch is each running pair's j-th call alone, so both rows of
+    # a pair see, bit for bit, the time that the pair sees alone
+    field = vector_field(builtin_system("ex1-timevarying"))
+    x0s = np.random.default_rng(3).uniform(-5.0, 5.0, (6, 2, 2))
+    times = []
+
+    def recorded(x, t):
+        times.append(t.copy())
+        return field(x, t)
+    alone = []
+    for x0 in x0s:
+        times.clear()
+        integrate(recorded, x0, 0.0, 20.0)
+        assert all(t.shape == (2,) and t[0] == t[1] for t in times)
+        alone.append([t[0] for t in times])
+    times.clear()
+    integrate_batch(recorded, x0s, 0.0, 20.0)
+    assert len(times) == max(map(len, alone))
+    for j, t in enumerate(times):
+        want = np.repeat([ts[j] for ts in alone if len(ts) > j], 2)
+        assert t.tobytes() == want.tobytes()
+    assert any(len(np.unique(t)) > 1 for t in times)
 
 
 def test_step_factors_match_the_scalar_rule_bit_for_bit():
@@ -234,7 +263,7 @@ def test_each_field_call_evaluates_exactly_the_running_members(method):
     # ex1's pairs escape at different times, so members leave the batch
     # one by one; alone, a member makes 1 + 6 * (its attempts) calls (RK4:
     # 4 per step), and in the batch each iteration calls every running
-    # member together, each call with one row per member
+    # member together, each call with exactly two rows (n = 2) per pair
     field = vector_field(builtin_system("ex1-timevarying"))
     x0s = np.random.default_rng(3).uniform(-5.0, 5.0, (6, 2, 2))
     cfg = IntegratorConfig(method=method, step=1e-2)
@@ -242,16 +271,19 @@ def test_each_field_call_evaluates_exactly_the_running_members(method):
     rows = []
 
     def counted(x, t):
-        rows.append(len(x) if x.ndim == 3 else 1)
+        t_shape = () if method == "rk4-fixed" else (len(x),)
+        assert x.shape[1:] == (2,) and np.shape(t) == t_shape
+        rows.append(len(x))
         return field(x, t)
     iterations = []
     for x0 in x0s:
         rows.clear()
         integrate(counted, x0, 0.0, 20.0, cfg)
-        assert (len(rows) - 1) % per == 0
+        assert set(rows) == {2} and (len(rows) - 1) % per == 0
         iterations.append((len(rows) - 1) // per)
     assert len(set(iterations)) > 2
     rows.clear()
     integrate_batch(counted, x0s, 0.0, 20.0, cfg)
     running = [sum(n > i for n in iterations) for i in range(max(iterations))]
-    assert rows == [len(x0s)] + [k for k in running for _ in range(per)]
+    assert rows == [2 * len(x0s)] + [2 * k for k in running
+                                     for _ in range(per)]

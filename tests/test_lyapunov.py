@@ -810,6 +810,41 @@ def test_draw_fills_the_bytes_of_the_stacked_draw(n, kw):
             assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+@pytest.mark.parametrize("n", range(1, 21))
+def test_row_norms_are_numpys_row_norms_bit_for_bit(n):
+    # numpy sums a C-order row of fewer than 8 left to right and a longer
+    # one pairwise; _row_norms must give its C-order bits on every layout
+    # the falsifier hands it, and must fail here if numpy moves that switch
+    rng = np.random.default_rng(n)
+    specials = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e-310, 1e200]
+    rows = np.concatenate([
+        rng.standard_normal((1000, n)),
+        rng.choice(specials, (200, n)) * rng.choice([1.0, -1.0], (200, n)),
+        np.array(specials)[:, np.newaxis].repeat(n, axis=1)])
+    rows[1000:1100, 0] = rng.standard_normal(100)
+    wide = np.zeros((len(rows), 2 * n + 1), order="F")
+    wide[:, n:2 * n] = rows
+    spaced = np.zeros((2 * len(rows), n))
+    spaced[::2] = rows
+    with np.errstate(all="ignore"):   # 1e200 squared overflows
+        want = np.linalg.norm(rows, axis=-1)
+        for a in (rows, np.asfortranarray(rows), wide[:, n:2 * n],
+                  spaced[::2]):
+            assert lyapunov._row_norms(a).tobytes() == want.tobytes()
+        left_to_right = np.sqrt(sum(column * column for column in rows.T))
+    assert (left_to_right.tobytes() == want.tobytes()) == (n < 8)
+
+
+def test_each_blocks_xi_is_a_view_of_its_states_xi_columns():
+    # the draw normalises xi where the kernel reads it, a column at a time
+    for block in (1, 3, lyapunov._BLOCK):
+        for state, xi, t in lyapunov._draw_blocks(2, domain(samples=5_000),
+                                                  block):
+            assert xi.flags.f_contiguous and xi.shape == (len(t), 2)
+            assert np.shares_memory(xi, state[:, 2:])
+            assert not np.shares_memory(xi, state[:, :2])
+
+
 def _traced_peak(run) -> int:
     tracemalloc.start()
     try:
