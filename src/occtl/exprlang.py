@@ -3,17 +3,16 @@
 This module supplies the symbolic layer of the toolkit: right-hand sides of
 vector fields, output maps, and Lyapunov candidates are all plain text parsed
 into immutable expression trees, evaluated either on floats or elementwise on
-numpy arrays, differentiated exactly with dual numbers or symbolically,
-proven finite over a box of their variables by interval enclosure where
-they can be (`finite_on_box`), and compiled into one vectorised kernel per
-expression list.  The kernels are the production path for f, h, their
-Jacobians, the variational system and a certificate's value, nu and Vdot;
-the dual numbers and the tree-walking `evaluate` are the references they
-are checked against.  Only `evaluate` raises ExprEvalError on a domain
-violation; the compiled kernels and the dual numbers have no domain guards
-and return IEEE nan or inf there, so an integrator truncates the one sample
-that left f's domain, and a checker fails the one item or certificate
-sample that left h's or V's domain, instead of the whole run failing.
+numpy arrays, differentiated exactly with dual numbers or symbolically, and
+compiled into one vectorised kernel per expression list.  The kernels are
+the production path for f, h, their Jacobians, the variational system and a
+certificate's value, nu and Vdot; the dual numbers and the tree-walking
+`evaluate` are the references they are checked against.  Only `evaluate`
+raises ExprEvalError on a domain violation; the compiled kernels and the
+dual numbers have no domain guards and return IEEE nan or inf there, so an
+integrator truncates the one sample that left f's domain, and a checker
+fails the one item that left h's domain, or the one certificate sample that
+left f's, h's or V's, instead of the whole run failing.
 
 Grammar (EBNF)::
 
@@ -50,7 +49,7 @@ __all__ = [
     "ExprSyntaxError", "ExprEvalError", "FUNCTIONS",
     "tokenize", "parse", "to_source", "free_vars",
     "evaluate", "evaluate_dual", "dual_env",
-    "differentiate", "finite_on_box", "compile_expr",
+    "differentiate", "compile_expr",
 ]
 
 #: callable names accepted by the grammar
@@ -619,87 +618,6 @@ def differentiate(e: Expr, var: str) -> Expr:
             return _c(0.0)
         return _mul(_DERIVS[e.fn](e.arg), inner)
     raise TypeError(f"not an expression node: {e!r}")
-
-
-# ---------------------------------------------------------------------------
-# interval enclosure
-# ---------------------------------------------------------------------------
-
-#: an enclosure reaching this bound proves nothing: far enough below the
-#: largest double that no node can overflow inside it
-_HUGE = 1e300
-
-#: calls whose value is enclosed by [-1, 1] wherever their argument is finite
-_UNIT_CALLS = frozenset({"sin", "cos", "tanh"})
-
-
-def finite_on_box(exprs: Sequence[Expr],
-                  box: Mapping[str, tuple[float, float]]) -> bool:
-    """Whether every tree in `exprs` is proven finite wherever each variable
-    lies in its interval of `box`, under `compile_expr`'s IEEE arithmetic.
-
-    The proof is a conservative interval enclosure: every node's interval
-    is widened by 1e-9 of its bounds plus 1e-300, which covers the rounding
-    of the kernels and of the enclosure itself.  It fails, and the answer
-    is False, on a bound at or beyond 1e300 (or nan), a divisor interval
-    that holds 0, a call other than sin, cos and tanh, an exponent that is
-    not an integer constant, a variable `box` does not bound, or an
-    overflow of the enclosure's own arithmetic.  False means unproven,
-    never that a tree is non-finite somewhere."""
-    try:
-        return all(_enclose(e, box) is not None for e in exprs)
-    except (OverflowError, ZeroDivisionError):
-        return False
-
-
-def _enclose(e: Expr, box: Mapping[str, tuple[float, float]]
-             ) -> tuple[float, float] | None:
-    """Widened interval holding every value of `e` on `box`, or None."""
-    if isinstance(e, Const):
-        lo = hi = e.value
-    elif isinstance(e, Var):
-        if e.name not in box:
-            return None
-        lo, hi = box[e.name]
-    elif isinstance(e, Neg):
-        a = _enclose(e.operand, box)
-        if a is None:
-            return None
-        lo, hi = -a[1], -a[0]
-    elif isinstance(e, Call):
-        if e.fn not in _UNIT_CALLS or _enclose(e.arg, box) is None:
-            return None
-        lo, hi = -1.0, 1.0
-    elif isinstance(e, Bin):
-        a = _enclose(e.left, box)
-        if a is None:
-            return None
-        if e.op == "^":
-            k = e.right
-            if not (isinstance(k, Const) and float(k.value).is_integer()) \
-                    or (k.value < 0 and a[0] <= 0.0 <= a[1]):
-                return None
-            ends = (a[0] ** k.value, a[1] ** k.value)
-            lo, hi = min(ends), max(ends)
-            if k.value % 2 == 0 and a[0] < 0.0 < a[1]:
-                lo = 0.0
-        else:
-            b = _enclose(e.right, box)
-            if b is None or (e.op == "/" and b[0] <= 0.0 <= b[1]):
-                return None
-            if e.op == "+":
-                lo, hi = a[0] + b[0], a[1] + b[1]
-            elif e.op == "-":
-                lo, hi = a[0] - b[1], a[1] - b[0]
-            else:
-                ends = [p * q if e.op == "*" else p / q
-                        for p in a for q in b]
-                lo, hi = min(ends), max(ends)
-    else:
-        return None
-    lo -= 1e-9 * abs(lo) + 1e-300
-    hi += 1e-9 * abs(hi) + 1e-300
-    return (lo, hi) if -_HUGE < lo and hi < _HUGE else None
 
 
 # ---------------------------------------------------------------------------

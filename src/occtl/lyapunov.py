@@ -26,15 +26,13 @@ named terms; of the draw only its raw xi directions are kept whole.  The
 norms of the xi and nu rows, a few numbers wide, are summed a column at a
 time in the order numpy sums such a row (`_row_norms`), not by numpy's loop
 per row.  The kernel has no domain guards, so a sample where f, h or V is
-undefined gets a nan slack, which counts as a violation of that sample
-instead of failing the run.  To keep that where V does not depend on some
-x_i, Vdot multiplies f_i by the zero partial, unless an interval enclosure
-proves f finite on the whole sampling box; then the
-product, +-0.0, is left out, which changes no bit of Vdot; so a candidate
-has at most two kernels, with and without those products.  A passing report
-is evidence over the sampled domain, never a proof; a failing report
-carries a counterexample that re-evaluates to a violation through an
-independent finite-difference path, unless its slack is nan.
+undefined, or overflows, gets a nan slack, which counts as a violation of
+that sample instead of failing the run.  To keep that where V does not
+depend on some x_i, Vdot always multiplies f_i by the zero partial; so a
+candidate has one kernel, which `vdot` reads too.  A passing report is
+evidence over the sampled domain, never a proof; a failing report carries a
+counterexample that re-evaluates to a violation through an independent
+finite-difference path, unless its slack is nan.
 
 Certificates are checked, never synthesised.
 """
@@ -48,8 +46,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .exprlang import (
-    Bin, Const, Expr, compile_expr, differentiate, evaluate, finite_on_box,
-    free_vars, parse,
+    Bin, Const, Expr, compile_expr, differentiate, evaluate, free_vars, parse,
 )
 from .exprlang import dual_env, evaluate_dual  # noqa: F401  looked up by bench/tracing.py
 from .sysmodel import (
@@ -291,21 +288,16 @@ def _v_env(spec: SystemSpec, x, xi, t) -> dict:
 # the certificate kernel
 # ---------------------------------------------------------------------------
 
-def _vdot_expr(spec: SystemSpec, V: Expr, f_finite: bool = False) -> Expr:
+def _vdot_expr(spec: SystemSpec, V: Expr) -> Expr:
     """dV/dt + (0.0 + sum_i dV/dx_i*f_i) + (0.0 + sum_i dV/dxi_i*(Jf xi)_i).
 
     The sums run left to right.  A zero partial of V along x stays as the
-    product ``0.0*f_i``, so a sample where f is undefined gets a nan Vdot
-    even where V does not depend on x, unless `f_finite` says that every
-    f_i is finite on the samples: such a product is then +-0.0, and adding
-    it to a sum that starts at 0.0, which is never -0.0, changes no bit, so
-    it is left out."""
+    product ``0.0*f_i``, so a sample where f is undefined or overflows gets
+    a nan Vdot even where V does not depend on x; where f_i is finite the
+    product is +-0.0, which changes no bit of a sum that starts at 0.0."""
     along_x: Expr = Const(0.0)
     for name, f in zip(spec.state_names, spec.f):
-        partial = differentiate(V, name)
-        if not (f_finite and isinstance(partial, Const)
-                and partial.value == 0.0):
-            along_x = Bin("+", along_x, Bin("*", partial, f))
+        along_x = Bin("+", along_x, Bin("*", differentiate(V, name), f))
     along_xi: Expr = Const(0.0)
     for name, jf_xi in zip(_tangent_names(spec), _tangents(spec, spec.f)):
         along_xi = Bin("+", along_xi,
@@ -313,48 +305,37 @@ def _vdot_expr(spec: SystemSpec, V: Expr, f_finite: bool = False) -> Expr:
     return Bin("+", Bin("+", differentiate(V, "t"), along_x), along_xi)
 
 
-def _kernel(spec: SystemSpec, V: CandidateV, f_finite: bool):
-    """One kernel over x1..xn, xi1..xin of the columns V, nu_1..nu_m and
-    Vdot; compiled once per spec, V and `f_finite`.
+def _kernel(spec: SystemSpec, V: CandidateV):
+    """The one kernel of V: over x1..xn, xi1..xin, the columns V,
+    nu_1..nu_m and Vdot; compiled once per spec and V.
 
     V, nu = Jh xi and Vdot share one call, so a subtree of f, h or V that
-    several of them hold is computed once per call.  `f_finite`, that f is
-    proven finite wherever the kernel will be called, lets Vdot leave out
-    its products of f with a zero partial (`_vdot_expr`)."""
-    key = ("certificate", V, f_finite)
+    several of them hold is computed once per call.  Vdot multiplies every
+    zero partial of V along x by f_i (`_vdot_expr`)."""
+    key = ("certificate", V)
     kernel = spec._kernels.get(key)
     if kernel is None:
         kernel = spec._kernels[key] = compile_expr(
-            (V.expr, *_tangents(spec, spec.h),
-             _vdot_expr(spec, V.expr, f_finite)),
+            (V.expr, *_tangents(spec, spec.h), _vdot_expr(spec, V.expr)),
             spec.state_names + _tangent_names(spec))
     return kernel
-
-
-def _f_finite(spec: SystemSpec, domain: CheckDomain) -> bool:
-    """Whether f is proven finite on every sample of `domain`'s draw: each
-    x lies in `x_box` and t in `t_range`."""
-    box = dict(zip(spec.state_names, domain.x_box), t=domain.t_range)
-    return finite_on_box(spec.f, box)
 
 
 def vdot(spec: SystemSpec, V: CandidateV, x, xi, t):
     """dV/dt + dV/dx f + dV/dxi (Jf xi).
 
-    V's partials, f and Jf xi are compiled symbolic derivatives in V's
-    certificate kernel (abs in V differentiates to sign, 0 at the kink).
-    The points have no box to prove f finite on, so every zero partial of V
-    multiplies f, as in the falsifier's kernel where f is not proven
-    finite; where f is finite, both kernels give these bits.  Works on single
-    points (shape (n,)) or batches (..., n); the result is a float or an
-    array of the batch shape.
+    V's partials, f and Jf xi are compiled symbolic derivatives in V's one
+    certificate kernel, the falsifier's (abs in V differentiates to sign, 0
+    at the kink), so every zero partial of V along x multiplies f_i.  x, xi
+    and t broadcast: a single point (x and xi of shape (n,), scalar t) gives
+    a float, and a batch in any of them an array of the broadcast batch
+    shape.
     """
     V.check_variables(spec)
-    x = np.asarray(x, dtype=float)
-    state = np.concatenate(
-        np.broadcast_arrays(x, np.asarray(xi, dtype=float)), axis=-1)
-    total = _kernel(spec, V, False)(state, t)[..., -1]
-    return float(total) if x.ndim == 1 else total
+    state = np.concatenate(np.broadcast_arrays(
+        np.asarray(x, dtype=float), np.asarray(xi, dtype=float)), axis=-1)
+    total = _kernel(spec, V)(state, t)[..., -1]
+    return float(total) if total.ndim == 0 else total
 
 
 def vdot_fd(spec: SystemSpec, V: CandidateV, x, xi, t, step: float = 1e-6):
@@ -391,12 +372,11 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     vdot) -> (slack, named terms)`` reads one block: its xi and t, and the
     kernel's columns V, nu (rows x m) and Vdot.  Checks V's variables and
     the box against the spec before it draws.
-    V's one kernel gives V, nu and Vdot for every condition, Vdot without
-    its products of f with a zero partial of V where f is proven finite on
-    the draw's box (`_f_finite`).  The draw comes in blocks of `_BLOCK`
-    rows (`_draw_blocks`), each written into one column-major (rows, 2n)
-    buffer of the check and judged as it comes, with one kernel call and
-    every condition on its rows.  A slack not at least -tolerance (nan included,
+    V's one kernel gives V, nu and Vdot for every condition, Vdot with its
+    products of f with a zero partial of V (`_kernel`).  The draw comes in
+    blocks of `_BLOCK` rows (`_draw_blocks`), each written into one
+    column-major (rows, 2n) buffer of the check and judged as it comes,
+    with one kernel call and every condition on its rows.  A slack not at least -tolerance (nan included,
     as where V or f is undefined) is a violation; a block keeps its least
     slack and its violated row of least slack, nan ranked last, with the
     named terms of that row.  Across blocks the least slack is np.min of
@@ -408,7 +388,7 @@ def _falsify(spec: SystemSpec, V: CandidateV, domain: CheckDomain,
     if len(domain.x_box) != spec.n:
         raise ValueError(f"domain box has {len(domain.x_box)} intervals, "
                          f"system has n={spec.n}")
-    kernel = _kernel(spec, V, _f_finite(spec, domain))
+    kernel = _kernel(spec, V)
     mins = [[] for _ in conditions]
     worst = [(math.inf, None)] * len(conditions)   # (rank, counterexample)
     checked = 0

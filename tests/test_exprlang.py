@@ -1,5 +1,4 @@
 import copy
-import itertools
 import math
 from collections import Counter
 
@@ -786,79 +785,3 @@ def test_compiled_power_does_not_depend_on_the_batch(src):
               if fn(x[j], t[j]).tobytes() != batch[j].tobytes()]
     assert differ == []
 
-
-# ---------------------------------------------------------------------------
-# interval enclosure
-# ---------------------------------------------------------------------------
-
-from occtl.exprlang import _enclose, finite_on_box  # noqa: E402
-
-_UNIT = {"x1": (-1.0, 1.0), "x2": (1.0, 2.0), "t": (0.0, 7.0)}
-
-
-@pytest.mark.parametrize("src, box, proven", [
-    ("-0.1*x1^3 - (4 + sin(t) + 0.3*x1^2)*x2 + cos(x1 + x2)", _UNIT, True),
-    ("tanh(x1)*cos(x2)/x2 - x1^0 + 2^3", _UNIT, True),
-    (Bin("^", Var("x2"), Const(-3.0)), _UNIT, True),
-    ("x1^3", {"x1": (-1e99, 1e99)}, True),
-    # the enclosure's own arithmetic overflows: `**` raises, `*` gives inf
-    ("x1^3", {"x1": (-1e103, 1e103)}, False),
-    ("1e200^3", {}, False),
-    ("x1*x1", {"x1": (-1e160, 1e160)}, False),
-    ("x1^1e20", {"x1": (-2.0, 2.0)}, False),
-    ("x1/x2", {"x1": (1.0, 1e200), "x2": (1e-200, 1.0)}, False),
-    # a bound at or beyond 1e300
-    ("x1^3", {"x1": (-1e100, 1e100)}, False),
-    ("x1 + x1", {"x1": (0.0, 6e299)}, False),
-    ("1e999 - x1", _UNIT, False),
-    # a divisor interval that holds 0
-    ("1/x1", _UNIT, False),
-    ("1/(x2 - 1)", _UNIT, False),
-    (Bin("^", Var("x1"), Const(-2.0)), _UNIT, False),
-    # calls other than sin, cos and tanh, and exponents that are not
-    # integer constants
-    ("ln(x2)", _UNIT, False),
-    ("sqrt(x2)", _UNIT, False),
-    ("tan(x1)", _UNIT, False),
-    ("exp(x1)", _UNIT, False),
-    ("abs(x1)", _UNIT, False),
-    ("x2^0.5", _UNIT, False),
-    ("x2^x1", _UNIT, False),
-    ("x2^-2", _UNIT, False),
-    # a variable the box does not bound
-    ("x3", _UNIT, False),
-])
-def test_finite_on_box_proves_only_what_it_can_bound(src, box, proven):
-    tree = parse(src) if isinstance(src, str) else src
-    assert finite_on_box([tree], box) is proven
-
-
-def test_finite_on_box_needs_every_tree():
-    assert finite_on_box([parse("x1"), parse("sin(x2)")], _UNIT)
-    assert not finite_on_box([parse("x1"), parse("ln(x2)")], _UNIT)
-
-
-def test_enclosure_holds_the_kernel_on_random_trees():
-    # wherever the enclosure proves a tree finite, the compiled kernel lies
-    # in its interval at the box's corners and at random points inside it
-    rng = np.random.default_rng(5)
-    proven = 0
-    for _ in range(600):
-        scale = (1.0, 1e50, 1e98)[rng.integers(3)]
-        box = {}
-        for name in _VARS:
-            lo, hi = np.sort(rng.uniform(-3, 3, size=2)) * scale
-            box[name] = (float(lo), float(hi))
-        ast = _random_tree(rng, depth=5, wild=rng.random() < 0.3)
-        if not finite_on_box([ast], box):
-            continue
-        proven += 1
-        corners = np.array(list(itertools.product(*box.values())))
-        lo, hi = np.array(list(box.values())).T
-        points = np.concatenate([corners,
-                                 rng.uniform(lo, hi, size=(200, 3))])
-        values = compile_expr([ast], ["x1", "x2"])(points[:, :2],
-                                                   points[:, 2])
-        low, high = _enclose(ast, box)
-        assert np.all((low <= values) & (values <= high)), to_source(ast)
-    assert proven > 100

@@ -14,7 +14,7 @@ from occtl.lyapunov import (
     Bounds, CandidateV, CheckDomain, check_certificate, implied_rate,
     report_json, reverify_counterexample, vdot, vdot_fd,
 )
-from occtl.exprlang import evaluate, to_source
+from occtl.exprlang import evaluate
 from occtl.odeint import IntegratorConfig, integrate
 from occtl.sysmodel import (
     BUILTIN_NAMES, SystemSpec, augment, builtin_system,
@@ -98,6 +98,22 @@ def test_vdot_batched_matches_scalar():
     for i in range(11):
         assert batch[i] == pytest.approx(
             vdot(spec, V_SUM_SQ, x[i], xi[i], float(t[i])), rel=1e-14)
+
+
+@pytest.mark.parametrize("x, xi, t", [
+    ((0.3, -0.9), [[1.0, 1.0], [2.0, -2.0], [0.5, 3.0]], 0.7),
+    ((0.3, -0.9), (1.0, 1.0), [0.0, 0.7, 2.5]),
+    ([[0.3, -0.9], [1.5, 2.0], [-1.0, 0.25]], (1.0, 1.0), 0.7),
+])
+def test_vdot_broadcasts_a_single_point_against_a_batch(x, xi, t):
+    # a single x with a batched xi or t gives the rows of the call with
+    # every argument broadcast to the batch, bit for bit
+    spec = builtin_system("ex1-timevarying")
+    got = vdot(spec, V_SUM_SQ, x, xi, t)
+    full = [np.broadcast_to(np.asarray(v, dtype=float), shape)
+            for v, shape in ((x, (3, 2)), (xi, (3, 2)), (t, (3,)))]
+    assert got.shape == (3,)
+    assert got.tobytes() == vdot(spec, V_SUM_SQ, *full).tobytes()
 
 
 def test_vdot_zero_partial_keeps_an_overflow():
@@ -185,7 +201,8 @@ def test_sandwich_then_decay_compile_each_kernel_once(compile_calls):
     bounds = Bounds(1.0, 2.0, 0.0, 2.0)
     for _ in range(2):
         check_certificate(spec, V_SUM_SQ, bounds, domain(samples=200))
-    # (V, Jh xi, Vdot), read by both conditions of both checks
+    vdot(spec, V_SUM_SQ, (0.5, -1.0), (1.0, 2.0), 0.25)
+    # (V, Jh xi, Vdot), read by both conditions of both checks and by vdot
     assert compile_calls == [3]
 
 
@@ -704,75 +721,12 @@ def test_decay_is_nan_where_f_is_undefined_and_v_ignores_x():
     assert np.all(np.isnan(vdot(spec, V, x, xi, t)))
     assert np.all(np.isnan(dual_vdot(spec, V,
                                      np.concatenate([x, xi], axis=-1), t)))
-
-
-@pytest.fixture
-def kernels_built(monkeypatch) -> list:
-    """`f_finite` of each certificate kernel a check asks for."""
-    built = []
-    real = lyapunov._kernel
-
-    def recording(spec, V, f_finite):
-        built.append(f_finite)
-        return real(spec, V, f_finite)
-    monkeypatch.setattr(lyapunov, "_kernel", recording)
-    return built
-
-
-@pytest.mark.parametrize("f, x_box", [
-    # the enclosure overflows: Python's `**` raises on (1e200)^3
-    ([to_source(e) for e in builtin_system("ex1-timevarying").f],
-     ((-1e200, 1e200),) * 2),
-    (["x1^3"], ((-1e103, 1e103),)),
-    # calls the enclosure does not bound, even where f is finite (abs is
-    # refused in f by `SystemSpec`, and by the enclosure in test_exprlang)
-    (["ln(x1)"], ((1.0, 2.0),)),
-    (["-sqrt(x1)"], ((1.0, 2.0),)),
-    (["tan(x1)"], ((-1.0, 1.0),)),
-    (["exp(-x1)"], ((-1.0, 1.0),)),
-    (["1/x1"], ((-1.0, 1.0),)),
-])
-def test_decay_keeps_the_products_where_f_is_not_proven_finite(
-        kernels_built, f, x_box):
-    spec = SystemSpec.from_strings("unproven", len(f), 1, f, ["x1"])
-    V = CandidateV.from_string("xi1^2")
-    dom = CheckDomain(x_box=x_box, samples=100, seed=3)
-    check_certificate(spec, V, Bounds(1.0, 2.0, 0.0, 2.0), dom)
-    assert kernels_built == [False]
-
-
-@pytest.mark.parametrize("system", ["ex1-timevarying", "ex2-timeinvariant"])
-@pytest.mark.parametrize("certificate", [
-    "(xi1 + xi2)^2", "(xi1 + xi2)^2 + 0.01*(x1^2 + x2^2)*xi1^2",
-    "-t*xi1^2"])
-def test_folded_decay_kernel_keeps_every_bit(system, certificate):
-    # for finite f, 0.0*f_i is +-0.0 and the sums it joined start at 0.0,
-    # so they never hold -0.0; leaving it out changes no bit, not even where
-    # dV/dt = -xi1^2 is -0.0, on the probe rows with xi1 = 0
-    spec = builtin_system(system)
-    V = CandidateV.from_string(certificate)
-    dom = domain(samples=100_000, seed=7)
-    assert lyapunov._f_finite(spec, dom)
-    x, xi, t = _drawn(spec.n, dom)
-    state = np.concatenate([x, xi], axis=-1)
-    with np.errstate(all="ignore"):
-        full = lyapunov._kernel(spec, V, False)(state, t)
-        folded = lyapunov._kernel(spec, V, True)(state, t)
-    assert full.tobytes() == folded.tobytes()
-    assert np.any(xi[:, 0] == 0.0)
-    if "x1" not in certificate:
-        assert lyapunov._vdot_expr(spec, V.expr, True) \
-            != lyapunov._vdot_expr(spec, V.expr)
-
-
-def test_reference_lyapunov_command_takes_the_folded_kernel(
-        kernels_built, capsys):
-    # ex1 on the CLI's default box [-10, 10]^2: f is proven finite
-    code = main(["lyapunov", "--system", "ex1-timevarying",
-                 "--V", "(xi1+xi2)^2", "--alpha1", "1", "--alpha2", "2",
-                 "--alpha3", "0", "--alpha4", "2", "--samples", "3000"])
-    assert code == 0 and kernels_built == [True]
-    capsys.readouterr()
+    # where f overflows, 0.0*inf is nan too: without the products every
+    # Vdot here would be finite, as Jf xi = 3 x1^2 xi1 stays below 1e208
+    spec = SystemSpec.from_strings("cubic", 1, 1, ["x1^3"], ["x1"])
+    dom = CheckDomain(x_box=((-1e103, 1e103),), samples=100, seed=3)
+    report = check_certificate(spec, V, Bounds(1.0, 2.0, 0.0, 2.0), dom)[1]
+    assert not report.passed and math.isnan(report.worst_margin)
 
 
 def test_block_layout_changes_no_bit():
@@ -781,7 +735,7 @@ def test_block_layout_changes_no_bit():
     spec = builtin_system("ex1-timevarying")
     x, xi, t = _drawn(spec.n, domain(samples=4096, seed=7))
     rows = np.concatenate([x, xi], axis=-1)
-    kernel = lyapunov._kernel(spec, V_SUM_SQ, False)
+    kernel = lyapunov._kernel(spec, V_SUM_SQ)
     with np.errstate(all="ignore"):
         assert kernel(rows, t).tobytes() \
             == kernel(np.asfortranarray(rows), t).tobytes()

@@ -48,6 +48,7 @@ from occtl.lyapunov import (
     Bounds, CandidateV, CheckDomain, check_certificate, report_json, vdot,
 )
 from occtl.sysmodel import augment, builtin_system, vector_field
+from certificate_grid import case_digest, case_lines, cases
 from oracles import dual_vdot
 
 SYSTEMS = ("lti-remark1", "lti-remark1-badout", "ex1-timevarying",
@@ -543,6 +544,24 @@ CLI_GOLDEN = {
 @pytest.mark.parametrize("alpha4", CLI_ALPHA4)
 def test_reference_lyapunov_run_matches_golden(alpha4):
     assert cli_digest(alpha4) == CLI_GOLDEN[alpha4]
+
+
+#: cases of tests/certificate_grid.py: a time-varying sandwich failure, a
+#: time-invariant decay failure, a refused input and a seed past 64 bits
+GRID_SLICE = ("ex1-timevarying/0/3/400/1", "ex2-timeinvariant/4/11/400/3",
+              "lti-remark1/3/11/400/2",
+              "lti-remark1-badout/6/9223372036854775819/400/0")
+
+
+def test_the_certificate_grid_renders_a_case_alike_twice():
+    # once with freshly built systems, once with their kernels compiled
+    specs = {}
+    first = [case_digest(case, specs) for case in GRID_SLICE]
+    assert [case_digest(case, specs) for case in GRID_SLICE] == first
+    assert len(cases()) == 1344 and set(GRID_SLICE) <= set(cases())
+    kinds = {line.split(":")[0] for case in GRID_SLICE
+             for line in case_lines(case, specs) if line[0] != "{"}
+    assert kinds == {"error", "reverify"}
 
 
 if __name__ == "__main__":
